@@ -6,9 +6,8 @@
 //   chaos        serve.shard.kill armed at two points mid-trace (the
 //                routed-to shard is crashed under the submission and the
 //                job fails over), serve.wal.torn_write wedges one WAL
-//                mid-run, serve.cache.remote_timeout degrades a fraction
-//                of cross-shard lookups; dead shards are restarted
-//                mid-trace and at the end, replaying their logs.
+//                mid-run; dead shards are restarted mid-trace and at the
+//                end, replaying their logs.
 //
 // Acceptance gates (the durability contract, exit 1 on violation):
 //   * at least one kill fired and at least one job was replayed from a WAL
@@ -253,16 +252,16 @@ int main(int argc, char** argv) {
       run_trace(trace, make_options("bench_chaos_wal/clean", n_shards),
                 {}, {});
 
-  std::printf("chaos pass (kills + torn WAL + remote timeouts)...\n");
+  std::printf("chaos pass (kills + torn WAL)...\n");
   // Jobtrace only now: both passes replay the same trace through fresh
   // services, so gids repeat — tracing the fault-free pass would merge
   // its spans into the chaos timelines the stitching gate inspects.
   obs::set_jobtrace_enabled(true);
-  // Torn-write and remote-timeout sites stay armed for the whole pass;
-  // the kill site is re-armed at each kill point inside run_trace.
+  // The torn-write site stays armed for the whole pass; the kill site is
+  // re-armed at each kill point inside run_trace.
   fault::reset();
   fault::FaultInjector::instance().configure_from_string(
-      "serve.wal.torn_write:at=120;serve.cache.remote_timeout:p=0.3");
+      "serve.wal.torn_write:at=120");
   const std::size_t k1 = trace.size() / 3;
   const std::size_t k2 = 2 * trace.size() / 3;
   const std::size_t r1 = (k1 + k2) / 2;  // restart between the kills
@@ -288,13 +287,12 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nchaos: %zu accepted, %zu completed, %llu kills, %llu failovers, "
-      "%llu jobs / %llu tasks replayed, %llu remote hits\n",
+      "%llu jobs / %llu tasks replayed\n",
       chaos.accepted, chaos.completed,
       static_cast<unsigned long long>(chaos.stats.kills),
       static_cast<unsigned long long>(chaos.stats.failovers),
       static_cast<unsigned long long>(chaos.stats.replayed_jobs),
-      static_cast<unsigned long long>(chaos.stats.replayed_tasks),
-      static_cast<unsigned long long>(chaos.stats.remote_hits));
+      static_cast<unsigned long long>(chaos.stats.replayed_tasks));
   std::printf("lost jobs: %zu, bitwise mismatches: %zu\n", lost, mismatches);
   std::printf(
       "obs plane: %llu flight dump(s), %zu traced jobs, "

@@ -21,9 +21,8 @@ Refresh the baseline with --update-tidy-baseline after triaging.
   4. No detached or ad-hoc threads in src/. Calling .detach() on a
      thread orphans work the serve shutdown path and the sanitizer
      runs cannot see; constructing std::thread directly is reserved
-     for the sanctioned homes (the serve worker pool, the SPMD comm
-     runtime, and the remote-cache server threads), everything else
-     must submit to the serve pool.
+     for the sanctioned homes (the serve worker pool and the SPMD comm
+     runtime), everything else must submit to the serve pool.
   5. No unflushed durability writes in src/serve/. The write-ahead job
      log's log-before-ack contract only holds if every byte it promises
      is fsync'd before the acknowledgment, so file *output* in the
@@ -181,10 +180,6 @@ THREAD_HOMES = {
     SRC / "serve" / "pool.cpp",
     SRC / "serve" / "pool.hpp",
     SRC / "parallel" / "comm.cpp",
-    # Cross-shard cache server threads: owned by RemoteCacheFabric,
-    # joined in stop()/the destructor, covered by the TSan pass.
-    SRC / "serve" / "remote_cache.cpp",
-    SRC / "serve" / "remote_cache.hpp",
 }
 
 
@@ -209,9 +204,8 @@ def check_threads() -> list[str]:
             line = text.count("\n", 0, m.start()) + 1
             violations.append(
                 f"{rel}:{line}: raw std::thread outside the sanctioned "
-                "homes (src/serve/pool.*, src/parallel/comm.cpp, "
-                "src/serve/remote_cache.cpp) — submit work to the serve "
-                "worker pool instead")
+                "homes (src/serve/pool.*, src/parallel/comm.cpp) — submit "
+                "work to the serve worker pool instead")
     return violations
 
 

@@ -19,6 +19,34 @@ cd "$(dirname "$0")/.."
 SANITIZER="${SWRAMAN_SANITIZE:-address}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
+# check_summary FILE LABEL MODE SCHEMA...: validates a SWRAMAN_CHECK_FILE
+# (JSON-lines, one summary line per checker: swraman-check-v1 from
+# swcheck, swraman-lockcheck-v1 from the host concurrency checker), then
+# asserts each named checker ran enabled. MODE=clean also asserts zero
+# violations; MODE=seeded is for suites that plant violations on purpose.
+check_summary() {
+  local file="$1" label="$2" mode="$3"
+  shift 3
+  python3 scripts/check_perf_json.py "${file}"
+  python3 - "${file}" "${label}" "${mode}" "$@" <<'EOF'
+import json, sys
+path, label, mode, schemas = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
+docs = {}
+with open(path) as f:
+    for line in f:
+        if line.strip():
+            d = json.loads(line)
+            docs[d["schema"]] = d
+for schema in schemas:
+    s = docs[schema]
+    assert s["enabled"] is True, s
+    if mode == "clean":
+        assert s["violations"] == 0, \
+            f"{label}: {schema} violations under SWRAMAN_CHECK=1: {s}"
+    print(f"{label}: {schema} enabled, {s['violations']} violation(s)")
+EOF
+}
+
 echo "== tier-1: plain build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
@@ -28,30 +56,16 @@ echo "== tier-1: repo lint gate (scripts/lint.py) =="
 python3 scripts/lint.py build
 
 echo "== tier-1: checked execution (SWRAMAN_CHECK=1) =="
-# SWRAMAN_CHECK_FILE is JSON-lines: one summary line per checker
-# (swraman-check-v1 from swcheck, swraman-lockcheck-v1 from the host
-# concurrency checker).  Each line is structurally validated, then the
-# expected lines are asserted here.
+# test_sunway_check plants swcheck violations on purpose, so this stage
+# asserts only that the checker ran.
 CHECK_DIR="build/check-smoke"
 mkdir -p "${CHECK_DIR}"
 SWRAMAN_CHECK=1 \
   SWRAMAN_CHECK_FILE="${CHECK_DIR}/swraman_check.json" \
   ./build/tests/test_sunway_check
 SWRAMAN_CHECK=1 ./build/tests/test_sunway >/dev/null
-python3 scripts/check_perf_json.py "${CHECK_DIR}/swraman_check.json"
-python3 - "${CHECK_DIR}/swraman_check.json" <<'EOF'
-import json, sys
-docs = {}
-with open(sys.argv[1]) as f:
-    for line in f:
-        if line.strip():
-            d = json.loads(line)
-            docs[d["schema"]] = d
-s = docs["swraman-check-v1"]
-assert s["enabled"] is True, s
-print(f"checked run: {s['violations']} swcheck violation(s) "
-      f"(all seeded and caught)")
-EOF
+check_summary "${CHECK_DIR}/swraman_check.json" "checked run" seeded \
+  swraman-check-v1
 
 echo "== tier-1: fmm suite + golden Fmm water under the checkers =="
 # The octree Hartree backend's CPE offload (M2L / P2P staging) runs with
@@ -66,21 +80,8 @@ for run in "test_fmm:./build/tests/test_fmm" \
   SWRAMAN_CHECK=1 \
     SWRAMAN_CHECK_FILE="${CHECK_DIR}/${name}_check.json" \
     ${cmd} >/dev/null
-  python3 scripts/check_perf_json.py "${CHECK_DIR}/${name}_check.json"
-  python3 - "${CHECK_DIR}/${name}_check.json" "${name}" <<'EOF'
-import json, sys
-docs = {}
-with open(sys.argv[1]) as f:
-    for line in f:
-        if line.strip():
-            docs[json.loads(line)["schema"]] = json.loads(line)
-for schema in ("swraman-check-v1", "swraman-lockcheck-v1"):
-    s = docs[schema]
-    assert s["enabled"] is True, s
-    assert s["violations"] == 0, \
-        f"{sys.argv[2]}: {schema} violations under SWRAMAN_CHECK=1: {s}"
-print(f"{sys.argv[2]}: swcheck + lockcheck clean")
-EOF
+  check_summary "${CHECK_DIR}/${name}_check.json" "${name}" clean \
+    swraman-check-v1 swraman-lockcheck-v1
 done
 
 echo "== tier-1: serve + obs suites under the concurrency checker =="
@@ -92,22 +93,8 @@ for suite in test_serve test_obs test_parallel; do
   SWRAMAN_CHECK=1 \
     SWRAMAN_CHECK_FILE="${CHECK_DIR}/${suite}_check.json" \
     "./build/tests/${suite}" >/dev/null
-  python3 scripts/check_perf_json.py "${CHECK_DIR}/${suite}_check.json"
-  python3 - "${CHECK_DIR}/${suite}_check.json" "${suite}" <<'EOF'
-import json, sys
-docs = {}
-with open(sys.argv[1]) as f:
-    for line in f:
-        if line.strip():
-            d = json.loads(line)
-            docs[d["schema"]] = d
-s = docs["swraman-lockcheck-v1"]
-assert s["enabled"] is True, s
-assert s["violations"] == 0, \
-    f"{sys.argv[2]}: lockcheck violations under SWRAMAN_CHECK=1: {s}"
-print(f"{sys.argv[2]}: lockcheck clean "
-      f"({len(s['sites'])} lock classes in the order graph)")
-EOF
+  check_summary "${CHECK_DIR}/${suite}_check.json" "${suite}" clean \
+    swraman-lockcheck-v1
 done
 
 echo "== tier-1: traced smoke run (SWRAMAN_TRACE=1) =="
@@ -172,8 +159,7 @@ python3 scripts/hotspots.py "${SMOKE_DIR}/swraman_perf.json" \
 
 echo "== tier-1: serve chaos gate (kills + WAL replay, SWRAMAN_CHECK=1) =="
 # The chaos harness replays the short mixed-tenant trace through the
-# sharded tier twice (fault-free vs shard kills + torn WAL + remote-cache
-# timeouts) and exits non-zero unless every accepted job survives with a
+# sharded tier twice (fault-free vs shard kills + torn WAL) and exits non-zero unless every accepted job survives with a
 # bitwise-identical spectrum. The same run drives the observability plane
 # end to end: the bench itself gates on a jobtrace stitched across the
 # kill/replay boundary, a flight-recorder dump per injected kill, and a
@@ -186,23 +172,10 @@ echo "== tier-1: serve chaos gate (kills + WAL replay, SWRAMAN_CHECK=1) =="
   --health chaos_health.json >/dev/null)
 python3 scripts/check_perf_json.py "${SMOKE_DIR}/BENCH_chaos.json"
 # The chaos run is the concurrency checker's hardest gate: shard kills,
-# WAL replay, failover and remote-cache timeouts, all with the lock
-# graph and the p2p verifier live — and zero violations tolerated.
-python3 scripts/check_perf_json.py "${SMOKE_DIR}/chaos_check.json"
-python3 - "${SMOKE_DIR}/chaos_check.json" <<'EOF'
-import json, sys
-docs = {}
-with open(sys.argv[1]) as f:
-    for line in f:
-        if line.strip():
-            d = json.loads(line)
-            docs[d["schema"]] = d
-s = docs["swraman-lockcheck-v1"]
-assert s["enabled"] is True, s
-assert s["violations"] == 0, \
-    f"chaos run: lockcheck violations: {s}"
-print(f"chaos run: lockcheck clean ({len(s['sites'])} lock classes)")
-EOF
+# WAL replay and failover, all with the lock graph live — and zero
+# violations tolerated.
+check_summary "${SMOKE_DIR}/chaos_check.json" "chaos run" clean \
+  swraman-lockcheck-v1
 python3 scripts/check_perf_json.py "${SMOKE_DIR}/chaos_jobtrace.json"
 python3 scripts/check_perf_json.py "${SMOKE_DIR}/chaos_health.json"
 test -f "${SMOKE_DIR}/flight-serve.shard.kill.json" || {
@@ -243,8 +216,8 @@ if [ "${SANITIZER}" != "none" ]; then
   echo "== tier-1: serve + obs suites under -fsanitize=undefined =="
   # UBSan complements the concurrency checker: lockcheck proves lock
   # discipline, UBSan proves the code under those locks is free of
-  # undefined behavior (the remote-cache wire format bit-casts, the
-  # histogram bucket math, the seqlock ring arithmetic).
+  # undefined behavior (the WAL record codec, the histogram bucket math,
+  # the seqlock ring arithmetic).
   cmake -B build-undefined -S . \
         -DSWRAMAN_SANITIZE=undefined \
         -DSWRAMAN_BUILD_BENCH=OFF -DSWRAMAN_BUILD_EXAMPLES=OFF >/dev/null

@@ -30,9 +30,7 @@ struct Workspace {
 };
 
 // Fills w.g for energy e; returns the outermost classically allowed index.
-std::size_t fill_g(const RadialMesh& mesh, const Workspace& w_const,
-                   Workspace& w, double e) {
-  (void)w_const;
+std::size_t fill_g(const RadialMesh& mesh, Workspace& w, double e) {
   const std::size_t n = mesh.size();
   const double a = mesh.alpha();
   std::size_t turning = 0;
@@ -141,7 +139,7 @@ std::vector<RadialState> solve_radial(const RadialMesh& mesh,
   // divergent tail flips sign exactly at each eigenvalue, so the count
   // includes the crossing the bisection homes in on.
   const auto node_count = [&](double e) -> int {
-    const std::size_t turning = fill_g(mesh, w, w, e);
+    const std::size_t turning = fill_g(mesh, w, e);
     if (turning < 4) return 0;  // no allowed region: below the spectrum
     std::size_t stable = n - 1;
     while (stable > turning + 2 && w.g[stable] >= 4.0) --stable;
@@ -176,7 +174,7 @@ std::vector<RadialState> solve_radial(const RadialMesh& mesh,
     const double e = 0.5 * (elo + ehi);
 
     // Eigenfunction: outward to the turning point, inward beyond, glued.
-    const std::size_t turning = fill_g(mesh, w, w, e);
+    const std::size_t turning = fill_g(mesh, w, e);
     const std::size_t m = std::max<std::size_t>(
         4, std::min(turning, n - 6));
     integrate_outward(mesh, w, l, m);

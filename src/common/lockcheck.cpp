@@ -71,12 +71,6 @@ State& state() {
   return *s;
 }
 
-bool env_truthy(const char* v) {
-  if (v == nullptr || *v == '\0') return false;
-  const std::string s(v);
-  return s != "0" && s != "off" && s != "false" && s != "OFF" && s != "no";
-}
-
 // Compiler __FILE__ paths are absolute on this builder; trim to the
 // repo-relative tail so site ids read as src/serve/service.hpp:207.
 std::string trim_path(const std::string& file) {

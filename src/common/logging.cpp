@@ -149,3 +149,13 @@ void write(Level lvl, const std::string& message) {
 }
 
 }  // namespace swraman::log
+
+namespace swraman {
+
+bool env_truthy(const char* v) {
+  if (v == nullptr || *v == '\0') return false;
+  const std::string s(v);
+  return s != "0" && s != "off" && s != "false" && s != "OFF" && s != "no";
+}
+
+}  // namespace swraman

@@ -89,6 +89,11 @@ void error(Args&&... args) {
 
 namespace swraman {
 
+// Environment switch test shared by every SWRAMAN_* on/off variable:
+// unset, "", "0", "off", "OFF", "false" and "no" are false, anything
+// else is true.
+bool env_truthy(const char* v);
+
 // Wall-clock stopwatch on the monotonic clock.
 class Timer {
  public:

@@ -98,12 +98,6 @@ std::string sanitize(const std::string& reason) {
   return out.empty() ? std::string("unknown") : out;
 }
 
-bool env_truthy(const char* v) {
-  if (v == nullptr || *v == '\0') return false;
-  const std::string s(v);
-  return s != "0" && s != "off" && s != "false" && s != "OFF" && s != "no";
-}
-
 struct EnvInit {
   EnvInit() {
     state();

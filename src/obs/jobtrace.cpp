@@ -20,12 +20,6 @@ namespace {
 // "spans_dropped" attribute on export.
 constexpr std::size_t kMaxSpansPerJob = 1 << 16;
 
-bool env_truthy(const char* v) {
-  if (v == nullptr || *v == '\0') return false;
-  const std::string s(v);
-  return s != "0" && s != "off" && s != "false" && s != "OFF" && s != "no";
-}
-
 void write_env_jobtrace() {
   const char* v = std::getenv("SWRAMAN_JOBTRACE_FILE");
   const std::string path(v != nullptr ? v : "swraman_jobtrace.json");

@@ -15,10 +15,10 @@
 // thread of any shard — submit, route, dedup, displacement, Hessian,
 // assemble — and surviving shard deaths. A `TraceContext{gid, parent_span}`
 // is the unit of propagation: it rides `SubmitOptions` into the service,
-// `JobState` onto the pool workers, the remote-cache p2p request frames
-// across shards, and a WAL "trace" record through crash replay, where
-// `restore_root` re-attaches the new incarnation's spans to the same
-// timeline. The whole timeline exports as one `swraman-jobtrace-v1` JSON.
+// `JobState` onto the pool workers, and a WAL "trace" record through
+// crash replay, where `restore_root` re-attaches the new incarnation's
+// spans to the same timeline. The whole timeline exports as one
+// `swraman-jobtrace-v1` JSON.
 //
 // Conventions:
 //   * span ids are per-gid, allocated from 1; the root span is always 1,

@@ -143,8 +143,8 @@ class Communicator {
                 std::source_location loc = std::source_location::current());
 
   // Id of the shared context in the commcheck p2p verifier (0 when
-  // checking was off at construction). Lets endpoint owners like the
-  // remote-cache fabric bind wire types to their tags.
+  // checking was off at construction). Lets endpoint owners bind wire
+  // types to their tags.
   [[nodiscard]] std::uint64_t context_id() const;
 
   [[nodiscard]] const CommConfig& config() const;

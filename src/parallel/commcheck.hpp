@@ -15,9 +15,10 @@
 //   - p2p.orphaned_message: a message still sitting in a mailbox when
 //     its CommContext is destroyed — someone sent and nobody received
 //     (a stopped server loop, a response to a requester that gave up).
-//     Requesters that *deliberately* give up (bounded-timeout remote
-//     cache lookups) declare it with abandon(), which tolerates one
-//     leftover message per call; only unexplained leftovers report.
+//     Requesters that *deliberately* give up (a request/response round
+//     trip with a bounded timeout) declare it with abandon(), which
+//     tolerates one leftover message per call; only unexplained
+//     leftovers report.
 //   - p2p.tag_mismatch: a payload whose length disagrees with the wire
 //     type bound to its tag (bind_tag / bind_default). Caught at the
 //     send site (throwing, with provenance); recv-side mismatches are

@@ -511,14 +511,8 @@ GroundState ScfEngine::solve_attempt(const linalg::Matrix* initial_density,
     double band = 0.0;
     for (std::size_t j = 0; j < eps.size(); ++j) band += occ[j] * eps[j];
 
-    // Total energy with double-counting corrections (input density).
-    double e_field = 0.0;
-    if (has_field) {
-      for (std::size_t p = 0; p < grid_.size(); ++p) {
-        e_field += grid_.weights[p] * n[p] * v_field[p];
-      }
-    }
-    (void)e_field;  // band energy already contains the field term
+    // Total energy with double-counting corrections (input density); the
+    // band energy already contains the field term.
     gs.band_energy = band;
     gs.total_energy = band - e_h - e_vxc + e_xc + gs.nuclear_repulsion;
 

@@ -259,6 +259,21 @@ std::uint64_t settings_fingerprint(const JobSpec& spec) {
   h.f64(scf.mixing);
   h.f64(spec.options.dfpt.tol);
   h.u64(static_cast<std::uint64_t>(spec.options.dfpt.max_iterations));
+  h.u64(static_cast<std::uint64_t>(scf.species.backend));
+  h.u64(static_cast<std::uint64_t>(scf.species.tier));
+  h.u64(scf.species.pseudized ? 1 : 0);
+  h.u64(static_cast<std::uint64_t>(scf.grid.n_radial));
+  h.u64(static_cast<std::uint64_t>(scf.grid.angular_order));
+  h.u64(scf.grid.prune ? 1 : 0);
+  h.u64(static_cast<std::uint64_t>(scf.grid.partition));
+  h.u64(static_cast<std::uint64_t>(scf.hartree_backend));
+  // Direct is bitwise independent of the FMM knobs; Fmm and Auto are not.
+  if (scf.hartree_backend != fmm::HartreeBackend::Direct) {
+    h.u64(static_cast<std::uint64_t>(scf.fmm.order));
+    h.f64(scf.fmm.theta);
+    h.u64(scf.fmm.source_leaf_size);
+    h.u64(scf.fmm.target_leaf_size);
+  }
   return h.value();
 }
 

@@ -74,9 +74,8 @@ class ShardRouter {
   [[nodiscard]] std::uint64_t deaths() const { return deaths_; }
   [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
 
-  // The rendezvous score itself — public and static so lock-free readers
-  // (the remote-cache peer pick on worker threads) can rank shards for a
-  // key without touching router state.
+  // The rendezvous score itself — public and static so callers can rank
+  // shards for a key without a router instance.
   [[nodiscard]] static std::uint64_t score(std::uint64_t key,
                                            std::size_t shard,
                                            std::uint64_t seed);

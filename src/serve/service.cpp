@@ -648,8 +648,8 @@ void RamanService::run_evaluation(std::size_t worker, JobState& job,
   ctx.field_force = field_force;
   ctx.n_forces = field_force ? 3 * job.spec.n_atoms() : 0;
 
-  // Records cross frames as pure bit moves, forces included, so remote /
-  // dedup / local completions stay bitwise equal.
+  // Records cross frames as pure bit moves, forces included, so dedup
+  // and local completions stay bitwise equal.
   const AxisTransform& to_c = job.keys[node_id].to_canonical;
   const auto to_canonical_rec = [&to_c](const raman::GeometryRecord& r) {
     raman::GeometryRecord c;
@@ -669,42 +669,14 @@ void RamanService::run_evaluation(std::size_t worker, JobState& job,
   jt.attr(job.trace.gid, dspan, "coord", static_cast<double>(node.coord));
   jt.attr(job.trace.gid, dspan, "sign", static_cast<double>(node.sign));
 
-  // Cross-shard cache first (off-lock, bounded latency): a peer shard may
-  // already own this canonical key. The hit arrives in the canonical
-  // frame and is rotated back, exactly like a local dedup wait release —
-  // bit moves only, so remote and local completions are bitwise equal.
   const double t0 = now_seconds();
   raman::GeometryRecord rec;
-  bool remote_hit = false;
-  if (options_.hooks.remote_lookup) {
-    raman::GeometryRecord canonical;
-    obs::TraceContext lookup_ctx = job.trace;
-    if (dspan != 0) lookup_ctx.parent_span = dspan;
-    if (options_.hooks.remote_lookup(job.keys[node_id].key, &canonical,
-                                     lookup_ctx, ctx.n_forces)) {
-      const AxisTransform from =
-          inverse(job.keys[node_id].to_canonical);
-      rec.alpha = apply_tensor(from, canonical.alpha);
-      rec.dipole = apply_vector(from, canonical.dipole);
-      if (!canonical.forces.empty()) {
-        rec.forces = apply_forces(from, canonical.forces);
-      }
-      remote_hit = true;
-      obs::count("serve.cache.remote_hits");
-      jt.attr(job.trace.gid, dspan, "remote_hit", 1.0);
-    }
+  if (!evaluate_with_retry(job, ctx, &rec)) {
+    jt.attr(job.trace.gid, dspan, "failed", 1.0);
+    jt.end(job.trace.gid, dspan);
+    return;
   }
-  if (!remote_hit) {
-    if (!evaluate_with_retry(job, ctx, &rec)) {
-      jt.attr(job.trace.gid, dspan, "failed", 1.0);
-      jt.end(job.trace.gid, dspan);
-      return;
-    }
-    obs::observe("serve.task.seconds", now_seconds() - t0);
-    if (options_.hooks.publish) {
-      options_.hooks.publish(job.keys[node_id].key, to_canonical_rec(rec));
-    }
-  }
+  obs::observe("serve.task.seconds", now_seconds() - t0);
 
   // Durable before visible: the checkpoint append happens before the DAG
   // learns of the completion, so a crash never loses an acknowledged
@@ -723,8 +695,8 @@ void RamanService::run_evaluation(std::size_t worker, JobState& job,
 
   const lockcheck::CheckedLock lock(mutex_);
   if (job.status != JobStatus::Running) {
-    // The job failed while this task was in flight; still publish the
-    // result so cross-job waiters of an owned key are not stranded.
+    // The job failed while this task was in flight; still complete the
+    // cache entry so cross-job waiters of an owned key are not stranded.
     if (options_.use_cache && job.keys[node_id].owner) {
       std::vector<raman::GeometryRecord> waiter_records;
       const std::vector<CacheWaiter> waiters = cache_.complete(
@@ -745,13 +717,9 @@ void RamanService::run_evaluation(std::size_t worker, JobState& job,
     return;
   }
 
-  if (remote_hit) {
-    ++tallies_.remote_hits;
-  } else {
-    ++tallies_.tasks_executed;
-    if (field_force) ++tallies_.field_tasks_executed;
-    ++job.result.tasks_executed;
-  }
+  ++tallies_.tasks_executed;
+  if (field_force) ++tallies_.field_tasks_executed;
+  ++job.result.tasks_executed;
   job.dag.records[node_id] = rec;
 
   if (options_.use_cache && job.keys[node_id].owner) {

@@ -41,8 +41,8 @@ namespace swraman::serve {
 // (thrown as TimeoutError, consumed by the bounded per-task retry).
 inline constexpr const char* kFaultTaskFail = "serve.task.fail";
 
-// Durability/federation hooks of the sharded tier (DESIGN.md S12). All
-// hooks are optional; `tag` is the caller-supplied durable id passed in
+// Durability hooks of the sharded tier (DESIGN.md S12). All hooks are
+// optional; `tag` is the caller-supplied durable id passed in
 // SubmitOptions (the sharded tier's global job id), not the service-local
 // job id.
 struct ServiceHooks {
@@ -66,20 +66,6 @@ struct ServiceHooks {
   // wait() may observe the result before this ran (the WAL "done" record
   // is best-effort). Must not throw.
   std::function<void(std::uint64_t tag, const JobResult& result)> on_finish;
-  // Cross-shard displacement cache: consulted (off-lock, worker threads)
-  // before a local owner evaluation; fills the *canonical-frame* record
-  // and returns true on a hit. Must bound its own latency (timeout
-  // fallback to local compute). The job's trace context rides along so
-  // the serving shard can stamp its side of the round trip onto the same
-  // cross-shard timeline. `n_forces` is the expected force-vector length
-  // of the record: 0 for displacement tasks, 3N for bec field tasks.
-  std::function<bool(std::uint64_t key, raman::GeometryRecord* canonical,
-                     const obs::TraceContext& ctx, std::size_t n_forces)>
-      remote_lookup;
-  // Publishes a locally computed canonical record for peer shards
-  // (off-lock, worker threads; must not throw).
-  std::function<void(std::uint64_t key, const raman::GeometryRecord& rec)>
-      publish;
 };
 
 // Per-submission options of the sharded/replay paths. Plain submit(spec)
@@ -121,7 +107,7 @@ struct ServiceOptions {
   // signal); rejected submissions stretch retry_after_s by (1 + hint) so
   // clients back off harder while the error budget is burning.
   std::function<double()> backpressure;
-  // Durability/remote-cache hooks of the sharded tier (all optional).
+  // Durability hooks of the sharded tier (all optional).
   ServiceHooks hooks;
 };
 
@@ -144,7 +130,6 @@ struct ServiceStats {
   std::uint64_t task_retries = 0;
   std::uint64_t checkpoint_hits = 0;
   std::uint64_t warm_hits = 0;    // WAL-replay records applied at submit
-  std::uint64_t remote_hits = 0;  // cross-shard cache hits
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   double cache_hit_ratio = 0.0;

@@ -31,12 +31,6 @@ ShardedRamanService::ShardedRamanService(ShardedOptions options)
   SWRAMAN_REQUIRE(options_.n_shards >= 1,
                   "sharded: need at least one shard");
   SWRAMAN_REQUIRE(!options_.wal_dir.empty(), "sharded: empty WAL directory");
-  if (options_.remote_cache && options_.n_shards > 1) {
-    RemoteCacheFabric::Options fo;
-    fo.n_shards = options_.n_shards;
-    fo.lookup_timeout_s = options_.remote_lookup_timeout_s;
-    fabric_ = std::make_unique<RemoteCacheFabric>(fo);
-  }
   const lockcheck::CheckedLock lock(shards_mutex_);
   shards_.resize(options_.n_shards);
   for (std::size_t s = 0; s < options_.n_shards; ++s) make_shard(s);
@@ -45,7 +39,6 @@ ShardedRamanService::ShardedRamanService(ShardedOptions options)
 ShardedRamanService::~ShardedRamanService() {
   const lockcheck::CheckedLock lock(shards_mutex_);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (fabric_ != nullptr) fabric_->stop(s);
     shards_[s].service.reset();
     shards_[s].log.reset();
   }
@@ -89,46 +82,13 @@ void ShardedRamanService::make_shard(std::size_t shard) {
     // Finishes move tenant latency histograms — refresh the health view.
     slo_.maybe_tick();
   };
-  if (fabric_ != nullptr) {
-    so.hooks.publish = [this, shard](std::uint64_t key,
-                                     const raman::GeometryRecord& rec) {
-      fabric_->publish(shard, key, rec);
-    };
-    so.hooks.remote_lookup = [this, shard](std::uint64_t key,
-                                           raman::GeometryRecord* out,
-                                           const obs::TraceContext& ctx,
-                                           std::size_t n_forces) {
-      // Engages only once some shard has died: before that every key is
-      // home and a remote probe could only miss. Peer pick is the highest
-      // rendezvous score among running fabric nodes — after a failover
-      // that is exactly the shard hosting (or having hosted) this key
-      // while its home was down. Lock-free: router state is untouched.
-      if (!ever_killed_.load(std::memory_order_acquire)) return false;
-      std::size_t best = ShardRouter::kNoShard;
-      std::uint64_t best_score = 0;
-      for (std::size_t t = 0; t < fabric_->n_shards(); ++t) {
-        if (t == shard || !fabric_->running(t)) continue;
-        const std::uint64_t sc =
-            ShardRouter::score(key, t, options_.router.seed);
-        if (best == ShardRouter::kNoShard || sc > best_score) {
-          best = t;
-          best_score = sc;
-        }
-      }
-      if (best == ShardRouter::kNoShard) return false;
-      return fabric_->lookup(shard, best, key, out, ctx, n_forces);
-    };
-  }
   sh.service = std::make_unique<RamanService>(std::move(so));
-  if (fabric_ != nullptr) fabric_->start(shard);
 }
 
 void ShardedRamanService::kill_locked(std::size_t shard) {
   if (!router_.alive(shard)) return;
   Shard& sh = shards_[shard];
   sh.kill_time = now_seconds();
-  ever_killed_.store(true, std::memory_order_release);
-  if (fabric_ != nullptr) fabric_->stop(shard);
   // Simulated process death. The service teardown joins the shard's
   // workers; whatever they append in their last instants is a valid WAL
   // prefix, which replay treats like any other crash point. The log file
@@ -327,7 +287,6 @@ void ShardedRamanService::recover_shard(std::size_t shard) {
         obs::count("serve.shard.replay_wedges");
         // Same teardown order as a kill: joining the workers first lets
         // in-flight resubmissions finish into results_.
-        if (fabric_ != nullptr) fabric_->stop(shard);
         shards_[shard].service.reset();
         shards_[shard].log.reset();
         wedged = true;
@@ -392,9 +351,6 @@ ShardedStats ShardedRamanService::stats() const {
   s.replayed_tasks = replayed_tasks_;
   s.failover_latencies_s = failover_latencies_s_;
   for (const Shard& sh : shards_) {
-    if (sh.service != nullptr) {
-      s.remote_hits += sh.service->stats().remote_hits;
-    }
     if (sh.log != nullptr) s.wal_records += sh.log->records();
   }
   {
@@ -408,10 +364,6 @@ ShardedStats ShardedRamanService::stats() const {
     }
   }
   return s;
-}
-
-RemoteCacheFabric::Stats ShardedRamanService::cache_stats() const {
-  return fabric_ != nullptr ? fabric_->stats() : RemoteCacheFabric::Stats{};
 }
 
 }  // namespace swraman::serve

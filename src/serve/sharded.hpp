@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -10,7 +9,6 @@
 
 #include "common/lockcheck.hpp"
 #include "obs/slo.hpp"
-#include "serve/remote_cache.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
 #include "serve/wal.hpp"
@@ -45,8 +43,8 @@
 namespace swraman::serve {
 
 // Fault site: the submission path kills the target shard first (simulated
-// crash: workers torn down, WAL left as-is on disk, published cache
-// entries dropped) and the job fails over to a survivor.
+// crash: workers torn down, WAL left as-is on disk, in-memory cache
+// dropped) and the job fails over to a survivor.
 inline constexpr const char* kFaultShardKill = "serve.shard.kill";
 
 struct ShardedOptions {
@@ -57,11 +55,6 @@ struct ShardedOptions {
   // overwritten by the tier; everything else applies per shard).
   ServiceOptions service;
   RouterOptions router;  // n_shards is overridden with the value above
-  // Cross-shard displacement cache (the remote-lookup fast path engages
-  // only once a failover has happened — before that every key is home
-  // and a remote probe could only miss).
-  bool remote_cache = true;
-  double remote_lookup_timeout_s = 0.05;
   // Live health/SLO monitor: tier submit/finish/recover paths drive its
   // throttled ticks, and its backpressure hint stretches the shards'
   // retry_after_s while the error budget burns.
@@ -79,7 +72,6 @@ struct ShardedStats {
   std::uint64_t failovers = 0;       // submissions rerouted off a dead shard
   std::uint64_t replayed_jobs = 0;   // resubmitted from a WAL on recovery
   std::uint64_t replayed_tasks = 0;  // durable results fed back as warm set
-  std::uint64_t remote_hits = 0;     // cross-shard cache hits (all shards)
   std::uint64_t wal_records = 0;     // live incarnations only
   std::vector<double> failover_latencies_s;  // kill -> recovered, per kill
 };
@@ -106,8 +98,8 @@ class ShardedRamanService {
   void drain();
 
   // Simulated shard crash: tears down the service (joining its workers),
-  // closes the log, drops the shard's published cache entries, and marks
-  // it dead in the router. The WAL file stays on disk for recovery.
+  // closes the log, drops the shard's in-memory cache, and marks it dead
+  // in the router. The WAL file stays on disk for recovery.
   void kill_shard(std::size_t shard);
 
   // Crash recovery: replays the on-disk WAL, rebuilds the shard with a
@@ -121,7 +113,6 @@ class ShardedRamanService {
   [[nodiscard]] bool alive(std::size_t shard) const;
   [[nodiscard]] std::string wal_path(std::size_t shard) const;
   [[nodiscard]] ShardedStats stats() const;
-  [[nodiscard]] RemoteCacheFabric::Stats cache_stats() const;
 
   // The tier's live health monitor (snapshots, burn rates, backpressure
   // hint, swraman-health-v1 export).
@@ -145,7 +136,6 @@ class ShardedRamanService {
   ShardedOptions options_;
   ShardRouter router_;
   obs::SloMonitor slo_;  // internally synchronized; ticked off-lock too
-  std::unique_ptr<RemoteCacheFabric> fabric_;
 
   // Lock order: shards_mutex_ -> (per-shard service mutex) ->
   // results_mutex_. Worker-thread hooks take results_mutex_ only, so
@@ -166,9 +156,6 @@ class ShardedRamanService {
   std::uint64_t accepted_ = 0;
   std::uint64_t rejected_ = 0;
   std::vector<double> failover_latencies_s_;
-  // Remote lookups stay disabled until the first kill (reads on worker
-  // threads, written under shards_mutex_).
-  std::atomic<bool> ever_killed_{false};
 
   mutable lockcheck::CheckedMutex results_mutex_{"serve.tier.results"};
   lockcheck::CheckedCondVar results_cv_;

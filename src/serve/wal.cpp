@@ -16,7 +16,7 @@ namespace swraman::serve {
 
 namespace {
 
-constexpr const char* kHeaderTag = "swraman-wal-v1";
+constexpr const char* kHeaderTag = "swraman-wal-v2";
 
 std::string format_double(double v) {
   char buf[32];
@@ -113,7 +113,15 @@ std::string encode_spec(const JobSpec& spec) {
        << " " << format_double(scf.density_tol) << " "
        << format_double(scf.energy_tol) << " " << scf.max_iterations << " "
        << format_double(scf.smearing) << " " << format_double(scf.mixing)
-       << " " << format_double(o.dfpt.tol) << " " << o.dfpt.max_iterations;
+       << " " << format_double(o.dfpt.tol) << " " << o.dfpt.max_iterations
+       << " " << static_cast<int>(scf.species.backend) << " "
+       << static_cast<int>(scf.species.tier) << " "
+       << (scf.species.pseudized ? 1 : 0) << " " << scf.grid.n_radial << " "
+       << scf.grid.angular_order << " " << (scf.grid.prune ? 1 : 0) << " "
+       << static_cast<int>(scf.grid.partition) << " "
+       << static_cast<int>(scf.hartree_backend) << " " << scf.fmm.order
+       << " " << format_double(scf.fmm.theta) << " "
+       << scf.fmm.source_leaf_size << " " << scf.fmm.target_leaf_size;
   body << " atoms " << spec.atoms.size();
   for (const grid::AtomSite& a : spec.atoms) {
     body << " " << a.z;
@@ -158,16 +166,32 @@ bool decode_spec(std::istringstream& in, JobSpec* spec) {
   int project = 0;
   int functional = 0;
   int grid_level = 0;
+  int species_backend = 0;
+  int species_tier = 0;
+  int pseudized = 0;
+  int prune = 0;
+  int partition = 0;
+  int hartree = 0;
   if (!(in >> o.alpha_displacement >> o.mode_floor_cm >>
         o.geometry_attempts >> o.vibrations.displacement >> project >>
         functional >> grid_level >> scf.multipole_lmax >> scf.density_tol >>
         scf.energy_tol >> scf.max_iterations >> scf.smearing >> scf.mixing >>
-        o.dfpt.tol >> o.dfpt.max_iterations)) {
+        o.dfpt.tol >> o.dfpt.max_iterations >> species_backend >>
+        species_tier >> pseudized >> scf.grid.n_radial >>
+        scf.grid.angular_order >> prune >> partition >> hartree >>
+        scf.fmm.order >> scf.fmm.theta >> scf.fmm.source_leaf_size >>
+        scf.fmm.target_leaf_size)) {
     return false;
   }
   o.vibrations.project_rigid_body = project != 0;
   scf.functional = static_cast<xc::Functional>(functional);
   scf.grid.level = static_cast<decltype(scf.grid.level)>(grid_level);
+  scf.species.backend = static_cast<basis::Backend>(species_backend);
+  scf.species.tier = static_cast<basis::Tier>(species_tier);
+  scf.species.pseudized = pseudized != 0;
+  scf.grid.prune = prune != 0;
+  scf.grid.partition = static_cast<grid::PartitionScheme>(partition);
+  scf.hartree_backend = static_cast<fmm::HartreeBackend>(hartree);
   std::size_t n_atoms = 0;
   if (!(in >> section >> n_atoms) || section != "atoms") return false;
   spec->atoms.resize(n_atoms);
@@ -306,7 +330,7 @@ WalReplay JobLog::replay(const std::string& path) {
     std::size_t shard = 0;
     if (!(header >> tag >> shard) || tag != kHeaderTag) {
       throw CheckpointError("JobLog: " + path +
-                            " is not a swraman-wal-v1 shard log");
+                            " is not a " + kHeaderTag + " shard log");
     }
   }
 

@@ -30,7 +30,7 @@
 // File format (text, one record per line, same %.17g round-trip contract
 // as raman::Checkpoint):
 //
-//   swraman-wal-v1 <shard>
+//   swraman-wal-v2 <shard>
 //   <record...> crc <fnv1a-hex16>
 //
 // Every record line carries a trailing FNV-1a checksum over the bytes

@@ -35,12 +35,6 @@ Tally& tally() {
 std::atomic<std::int64_t> g_live_tiles{0};
 std::atomic<std::int64_t> g_live_transfers{0};
 
-bool env_truthy(const char* v) {
-  if (v == nullptr || *v == '\0') return false;
-  const std::string s(v);
-  return s != "0" && s != "off" && s != "false" && s != "OFF" && s != "no";
-}
-
 void write_env_summary() {
   const char* path = std::getenv("SWRAMAN_CHECK_FILE");
   const std::string json = summary_json();

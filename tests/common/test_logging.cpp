@@ -82,6 +82,22 @@ TEST(Timer, MeasuresElapsedTime) {
   EXPECT_LT(t.seconds(), 0.015);
 }
 
+TEST(EnvTruthy, UnsetEmptyAndOffSpellingsAreFalse) {
+  EXPECT_FALSE(env_truthy(nullptr));
+  for (const char* v : {"", "0", "off", "OFF", "false", "no"}) {
+    EXPECT_FALSE(env_truthy(v)) << '"' << v << '"';
+  }
+}
+
+TEST(EnvTruthy, AnyOtherValueIsTrue) {
+  // Only the exact spellings above switch a variable off; everything
+  // else, including other casings, turns it on.
+  for (const char* v : {"1", "on", "true", "yes", "ON", "False", "NO",
+                        "Off", " 0", "00"}) {
+    EXPECT_TRUE(env_truthy(v)) << '"' << v << '"';
+  }
+}
+
 TEST(ErrorMacros, RequireThrowsWithContext) {
   try {
     SWRAMAN_REQUIRE(1 == 2, "one is not two");

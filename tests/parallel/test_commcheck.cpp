@@ -57,7 +57,7 @@ TEST(Commcheck, AbandonedTimeoutRoundTripIsClean) {
     std::vector<Communicator> group = make_comm_group(2);
     const std::uint64_t ctx = group[0].context_id();
     // A requester that sent, timed out, and walked away declares both
-    // halves of the round trip abandoned — the remote-cache idiom.
+    // halves of the round trip abandoned — the bounded-lookup idiom.
     group[0].send(1, {42.0}, /*tag=*/3);
     commcheck::abandon(ctx, 0, 1, 3);
     commcheck::abandon(ctx, 1, 0, 9);  // the response that never came

@@ -99,6 +99,43 @@ TEST(SettingsFingerprint, SensitiveToEngineSettings) {
   JobSpec c = a;
   c.options.dfpt.tol *= 0.1;
   EXPECT_NE(settings_fingerprint(a), settings_fingerprint(c));
+  // Species, grid and Hartree-backend settings change the basis, the
+  // quadrature or the potential, so each must split the cache key.
+  using Edit = void (*)(scf::ScfOptions&);
+  const Edit edits[] = {
+      [](scf::ScfOptions& o) { o.species.backend = basis::Backend::Gto; },
+      [](scf::ScfOptions& o) { o.species.tier = basis::Tier::Minimal; },
+      [](scf::ScfOptions& o) { o.species.pseudized = true; },
+      [](scf::ScfOptions& o) { o.grid.n_radial = 40; },
+      [](scf::ScfOptions& o) { o.grid.angular_order = 11; },
+      [](scf::ScfOptions& o) { o.grid.prune = false; },
+      [](scf::ScfOptions& o) {
+        o.grid.partition = grid::PartitionScheme::Hirshfeld;
+      },
+      [](scf::ScfOptions& o) { o.hartree_backend = fmm::HartreeBackend::Fmm; },
+  };
+  for (const Edit edit : edits) {
+    JobSpec e = a;
+    edit(e.options.vibrations.scf);
+    EXPECT_NE(settings_fingerprint(a), settings_fingerprint(e));
+  }
+  // The FMM knobs matter once the FMM runs; Direct ignores them.
+  JobSpec f = a;
+  f.options.vibrations.scf.hartree_backend = fmm::HartreeBackend::Fmm;
+  const Edit fmm_edits[] = {
+      [](scf::ScfOptions& o) { o.fmm.order = 6; },
+      [](scf::ScfOptions& o) { o.fmm.theta = 0.45; },
+      [](scf::ScfOptions& o) { o.fmm.source_leaf_size = 4; },
+      [](scf::ScfOptions& o) { o.fmm.target_leaf_size = 32; },
+  };
+  for (const Edit edit : fmm_edits) {
+    JobSpec e = f;
+    edit(e.options.vibrations.scf);
+    EXPECT_NE(settings_fingerprint(f), settings_fingerprint(e));
+    JobSpec direct = a;
+    edit(direct.options.vibrations.scf);
+    EXPECT_EQ(settings_fingerprint(a), settings_fingerprint(direct));
+  }
   // The tenant, name, and priority are scheduling metadata — two tenants
   // submitting the same physics must share cache entries.
   JobSpec d = a;

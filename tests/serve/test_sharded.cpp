@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "robustness/fault.hpp"
-#include "serve/remote_cache.hpp"
 #include "serve/service.hpp"
 #include "serve/sharded.hpp"
 
@@ -300,71 +299,58 @@ TEST(ServeSharded, WalWedgeDuringReplayRetriesWithFreshIncarnation) {
   std::filesystem::remove_all(wal_dir);
 }
 
-TEST(ServeRemoteCache, FabricHitIsBitwiseAndBounded) {
-  fault::ScopedFaults guard;
-  RemoteCacheFabric::Options opts;
-  opts.n_shards = 2;
-  opts.lookup_timeout_s = 0.02;
-  RemoteCacheFabric fabric(opts);
-  fabric.start(0);
-  fabric.start(1);
-
-  raman::GeometryRecord rec;
-  for (int k = 0; k < 9; ++k) {
-    rec.alpha[static_cast<std::size_t>(k)] = 1.0 / (k + 3);
+// A tenant whose routing key homes on a different shard than `spec`'s.
+JobSpec twin_on_other_shard(const JobSpec& spec, std::size_t n_shards) {
+  RouterOptions ro;
+  ro.n_shards = n_shards;
+  const ShardRouter router(ro);
+  const std::size_t home = router.home(ShardRouter::job_key(spec));
+  for (int k = 0; k < 256; ++k) {
+    JobSpec twin = spec;
+    twin.client = "twin-" + std::to_string(k);
+    if (router.home(ShardRouter::job_key(twin)) != home) return twin;
   }
-  rec.dipole = {0.25, -0.5, 1e-9};
-  fabric.publish(1, 0xfeedull, rec);
-
-  raman::GeometryRecord out;
-  ASSERT_TRUE(fabric.lookup(0, 1, 0xfeedull, &out));
-  for (int k = 0; k < 9; ++k) {
-    EXPECT_EQ(out.alpha[static_cast<std::size_t>(k)],
-              rec.alpha[static_cast<std::size_t>(k)]);
-  }
-  for (int k = 0; k < 3; ++k) {
-    EXPECT_EQ(out.dipole[static_cast<std::size_t>(k)],
-              rec.dipole[static_cast<std::size_t>(k)]);
-  }
-  EXPECT_FALSE(fabric.lookup(0, 1, 0xbeefull, &out));  // honest miss
-
-  const RemoteCacheFabric::Stats stats = fabric.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  // served is bumped after the response send, so the requester may read
-  // stats before the server's count of the last answer lands.
-  EXPECT_GE(stats.served, 1u);
-  EXPECT_EQ(stats.published, 1u);
+  ADD_FAILURE() << "no tenant routes off shard " << home;
+  return spec;
 }
 
-TEST(ServeRemoteCache, TimeoutFaultAndDeadPeerDegradeToMiss) {
+TEST(ServeSharded, SameContentOnTwoShardsSolvesLocallyAndAgreesBitwise) {
+  // Shards share no results: a job whose content twin lives on another
+  // shard is solved from that shard's own cache and engine, and both
+  // copies must still agree bitwise with the single-service answer.
   fault::ScopedFaults guard;
-  RemoteCacheFabric::Options opts;
-  opts.n_shards = 2;
-  opts.lookup_timeout_s = 0.02;
-  RemoteCacheFabric fabric(opts);
-  fabric.start(0);
-  fabric.start(1);
-  raman::GeometryRecord rec;
-  rec.alpha[0] = 42.0;
-  fabric.publish(1, 0x77ull, rec);
+  const std::string wal_dir = temp_dir("sharded_twins");
+  const ShardedOptions opts = fast_sharded(wal_dir, 2);
+  const JobSpec first = modeled_spec("alice", 3);
+  const JobSpec second = twin_on_other_shard(first, opts.n_shards);
 
-  // Injected timeout: the response is dropped on the floor and the
-  // caller falls back to local compute.
-  fault::FaultInjector::instance().configure_from_string(
-      "serve.cache.remote_timeout:p=1");
-  raman::GeometryRecord out;
-  EXPECT_FALSE(fabric.lookup(0, 1, 0x77ull, &out));
-  fault::reset();
+  std::uint64_t reference = 0;
+  {
+    RamanService single(opts.service);
+    const SubmitResult res = single.submit(first);
+    ASSERT_TRUE(res.accepted) << res.reason;
+    const JobResult r = single.wait(res.job_id);
+    ASSERT_EQ(r.status, JobStatus::Completed) << r.error;
+    reference = result_hash(r);
+  }
 
-  // Dead peer: the lookup expires within its budget instead of blocking.
-  fabric.stop(1);
-  EXPECT_FALSE(fabric.lookup(0, 1, 0x77ull, &out));
-  EXPECT_GE(fabric.stats().timeouts, 2u);
-
-  // stop() dropped the incarnation's table: a restarted peer misses.
-  fabric.start(1);
-  EXPECT_FALSE(fabric.lookup(0, 1, 0x77ull, &out));
+  ShardedRamanService svc(opts);
+  std::vector<std::uint64_t> gids;
+  for (const JobSpec& spec : {first, second}) {
+    const SubmitResult res = svc.submit(spec);
+    ASSERT_TRUE(res.accepted) << res.reason;
+    gids.push_back(res.job_id);
+  }
+  svc.drain();
+  for (const std::uint64_t gid : gids) {
+    const JobResult r = svc.wait(gid);
+    ASSERT_EQ(r.status, JobStatus::Completed) << r.error;
+    EXPECT_EQ(result_hash(r), reference) << "gid " << gid;
+  }
+  const ShardedStats stats = svc.stats();
+  EXPECT_EQ(stats.jobs_completed, 2u);
+  EXPECT_EQ(stats.failovers, 0u);
+  std::filesystem::remove_all(wal_dir);
 }
 
 }  // namespace

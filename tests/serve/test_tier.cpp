@@ -13,14 +13,13 @@
 #include "robustness/fault.hpp"
 #include "serve/dag.hpp"
 #include "serve/job.hpp"
-#include "serve/remote_cache.hpp"
 #include "serve/service.hpp"
 #include "serve/sharded.hpp"
 
 // The bec accuracy tier through the serving layer (DESIGN.md S15): the
 // 13-node field DAG, content-addressed field-task keys and their
-// symmetry folding, tier-aware admission, remote-cache force frames, and
-// WAL kill/replay of a bec job.
+// symmetry folding, tier-aware admission, and WAL kill/replay of a bec
+// job.
 
 namespace swraman::serve {
 namespace {
@@ -288,40 +287,55 @@ TEST(ServeTier, BecJobSurvivesShardKillAndWalReplay) {
   std::filesystem::remove_all(wal_dir);
 }
 
-TEST(ServeRemoteCache, FieldRecordsCarryForcesAcrossShards) {
+TEST(ServeTier, BecTwinsOnTwoShardsAgreeBitwise) {
+  // Field-force records never cross shards: a bec job whose twin homes
+  // on the other shard runs its own 13-point stencil there, and the two
+  // results are bitwise identical.
   fault::ScopedFaults guard;
-  RemoteCacheFabric::Options opts;
+  const std::string wal_dir = ::testing::TempDir() + "tier_bec_twins";
+  std::filesystem::create_directories(wal_dir);
+  ShardedOptions opts;
   opts.n_shards = 2;
-  opts.lookup_timeout_s = 0.05;
-  RemoteCacheFabric fabric(opts);
-  fabric.start(0);
-  fabric.start(1);
+  opts.wal_dir = wal_dir;
+  opts.service.n_workers = 2;
+  opts.service.modeled.iterations_per_modeled_second = 100.0;
+  opts.service.modeled.min_iterations = 50;
+  opts.service.modeled.max_iterations = 500;
 
-  raman::GeometryRecord rec;
-  rec.dipole = {0.125, -0.25, 0.5};
-  rec.forces = {1.0, -2.0, 3.0, 0.0625, -5e-17, 6.5};  // 2 atoms
-  fabric.publish(1, 0xf1e1dull, rec);
-
-  // A field-task lookup states its 3N force length; the hit is bitwise.
-  raman::GeometryRecord out;
-  ASSERT_TRUE(fabric.lookup(0, 1, 0xf1e1dull, &out, {}, rec.forces.size()));
-  ASSERT_EQ(out.forces.size(), rec.forces.size());
-  for (std::size_t k = 0; k < rec.forces.size(); ++k) {
-    EXPECT_EQ(out.forces[k], rec.forces[k]);
-  }
-  for (std::size_t k = 0; k < 3; ++k) {
-    EXPECT_EQ(out.dipole[k], rec.dipole[k]);
+  RouterOptions ro;
+  ro.n_shards = opts.n_shards;
+  const ShardRouter router(ro);
+  JobSpec first = modeled_bec_spec(3);
+  first.client = "alice";
+  const std::size_t home = router.home(ShardRouter::job_key(first));
+  JobSpec second = first;
+  for (int k = 0; router.home(ShardRouter::job_key(second)) == home; ++k) {
+    ASSERT_LT(k, 256) << "no tenant routes off shard " << home;
+    second.client = "twin-" + std::to_string(k);
   }
 
-  // Frame-length mismatches answer as honest misses in both directions:
-  // a displacement lookup never receives a force record and vice versa.
-  EXPECT_FALSE(fabric.lookup(0, 1, 0xf1e1dull, &out, {}, 0));
-  raman::GeometryRecord disp;
-  disp.alpha[0] = 4.0;
-  fabric.publish(1, 0xd15ull, disp);
-  EXPECT_FALSE(fabric.lookup(0, 1, 0xd15ull, &out, {}, 6));
-  ASSERT_TRUE(fabric.lookup(0, 1, 0xd15ull, &out, {}, 0));
-  EXPECT_EQ(out.alpha[0], 4.0);
+  ShardedRamanService svc(opts);
+  const SubmitResult ra = svc.submit(first);
+  const SubmitResult rb = svc.submit(second);
+  ASSERT_TRUE(ra.accepted) << ra.reason;
+  ASSERT_TRUE(rb.accepted) << rb.reason;
+  svc.drain();
+  const JobResult a = svc.wait(ra.job_id);
+  const JobResult b = svc.wait(rb.job_id);
+  ASSERT_EQ(a.status, JobStatus::Completed) << a.error;
+  ASSERT_EQ(b.status, JobStatus::Completed) << b.error;
+  ASSERT_EQ(a.dalpha.rows(), 9u);
+  ASSERT_EQ(b.dalpha.rows(), a.dalpha.rows());
+  for (std::size_t i = 0; i < a.dalpha.rows(); ++i) {
+    for (std::size_t j = 0; j < 9; ++j) {
+      EXPECT_EQ(a.dalpha(i, j), b.dalpha(i, j)) << i << "," << j;
+    }
+    for (std::size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(a.dmu(i, j), b.dmu(i, j)) << i << "," << j;
+    }
+  }
+  EXPECT_EQ(svc.stats().failovers, 0u);
+  std::filesystem::remove_all(wal_dir);
 }
 
 TEST(ServeRealEngine, BecTierMatchesBecCalculatorBitwise) {

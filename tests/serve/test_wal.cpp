@@ -127,8 +127,21 @@ TEST(ServeWal, RoundTripsRealSpecFingerprint) {
   spec.engine = EngineKind::Real;
   spec.atoms = molecules::water();
   spec.options.alpha_displacement = 0.007;
-  spec.options.vibrations.scf.density_tol = 3e-7;
   spec.options.dfpt.max_iterations = 37;
+  scf::ScfOptions& scf = spec.options.vibrations.scf;
+  scf.density_tol = 3e-7;
+  scf.species.backend = basis::Backend::Gto;
+  scf.species.tier = basis::Tier::Minimal;
+  scf.species.pseudized = true;
+  scf.grid.n_radial = 40;
+  scf.grid.angular_order = 11;
+  scf.grid.prune = false;
+  scf.grid.partition = grid::PartitionScheme::Hirshfeld;
+  scf.hartree_backend = fmm::HartreeBackend::Fmm;
+  scf.fmm.order = 6;
+  scf.fmm.theta = 0.45;
+  scf.fmm.source_leaf_size = 4;
+  scf.fmm.target_leaf_size = 32;
   {
     JobLog log(path, 0);
     log.append_job(9, spec);
@@ -144,6 +157,19 @@ TEST(ServeWal, RoundTripsRealSpecFingerprint) {
       EXPECT_EQ(back.atoms[a].pos[k], spec.atoms[a].pos[k]);
     }
   }
+  const scf::ScfOptions& bscf = back.options.vibrations.scf;
+  EXPECT_EQ(bscf.species.backend, scf.species.backend);
+  EXPECT_EQ(bscf.species.tier, scf.species.tier);
+  EXPECT_EQ(bscf.species.pseudized, scf.species.pseudized);
+  EXPECT_EQ(bscf.grid.n_radial, scf.grid.n_radial);
+  EXPECT_EQ(bscf.grid.angular_order, scf.grid.angular_order);
+  EXPECT_EQ(bscf.grid.prune, scf.grid.prune);
+  EXPECT_EQ(bscf.grid.partition, scf.grid.partition);
+  EXPECT_EQ(bscf.hartree_backend, scf.hartree_backend);
+  EXPECT_EQ(bscf.fmm.order, scf.fmm.order);
+  EXPECT_EQ(bscf.fmm.theta, scf.fmm.theta);
+  EXPECT_EQ(bscf.fmm.source_leaf_size, scf.fmm.source_leaf_size);
+  EXPECT_EQ(bscf.fmm.target_leaf_size, scf.fmm.target_leaf_size);
   // The contract: the replayed spec reproduces every cache key, i.e. the
   // settings fingerprint, exactly.
   EXPECT_EQ(settings_fingerprint(back), settings_fingerprint(spec));
@@ -161,6 +187,23 @@ TEST(ServeWal, ForeignHeaderThrows) {
   const std::string path = temp_path("wal_foreign.wal");
   write_file(path, "some-other-format 3\njob 1 ...\n");
   EXPECT_THROW(JobLog::replay(path), CheckpointError);
+  std::remove(path.c_str());
+}
+
+TEST(ServeWal, PreviousFormatHeaderThrows) {
+  // A v1 job record lacks the engine-settings fields the fingerprint now
+  // covers; replaying one must fail loudly rather than read as a torn
+  // tail and silently drop acknowledged jobs.
+  const std::string path = temp_path("wal_v1.wal");
+  write_file(path, "swraman-wal-v1 0\n");
+  try {
+    JobLog::replay(path);
+    ADD_FAILURE() << "a swraman-wal-v1 log replayed";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("swraman-wal-v2"),
+              std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 
