@@ -23,11 +23,9 @@ void solve_tridiagonal(std::vector<double>& a, std::vector<double>& b,
   }
 }
 
-namespace {
-
-// Computes natural-spline second derivatives y2 at the knots.
-std::vector<double> natural_second_derivatives(const std::vector<double>& x,
-                                               const std::vector<double>& y) {
+std::vector<double> natural_spline_second_derivatives(
+    const std::vector<double>& x, const std::vector<double>& y) {
+  SWRAMAN_REQUIRE(x.size() == y.size(), "spline: x/y size mismatch");
   const std::size_t n = x.size();
   std::vector<double> y2(n, 0.0);
   if (n < 3) return y2;
@@ -49,7 +47,13 @@ std::vector<double> natural_second_derivatives(const std::vector<double>& x,
   return y2;
 }
 
-}  // namespace
+void cubic_interval_coefficients(double h, double y0, double y1, double m0,
+                                 double m1, double c[4]) {
+  c[0] = y0;
+  c[1] = (y1 - y0) / h - h / 6.0 * (2.0 * m0 + m1);
+  c[2] = m0 / 2.0;
+  c[3] = (m1 - m0) / (6.0 * h);
+}
 
 CubicSpline::CubicSpline(std::vector<double> x, std::vector<double> y)
     : x_(std::move(x)), y_(std::move(y)) {
@@ -58,24 +62,24 @@ CubicSpline::CubicSpline(std::vector<double> x, std::vector<double> y)
   for (std::size_t i = 1; i < x_.size(); ++i) {
     SWRAMAN_REQUIRE(x_[i] > x_[i - 1], "spline: knots must increase");
   }
-  y2_ = natural_second_derivatives(x_, y_);
+  y2_ = natural_spline_second_derivatives(x_, y_);
+}
+
+std::size_t spline_interval(const std::vector<double>& knots, double x) {
+  if (x <= knots.front()) return 0;
+  if (x >= knots.back()) return knots.size() - 2;
+  const auto it = std::upper_bound(knots.begin(), knots.end(), x);
+  return static_cast<std::size_t>(it - knots.begin()) - 1;
 }
 
 std::size_t CubicSpline::interval(double x) const {
-  if (x <= x_.front()) return 0;
-  if (x >= x_.back()) return x_.size() - 2;
-  const auto it = std::upper_bound(x_.begin(), x_.end(), x);
-  return static_cast<std::size_t>(it - x_.begin()) - 1;
+  return spline_interval(x_, x);
 }
 
 double CubicSpline::value(double x) const {
   const std::size_t i = interval(x);
-  const double h = x_[i + 1] - x_[i];
-  const double a = (x_[i + 1] - x) / h;
-  const double b = (x - x_[i]) / h;
-  return a * y_[i] + b * y_[i + 1] +
-         ((a * a * a - a) * y2_[i] + (b * b * b - b) * y2_[i + 1]) * (h * h) /
-             6.0;
+  return spline_combine(spline_weights(x_, i, x), y_[i], y_[i + 1], y2_[i],
+                        y2_[i + 1]);
 }
 
 double CubicSpline::derivative(double x) const {
@@ -110,22 +114,15 @@ std::vector<double> CubicSpline::cumulative_at_knots() const {
 
 void CubicSpline::interval_coefficients(std::size_t i, double c[4]) const {
   SWRAMAN_REQUIRE(i + 1 < x_.size(), "interval_coefficients: index");
-  const double h = x_[i + 1] - x_[i];
-  const double y0 = y_[i];
-  const double y1 = y_[i + 1];
-  const double m0 = y2_[i];
-  const double m1 = y2_[i + 1];
-  c[0] = y0;
-  c[1] = (y1 - y0) / h - h / 6.0 * (2.0 * m0 + m1);
-  c[2] = m0 / 2.0;
-  c[3] = (m1 - m0) / (6.0 * h);
+  cubic_interval_coefficients(x_[i + 1] - x_[i], y_[i], y_[i + 1], y2_[i],
+                              y2_[i + 1], c);
 }
 
 IndexSpline::IndexSpline(const std::vector<double>& y) : n_(y.size()) {
   SWRAMAN_REQUIRE(n_ >= 2, "IndexSpline: need at least 2 knots");
   std::vector<double> x(n_);
   for (std::size_t i = 0; i < n_; ++i) x[i] = static_cast<double>(i);
-  const std::vector<double> y2 = natural_second_derivatives(x, y);
+  const std::vector<double> y2 = natural_spline_second_derivatives(x, y);
 
   // Convert the Hermite-like representation into per-interval monomial
   // coefficients in u = t - i:

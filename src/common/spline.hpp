@@ -84,6 +84,51 @@ class IndexSpline {
   std::vector<double> coeff_;
 };
 
+// Interval i of the strictly increasing knots (at least 2) that contains x,
+// clamped to 0 below the first knot and to knots.size() - 2 from the last.
+std::size_t spline_interval(const std::vector<double>& knots, double x);
+
+// Interpolation weights of x on interval i of a natural cubic spline:
+//   y(x) = a y_i + b y_{i+1} + (a3 y2_i + b3 y2_{i+1}) h2 / 6,
+//   a = (x_{i+1} - x)/h, b = (x - x_i)/h, a3 = a^3 - a, b3 = b^3 - b,
+//   h2 = h^2, h = x_{i+1} - x_i.
+// Channels tabulated on the same knots share one set of weights; each is
+// then evaluated by spline_combine, the expression CubicSpline::value uses,
+// so shared-weight and per-spline evaluation agree bitwise.
+struct SplineWeights {
+  double a;
+  double b;
+  double a3;
+  double b3;
+  double h2;
+};
+
+inline SplineWeights spline_weights(const std::vector<double>& knots,
+                                    std::size_t i, double x) {
+  const double h = knots[i + 1] - knots[i];
+  const double a = (knots[i + 1] - x) / h;
+  const double b = (x - knots[i]) / h;
+  return {a, b, a * a * a - a, b * b * b - b, h * h};
+}
+
+inline double spline_combine(const SplineWeights& w, double y0, double y1,
+                             double m0, double m1) {
+  return w.a * y0 + w.b * y1 + (w.a3 * m0 + w.b3 * m1) * w.h2 / 6.0;
+}
+
+// Natural-spline second derivatives at the knots x (strictly increasing,
+// at least 2): the y2 table CubicSpline interpolates with. Exposed for
+// callers that keep many channels over one knot vector in their own
+// layout (hartree::MultipolePotential).
+std::vector<double> natural_spline_second_derivatives(
+    const std::vector<double>& x, const std::vector<double>& y);
+
+// Monomial coefficients of one natural-spline interval of width h with end
+// values y0, y1 and end second derivatives m0, m1:
+//   y(u) = c[0] + c[1] u + c[2] u^2 + c[3] u^3,  u in [0, h].
+void cubic_interval_coefficients(double h, double y0, double y1, double m0,
+                                 double m1, double c[4]);
+
 // Solves a tridiagonal system in place: diag a (sub), b (main), c (super),
 // rhs d; result returned in d. b is modified.
 void solve_tridiagonal(std::vector<double>& a, std::vector<double>& b,

@@ -7,10 +7,45 @@
 
 namespace swraman::grid {
 
+namespace {
+
+// Fills the lmax-only recurrence constants of real_ylm, each computed by the
+// same expression the recurrence used inline, so cached and uncached
+// evaluation agree bitwise.
+void build_constants(int lmax, YlmWorkspace& ws) {
+  const int nl = lmax + 1;
+  const auto qi = [nl](int l, int m) {
+    return static_cast<std::size_t>(l * nl + m);
+  };
+  ws.diag.assign(static_cast<std::size_t>(nl), 0.0);
+  ws.sub.assign(static_cast<std::size_t>(nl), 0.0);
+  ws.ra.assign(static_cast<std::size_t>(nl * nl), 0.0);
+  ws.rb.assign(static_cast<std::size_t>(nl * nl), 0.0);
+  for (int m = 1; m <= lmax; ++m) {
+    ws.diag[m] = std::sqrt((2.0 * m + 1.0) / (2.0 * m));
+  }
+  for (int m = 0; m < lmax; ++m) ws.sub[m] = std::sqrt(2.0 * m + 3.0);
+  for (int m = 0; m <= lmax; ++m) {
+    for (int l = m + 2; l <= lmax; ++l) {
+      ws.ra[qi(l, m)] =
+          std::sqrt((4.0 * l * l - 1.0) / (static_cast<double>(l) * l - m * m));
+      ws.rb[qi(l, m)] = std::sqrt(
+          (static_cast<double>(l - 1) * (l - 1) - m * m) /
+          (4.0 * static_cast<double>(l - 1) * (l - 1) - 1.0));
+    }
+  }
+  ws.const_lmax = lmax;
+}
+
+}  // namespace
+
 void real_ylm(const Vec3& u, int lmax, std::vector<double>& out,
               YlmWorkspace& ws) {
   SWRAMAN_REQUIRE(lmax >= 0, "real_ylm: lmax >= 0");
-  out.assign(n_lm(lmax), 0.0);
+  if (ws.const_lmax != lmax) build_constants(lmax, ws);
+  // Every entry of out (and every q entry the recurrences read) is written
+  // below, so resizing without clearing is enough.
+  out.resize(n_lm(lmax));
 
   const double r = u.norm();
   double c = 1.0;  // cos(theta)
@@ -32,26 +67,22 @@ void real_ylm(const Vec3& u, int lmax, std::vector<double>& out,
   // Recurrences are stable upward in l for fixed m.
   const int nl = lmax + 1;
   std::vector<double>& q = ws.q;
-  q.assign(static_cast<std::size_t>(nl * nl), 0.0);
+  q.resize(static_cast<std::size_t>(nl * nl));
   const auto qi = [nl](int l, int m) {
     return static_cast<std::size_t>(l * nl + m);
   };
 
   q[qi(0, 0)] = std::sqrt(1.0 / kFourPi);
   for (int m = 1; m <= lmax; ++m) {
-    q[qi(m, m)] = std::sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * q[qi(m - 1, m - 1)];
+    q[qi(m, m)] = ws.diag[m] * s * q[qi(m - 1, m - 1)];
   }
   for (int m = 0; m < lmax; ++m) {
-    q[qi(m + 1, m)] = std::sqrt(2.0 * m + 3.0) * c * q[qi(m, m)];
+    q[qi(m + 1, m)] = ws.sub[m] * c * q[qi(m, m)];
   }
   for (int m = 0; m <= lmax; ++m) {
     for (int l = m + 2; l <= lmax; ++l) {
-      const double a =
-          std::sqrt((4.0 * l * l - 1.0) / (static_cast<double>(l) * l - m * m));
-      const double b = std::sqrt(
-          (static_cast<double>(l - 1) * (l - 1) - m * m) /
-          (4.0 * static_cast<double>(l - 1) * (l - 1) - 1.0));
-      q[qi(l, m)] = a * (c * q[qi(l - 1, m)] - b * q[qi(l - 2, m)]);
+      q[qi(l, m)] = ws.ra[qi(l, m)] *
+                    (c * q[qi(l - 1, m)] - ws.rb[qi(l, m)] * q[qi(l - 2, m)]);
     }
   }
 
@@ -77,7 +108,7 @@ void real_ylm(const Vec3& u, int lmax, std::vector<double>& out,
 }
 
 void real_ylm(const Vec3& u, int lmax, std::vector<double>& out) {
-  YlmWorkspace ws;
+  thread_local YlmWorkspace ws;
   real_ylm(u, lmax, out, ws);
 }
 

@@ -26,11 +26,19 @@ constexpr std::size_t n_lm(int lmax) {
 
 // Scratch buffers for real_ylm: hold one per thread and the evaluation
 // never heap-allocates after the first call (the hot Hartree / FMM
-// per-point paths depend on this).
+// per-point paths depend on this). The workspace also caches the Legendre
+// recurrence constants, which depend on lmax alone; they are rebuilt only
+// when a call asks for a different lmax than the previous one.
 struct YlmWorkspace {
   std::vector<double> q;   // associated-Legendre table
   std::vector<double> cm;  // cos(m phi)
   std::vector<double> sm;  // sin(m phi)
+
+  int const_lmax = -1;       // lmax the constants below were built for
+  std::vector<double> diag;  // Q_mm from Q_(m-1)(m-1): sqrt((2m+1)/(2m))
+  std::vector<double> sub;   // Q_(m+1)m from Q_mm: sqrt(2m+3)
+  std::vector<double> ra;    // upward-in-l recurrence a_lm, [l * nl + m]
+  std::vector<double> rb;    // upward-in-l recurrence b_lm, [l * nl + m]
 };
 
 // Evaluates all real Y_lm for l = 0..lmax at unit direction u into out
@@ -39,10 +47,11 @@ struct YlmWorkspace {
 void real_ylm(const Vec3& u, int lmax, std::vector<double>& out,
               YlmWorkspace& ws);
 
-// Convenience overload with internal scratch (allocates per call).
+// Convenience overload on a thread-local workspace: allocation-free after
+// warm-up (out keeps its capacity), constants cached as above.
 void real_ylm(const Vec3& u, int lmax, std::vector<double>& out);
 
-// Convenience wrapper returning the vector.
+// Convenience wrapper returning the vector (allocates the result).
 std::vector<double> real_ylm(const Vec3& u, int lmax);
 
 }  // namespace swraman::grid

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
+#include "common/spline.hpp"
 #include "grid/ylm.hpp"
 #include "obs/obs.hpp"
 
@@ -20,10 +22,11 @@ MultipoleSolver::MultipoleSolver(const grid::MolecularGrid& grid, int lmax)
   // Precompute Y_lm(u) for every point relative to its owning atom.
   ylm_.resize(grid_.size() * n_lm_);
   std::vector<double> y;
+  grid::YlmWorkspace ylm_ws;
   for (std::size_t p = 0; p < grid_.size(); ++p) {
     const int a = grid_.owner_atom[p];
     const Vec3 u = grid_.points[p] - grid_.atoms[static_cast<std::size_t>(a)].pos;
-    grid::real_ylm(u, lmax_, y);
+    grid::real_ylm(u, lmax_, y, ylm_ws);
     std::copy(y.begin(), y.end(), ylm_.begin() + static_cast<long>(p * n_lm_));
   }
 
@@ -53,7 +56,7 @@ MultipolePotential MultipoleSolver::solve(
   pot.lmax_ = lmax_;
   pot.centers_.resize(n_atoms);
   pot.outer_radius_.assign(n_atoms, 0.0);
-  pot.v_lm_.resize(n_atoms);
+  pot.tables_.resize(n_atoms);
   pot.moments_.assign(n_atoms, std::vector<double>(n_lm_, 0.0));
 
   for (std::size_t a = 0; a < n_atoms; ++a) {
@@ -88,7 +91,9 @@ MultipolePotential MultipoleSolver::solve(
     }
 
     pot.outer_radius_[a] = radii.back();
-    pot.v_lm_[a].resize(n_lm_);
+    MultipolePotential::RadialTable& table = pot.tables_[a];
+    table.values.assign(ns * n_lm_, 0.0);
+    table.second.assign(ns * n_lm_, 0.0);
 
     // Radial Green's-function integrals per lm channel, exact spline
     // integration over the shell radii (+ analytic inner-sphere term).
@@ -137,9 +142,15 @@ MultipolePotential MultipoleSolver::solve(
                            igt[s] * std::pow(radii[s], l));
         }
         pot.moments_[a][lm] = ilt[ns - 1];
-        pot.v_lm_[a][lm] = CubicSpline(radii, v_r);
+        const std::vector<double> y2 =
+            natural_spline_second_derivatives(radii, v_r);
+        for (std::size_t s = 0; s < ns; ++s) {
+          table.values[s * n_lm_ + lm] = v_r[s];
+          table.second[s * n_lm_ + lm] = y2[s];
+        }
       }
     }
+    table.knots = std::move(radii);
   }
   return pot;
 }
@@ -183,15 +194,25 @@ double MultipolePotential::value_atom(std::size_t atom, const Vec3& point,
 
 void MultipolePotential::accumulate_atom(std::size_t atom, const Vec3& point,
                                          Workspace& ws, double& v) const {
-  if (v_lm_[atom].empty()) return;
+  const RadialTable& t = tables_[atom];
+  if (t.knots.empty()) return;
   const std::size_t n_lm = grid::n_lm(lmax_);
   const Vec3 d = point - centers_[atom];
   const double r = std::max(d.norm(), 1e-8);
   grid::real_ylm(d, lmax_, ws.ylm, ws.ylm_scratch);
   const double* y = ws.ylm.data();
   if (r <= outer_radius_[atom]) {
+    // One interval search and one set of interval weights for all
+    // channels, then per channel the CubicSpline::value expression: each
+    // channel value is bitwise that of a per-channel spline.
+    const std::size_t i = spline_interval(t.knots, r);
+    const SplineWeights w = spline_weights(t.knots, i, r);
+    const double* f0 = &t.values[i * n_lm];
+    const double* f1 = &t.values[(i + 1) * n_lm];
+    const double* m0 = &t.second[i * n_lm];
+    const double* m1 = &t.second[(i + 1) * n_lm];
     for (std::size_t lm = 0; lm < n_lm; ++lm) {
-      v += v_lm_[atom][lm].value(r) * y[lm];
+      v += spline_combine(w, f0[lm], f1[lm], m0[lm], m1[lm]) * y[lm];
     }
   } else {
     // Analytic multipole far field.

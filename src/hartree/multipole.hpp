@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/spline.hpp"
 #include "common/vec3.hpp"
 #include "grid/atom_grid.hpp"
 #include "grid/ylm.hpp"
@@ -19,19 +18,38 @@
 //
 //   V_lm(r) = 4pi/(2l+1) [ r^-(l+1) I<(r) + r^l I>(r) ],
 //
-// the channels are cubic-splined over the shell radii (the CSI data the
-// vectorized kernel of Algorithm 2 consumes), and the molecular potential is
-// the sum over atoms with analytic multipole far fields.
+// the channels are cubic-splined over the shell radii, and the molecular
+// potential is the sum over atoms with analytic multipole far fields.
+//
+// Storage is knot-major, the host counterpart of the Algorithm 2 CSI tables
+// (Fig. 7): per atom one knot vector (the shell radii) and two tables,
+// spline values and natural-spline second derivatives, each laid out
+// [knot][lm]. All channels of an atom share the knots, so a point finds its
+// radial interval and its interpolation weights once, and the lm loop reads
+// the two bounding knot rows of each table contiguously. Each channel is
+// evaluated with exactly the expression of CubicSpline::value, so results
+// are bitwise those of one CubicSpline per channel. sunway::build_csi_tables
+// converts the same tables into Algorithm 2's per-interval monomials.
 
 namespace swraman::hartree {
 
-// The solved potential: per-atom per-lm radial splines plus far-field
-// multipole moments.
+// The solved potential: per-atom knot-major radial spline tables plus
+// far-field multipole moments.
 class MultipolePotential {
  public:
+  // One atom's radial channels over its shell radii. values and second
+  // are n_knots x n_lm, row-major: entry [k * n_lm + lm] is V_lm (resp.
+  // its natural-spline second derivative) at knots[k]. Empty for an atom
+  // without shells.
+  struct RadialTable {
+    std::vector<double> knots;   // shell radii, ascending
+    std::vector<double> values;  // V_lm(knots[k])
+    std::vector<double> second;  // d2 V_lm / dr2 at knots[k]
+  };
+
   // Reusable per-thread scratch for point evaluation: the real-Y_lm basis
-  // buffer (and the recurrence tables inside real_ylm) that value() would
-  // otherwise heap-allocate per call. Callers on hot loops (solve_on_grid,
+  // buffer and real_ylm's scratch (recurrence tables, cached constants)
+  // that value() would otherwise heap-allocate per call. Callers on hot loops (solve_on_grid,
   // the FMM P2P kernel) hold one per thread.
   struct Workspace {
     std::vector<double> ylm;
@@ -71,9 +89,8 @@ class MultipolePotential {
   [[nodiscard]] double outer_radius(std::size_t atom) const {
     return outer_radius_[atom];
   }
-  [[nodiscard]] const std::vector<CubicSpline>& channels(
-      std::size_t atom) const {
-    return v_lm_[atom];
+  [[nodiscard]] const RadialTable& table(std::size_t atom) const {
+    return tables_[atom];
   }
 
  private:
@@ -83,7 +100,7 @@ class MultipolePotential {
   int lmax_ = 0;
   std::vector<Vec3> centers_;
   std::vector<double> outer_radius_;             // per atom
-  std::vector<std::vector<CubicSpline>> v_lm_;   // [atom][lm]
+  std::vector<RadialTable> tables_;              // per atom
   std::vector<std::vector<double>> moments_;     // [atom][lm]
 };
 

@@ -5,6 +5,7 @@
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
+#include "common/spline.hpp"
 #include "grid/ylm.hpp"
 #include "obs/obs.hpp"
 #include "simd/vec8d.hpp"
@@ -64,17 +65,21 @@ CsiTables build_csi_tables(const hartree::MultipolePotential& potential) {
     CsiAtomTable& at = t.atoms[a];
     at.center = centers[a];
     at.outer_radius = potential.outer_radius(a);
-    const std::vector<CubicSpline>& ch = potential.channels(a);
-    if (ch.empty()) continue;
-    at.knots = ch[0].knots();
+    const hartree::MultipolePotential::RadialTable& rt = potential.table(a);
+    if (rt.knots.empty()) continue;
+    at.knots = rt.knots;
+    const std::size_t n_lm = t.n_lm;
     const std::size_t n_int = at.knots.size() - 1;
-    at.coeff.assign(n_int * 4 * t.n_lm, 0.0);
+    at.coeff.assign(n_int * 4 * n_lm, 0.0);
     double c[4];
-    for (std::size_t lm = 0; lm < t.n_lm; ++lm) {
-      for (std::size_t i = 0; i < n_int; ++i) {
-        ch[lm].interval_coefficients(i, c);
+    for (std::size_t i = 0; i < n_int; ++i) {
+      const double h = at.knots[i + 1] - at.knots[i];
+      for (std::size_t lm = 0; lm < n_lm; ++lm) {
+        cubic_interval_coefficients(
+            h, rt.values[i * n_lm + lm], rt.values[(i + 1) * n_lm + lm],
+            rt.second[i * n_lm + lm], rt.second[(i + 1) * n_lm + lm], c);
         for (std::size_t k = 0; k < 4; ++k) {
-          at.coeff[(i * 4 + k) * t.n_lm + lm] = c[k];
+          at.coeff[(i * 4 + k) * n_lm + lm] = c[k];
         }
       }
     }
@@ -89,14 +94,15 @@ CsiTables build_csi_tables(const hartree::MultipolePotential& potential) {
 namespace {
 
 // Evaluates the potential contribution of one atom at one point given its
-// coefficient table. comps is scratch of size n_lm.
+// coefficient table. comps is scratch of size n_lm; ylm and ylm_ws are the
+// caller's per-loop Y_lm buffers.
 double csi_point_atom(const CsiTables& t, const CsiAtomTable& at,
                       const Vec3& p, ExecMode mode, std::vector<double>& ylm,
-                      std::vector<double>& comps) {
+                      grid::YlmWorkspace& ylm_ws, std::vector<double>& comps) {
   if (at.knots.empty()) return 0.0;
   const Vec3 d = p - at.center;
   const double r = std::max(d.norm(), 1e-8);
-  grid::real_ylm(d, t.lmax, ylm);
+  grid::real_ylm(d, t.lmax, ylm, ylm_ws);
 
   if (r > at.outer_radius) {
     // Analytic multipole far field.
@@ -116,11 +122,7 @@ double csi_point_atom(const CsiTables& t, const CsiAtomTable& at,
   // Interval lookup ("i_r_log" of Algorithm 2), then the cubic evaluation
   // over all channels — the vectorizable inner loop of Fig. 7.
   const double rc = std::clamp(r, at.knots.front(), at.knots.back());
-  std::size_t i =
-      static_cast<std::size_t>(std::upper_bound(at.knots.begin(),
-                                                at.knots.end(), rc) -
-                               at.knots.begin());
-  i = std::min(std::max<std::size_t>(i, 1), at.knots.size() - 1) - 1;
+  const std::size_t i = spline_interval(at.knots, rc);
   const double u = rc - at.knots[i];
   const double* s0 = &at.coeff[(i * 4 + 0) * t.n_lm];
   const double* s1 = &at.coeff[(i * 4 + 1) * t.n_lm];
@@ -144,11 +146,12 @@ double csi_point_atom(const CsiTables& t, const CsiAtomTable& at,
 void real_space_potential(const CsiTables& tables, const Vec3* points,
                           std::size_t n, double* out, ExecMode mode) {
   std::vector<double> ylm;
+  grid::YlmWorkspace ylm_ws;
   std::vector<double> comps(tables.n_lm);
   for (std::size_t p = 0; p < n; ++p) {
     double v = 0.0;
     for (const CsiAtomTable& at : tables.atoms) {
-      v += csi_point_atom(tables, at, points[p], mode, ylm, comps);
+      v += csi_point_atom(tables, at, points[p], mode, ylm, ylm_ws, comps);
     }
     out[p] = v;
   }
@@ -166,6 +169,7 @@ void real_space_potential_cpe(CpeCluster& cluster, const CsiTables& tables,
     const std::size_t tile =
         std::max<std::size_t>(1, ctx.ldm().capacity() / 4 / sizeof(Vec3));
     std::vector<double> ylm;
+    grid::YlmWorkspace ylm_ws;
     std::vector<double> comps(tables.n_lm);
     for (std::size_t base = lo; base < hi; base += tile) {
       ctx.ldm().reset();
@@ -177,7 +181,8 @@ void real_space_potential_cpe(CpeCluster& cluster, const CsiTables& tables,
       for (std::size_t k = 0; k < count; ++k) {
         double v = 0.0;
         for (const CsiAtomTable& at : tables.atoms) {
-          v += csi_point_atom(tables, at, coords[k], mode, ylm, comps);
+          v += csi_point_atom(tables, at, coords[k], mode, ylm, ylm_ws,
+                              comps);
           // Coefficient block fetch for the interval (4 rows x n_lm) plus
           // Y_lm work: charged as DMA traffic and flops.
           ctx.counters().dma_bytes +=

@@ -2,6 +2,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -113,6 +114,36 @@ TEST(GoldenSpectrum, WaterRamanPeaksMatchSnapshot) {
                 kActivityRelTol * std::abs(golden[i].activity));
     EXPECT_NEAR(spec.modes[i].depolarization, golden[i].depolarization,
                 kDepolTol);
+  }
+}
+
+// The Direct-backend water spectrum pinned bit for bit. Optimizations of
+// the Direct Hartree path (and of anything upstream of it) promise to keep
+// the floating-point operation order, so the result must not move by one
+// ulp; the tolerance test above would let a reassociation slip through.
+// The literals are C99 hex floats ("%a"). They hold for the default build
+// (no -march, no FMA contraction, no fast-math) with glibc's libm; a
+// toolchain that rounds differently fails here and needs a deliberate
+// re-pin, not a tolerance.
+TEST(GoldenSpectrum, WaterDirectBitwiseSnapshot) {
+  struct Pinned {
+    double frequency_cm;
+    double activity;
+    double depolarization;
+  };
+  constexpr Pinned kPinned[] = {
+      {0x1.51e7d08b6ff7ep+12, 0x1.8d45899d078d5p+6, 0x1.cb73a14e86168p-2},
+      {0x1.e0112a532854fp+13, 0x1.2cfb361533613p+5, 0x1.76ad8d96c575bp-1},
+      {0x1.089246c26ba82p+14, 0x1.9a8c845d49ac5p+6, 0x1.7ffffffffffffp-1},
+  };
+  RamanCalculator calc(water_atoms(), golden_options());
+  const RamanSpectrum spec = calc.compute();
+  ASSERT_EQ(spec.modes.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < spec.modes.size(); ++i) {
+    SCOPED_TRACE("mode " + std::to_string(i));
+    EXPECT_EQ(spec.modes[i].frequency_cm, kPinned[i].frequency_cm);
+    EXPECT_EQ(spec.modes[i].activity, kPinned[i].activity);
+    EXPECT_EQ(spec.modes[i].depolarization, kPinned[i].depolarization);
   }
 }
 

@@ -95,5 +95,37 @@ TEST(Ylm, AdditionTheorem) {
   }
 }
 
+TEST(RealYlm, CachedConstantsAreBitwise) {
+  // One workspace reused across changing lmax (the recurrence constants are
+  // cached per lmax and must be rebuilt on every change) against a fresh
+  // workspace per call.
+  const std::vector<Vec3> dirs = {{0.3, -0.4, 0.87},
+                                  {0.0, 0.0, 1.0},
+                                  {-1.2, 0.5, -0.1},
+                                  {0.0, 2.0, 0.0},
+                                  {0.0, 0.0, 0.0}};
+  YlmWorkspace reused;
+  std::vector<double> y_reused;
+  for (int lmax : {6, 2, 8, 6}) {
+    for (const Vec3& u : dirs) {
+      real_ylm(u, lmax, y_reused, reused);
+      YlmWorkspace fresh;
+      std::vector<double> y_fresh;
+      real_ylm(u, lmax, y_fresh, fresh);
+      ASSERT_EQ(y_reused.size(), n_lm(lmax));
+      for (std::size_t i = 0; i < y_fresh.size(); ++i) {
+        EXPECT_EQ(y_reused[i], y_fresh[i])
+            << "lmax=" << lmax << " u=" << u << " i=" << i;
+      }
+      // The convenience overloads share one thread-local workspace.
+      const std::vector<double> y_conv = real_ylm(u, lmax);
+      for (std::size_t i = 0; i < y_fresh.size(); ++i) {
+        EXPECT_EQ(y_conv[i], y_fresh[i])
+            << "lmax=" << lmax << " u=" << u << " i=" << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace swraman::grid

@@ -1,5 +1,6 @@
 #include "hartree/multipole.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/constants.hpp"
+#include "common/spline.hpp"
 
 namespace swraman::hartree {
 namespace {
@@ -174,6 +176,110 @@ TEST(Multipole, SolverIsLinearInTheDensity) {
               2.0 * pa.total_charge() - 0.5 * pb.total_charge(), 1e-8);
 }
 
+// Reference evaluation of one atom's terms with one CubicSpline per lm
+// channel, each built from the table's knots and that channel's column.
+// The far field is the analytic multipole sum on the same moments. Terms
+// accumulate into v, the running sum value() keeps across atoms.
+void per_channel_atom_terms(const MultipolePotential& pot,
+                            const std::vector<CubicSpline>& splines,
+                            std::size_t atom, const Vec3& point, double& v) {
+  if (splines.empty()) return;
+  const Vec3 d = point - pot.centers()[atom];
+  const double r = std::max(d.norm(), 1e-8);
+  grid::YlmWorkspace ws;
+  std::vector<double> y;
+  grid::real_ylm(d, pot.lmax(), y, ws);
+  if (r <= pot.outer_radius(atom)) {
+    for (std::size_t lm = 0; lm < splines.size(); ++lm) {
+      v += splines[lm].value(r) * y[lm];
+    }
+    return;
+  }
+  double rpow = r;
+  std::size_t lm = 0;
+  for (int l = 0; l <= pot.lmax(); ++l) {
+    const double pref = kFourPi / (2.0 * l + 1.0) / rpow;
+    for (int m = -l; m <= l; ++m, ++lm) {
+      v += pref * pot.moment(atom, lm) * y[lm];
+    }
+    rpow *= r;
+  }
+}
+
+TEST(Multipole, SharedIntervalMatchesPerChannelSplineBitwise) {
+  const std::vector<grid::AtomSite> atoms = {{8, {0.0, 0.0, 0.0}},
+                                             {1, {0.3, -0.2, 1.8}}};
+  const grid::MolecularGrid g = make_grid(atoms, grid::GridLevel::Light);
+  const MultipoleSolver solver(g, 6);
+  std::vector<double> n(g.size());
+  for (std::size_t p = 0; p < g.size(); ++p) {
+    n[p] = gaussian_density(g.points[p], {0.0, 0.1, 0.2}, 1.1) +
+           gaussian_density(g.points[p], atoms[1].pos, 1.7);
+  }
+  const MultipolePotential pot = solver.solve(n);
+  const std::size_t n_lm = grid::n_lm(pot.lmax());
+
+  std::vector<std::vector<CubicSpline>> splines(pot.n_atoms());
+  for (std::size_t a = 0; a < pot.n_atoms(); ++a) {
+    const MultipolePotential::RadialTable& t = pot.table(a);
+    ASSERT_GE(t.knots.size(), 2u);
+    ASSERT_EQ(t.values.size(), t.knots.size() * n_lm);
+    ASSERT_EQ(t.second.size(), t.knots.size() * n_lm);
+    for (std::size_t lm = 0; lm < n_lm; ++lm) {
+      std::vector<double> column(t.knots.size());
+      for (std::size_t k = 0; k < t.knots.size(); ++k) {
+        column[k] = t.values[k * n_lm + lm];
+      }
+      splines[a].emplace_back(t.knots, column);
+    }
+  }
+
+  // Atom 0 sits at the origin, so a point on the x axis is at distance
+  // exactly x from it: that pins the knot-exact and outer-radius regimes.
+  const std::vector<double>& knots = pot.table(0).knots;
+  const double outer = pot.outer_radius(0);
+  std::vector<Vec3> points = {
+      {0.5 * knots.front(), 0.0, 0.0},              // below the first knot
+      {0.0, 0.0, 1e-12},                            // clamped r = 1e-8
+      {knots.front(), 0.0, 0.0},                    // first knot
+      {knots[knots.size() / 2], 0.0, 0.0},          // interior knot
+      {outer, 0.0, 0.0},                            // outer radius
+      {0.5 * (knots[3] + knots[4]), 0.2, -0.1},     // between knots
+      {1.1, -0.4, 0.9},                             // between both atoms
+      {0.35, -0.15, 1.75},                          // near atom 1
+      {1.5 * outer, 0.0, 0.0},                      // far field of atom 0
+      {0.0, 3.0 * outer, -2.0 * outer},             // far field of both
+  };
+  for (std::size_t k = 1; k + 1 < knots.size(); k += 7) {
+    points.push_back({knots[k], 0.0, 0.0});
+  }
+  // Radial sweeps off the symmetry axes, through both atoms' spline
+  // spheres. A one-ulp change in a single channel is usually rounded away
+  // in the channel sum, so it takes many interior points to expose one.
+  const Vec3 dirs[] = {{0.41, -0.23, 0.88}, {-0.7, 0.6, 0.39},
+                       {0.12, 0.95, -0.29}, {-0.5, -0.5, -0.71}};
+  for (const Vec3& u : dirs) {
+    for (int k = 1; k <= 128; ++k) {
+      points.push_back(u * (outer * k / 128.0));
+    }
+  }
+  ASSERT_EQ((Vec3{knots.front(), 0.0, 0.0}.norm()), knots.front());
+  ASSERT_EQ((Vec3{outer, 0.0, 0.0}.norm()), outer);
+
+  MultipolePotential::Workspace ws;
+  for (const Vec3& r : points) {
+    double ref = 0.0;
+    for (std::size_t a = 0; a < pot.n_atoms(); ++a) {
+      double term = 0.0;
+      per_channel_atom_terms(pot, splines[a], a, r, term);
+      EXPECT_EQ(pot.value_atom(a, r, ws), term) << "atom " << a << " at " << r;
+      per_channel_atom_terms(pot, splines[a], a, r, ref);
+    }
+    EXPECT_EQ(pot.value(r), ref) << r;
+    EXPECT_EQ(pot.value(r, ws), ref) << r;
+  }
+}
+
 TEST(Multipole, ZeroDensityGivesZeroPotential) {
   const std::vector<grid::AtomSite> atoms = {{1, {0.0, 0.0, 0.0}}};
   const grid::MolecularGrid g = make_grid(atoms, grid::GridLevel::Light);
@@ -230,6 +336,8 @@ TEST(Multipole, ValueDoesNotAllocatePerPoint) {
   // First calls size the (thread_local / explicit) workspaces.
   MultipolePotential::Workspace ws;
   double acc = pot.value({1.0, 0.5, -0.3}) + pot.value({1.0, 0.5, -0.3}, ws);
+  std::vector<double> ylm;
+  grid::real_ylm({1.0, 0.5, -0.3}, 6, ylm);
 
   const std::size_t before =
       g_allocation_count.load(std::memory_order_relaxed);
@@ -238,6 +346,9 @@ TEST(Multipole, ValueDoesNotAllocatePerPoint) {
     acc += pot.value(r);
     acc += pot.value(r, ws);
     acc += pot.value_atom(0, r, ws);
+    // The convenience overload runs on a thread-local workspace.
+    grid::real_ylm(r, 6, ylm);
+    acc += ylm[3];
   }
   EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed), before)
       << "per-point evaluation must not touch the heap (acc=" << acc << ")";
