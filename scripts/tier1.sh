@@ -9,8 +9,8 @@
 # instrumented passes — the robustness/fault-injection suite under
 # ASan/UBSan, the obs + parallel + serve suites under TSan (the
 # metrics registry claims lock-free counters and the serve pool claims
-# race-free work stealing; this is where we prove both), and the serve
-# + obs suites under UBSan.
+# race-free work stealing; this is where we prove both), and the serve,
+# obs, hartree and grid suites under UBSan.
 # Set SWRAMAN_SANITIZE=undefined to swap the robustness pass to UBSan,
 # or SWRAMAN_SANITIZE=none to skip every instrumented pass.
 set -euo pipefail
@@ -213,17 +213,22 @@ if [ "${SANITIZER}" != "none" ]; then
   ./build-thread/tests/test_serve --gtest_filter=-ServeRealEngine.*
   (cd build-thread && ./bench/bench_serve_chaos --short --shards 2)
 
-  echo "== tier-1: serve + obs suites under -fsanitize=undefined =="
+  echo "== tier-1: serve + obs + hartree + grid suites under -fsanitize=undefined =="
   # UBSan complements the concurrency checker: lockcheck proves lock
   # discipline, UBSan proves the code under those locks is free of
   # undefined behavior (the WAL record codec, the histogram bucket math,
-  # the seqlock ring arithmetic).
+  # the seqlock ring arithmetic). The hartree and grid suites cover the
+  # strided indexing into the knot-major multipole tables and the
+  # triangular Y_lm recurrence tables.
   cmake -B build-undefined -S . \
         -DSWRAMAN_SANITIZE=undefined \
         -DSWRAMAN_BUILD_BENCH=OFF -DSWRAMAN_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build build-undefined -j "${JOBS}" --target test_obs test_serve
+  cmake --build build-undefined -j "${JOBS}" --target test_obs test_serve \
+        test_hartree test_grid
   ./build-undefined/tests/test_obs
   ./build-undefined/tests/test_serve --gtest_filter=-ServeRealEngine.*
+  ./build-undefined/tests/test_hartree
+  ./build-undefined/tests/test_grid
 fi
 
 echo "tier-1: OK"

@@ -23,27 +23,64 @@ void solve_tridiagonal(std::vector<double>& a, std::vector<double>& b,
   }
 }
 
+NaturalSplineKnots::NaturalSplineKnots(const std::vector<double>& x) {
+  SWRAMAN_REQUIRE(x.size() >= 2, "spline: need at least 2 knots");
+  const std::size_t n = x.size();
+  h_.resize(n - 1);
+  for (std::size_t i = 0; i + 1 < n; ++i) h_[i] = x[i + 1] - x[i];
+  if (n < 3) return;
+  // Row r couples knots r, r+1, r+2: sub h_r/6, diag (h_r + h_{r+1})/3,
+  // super h_{r+1}/6. Natural BC: y2 = 0 at both ends, so the first row's
+  // sub and the last row's super drop out. Forward elimination as in
+  // solve_tridiagonal, on the bands alone.
+  const std::size_t rows = n - 2;
+  mult_.assign(rows, 0.0);
+  pivot_.resize(rows);
+  super_.resize(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    pivot_[r] = (h_[r] + h_[r + 1]) / 3.0;
+    super_[r] = h_[r + 1] / 6.0;
+  }
+  for (std::size_t r = 1; r < rows; ++r) {
+    mult_[r] = h_[r] / 6.0 / pivot_[r - 1];
+    pivot_[r] -= mult_[r] * super_[r - 1];
+  }
+}
+
+void NaturalSplineKnots::second_derivatives(const double* y,
+                                            double* y2) const {
+  const std::size_t n = size();
+  y2[0] = 0.0;
+  y2[n - 1] = 0.0;
+  if (n < 3) return;
+  // The interior of y2 holds the right-hand side through both sweeps.
+  double* d = y2 + 1;
+  const std::size_t rows = n - 2;
+  for (std::size_t r = 0; r < rows; ++r) {
+    d[r] = (y[r + 2] - y[r + 1]) / h_[r + 1] - (y[r + 1] - y[r]) / h_[r];
+  }
+  for (std::size_t r = 1; r < rows; ++r) d[r] -= mult_[r] * d[r - 1];
+  d[rows - 1] /= pivot_[rows - 1];
+  for (std::size_t r = rows - 1; r-- > 0;) {
+    d[r] = (d[r] - super_[r] * d[r + 1]) / pivot_[r];
+  }
+}
+
+void NaturalSplineKnots::cumulative(const double* y, const double* y2,
+                                    double* cum) const {
+  cum[0] = 0.0;
+  for (std::size_t i = 0; i < h_.size(); ++i) {
+    cum[i + 1] =
+        spline_cumulative_step(cum[i], h_[i], y[i], y[i + 1], y2[i], y2[i + 1]);
+  }
+}
+
 std::vector<double> natural_spline_second_derivatives(
     const std::vector<double>& x, const std::vector<double>& y) {
   SWRAMAN_REQUIRE(x.size() == y.size(), "spline: x/y size mismatch");
-  const std::size_t n = x.size();
-  std::vector<double> y2(n, 0.0);
-  if (n < 3) return y2;
-
-  std::vector<double> a(n - 2), b(n - 2), c(n - 2), d(n - 2);
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    const double h0 = x[i] - x[i - 1];
-    const double h1 = x[i + 1] - x[i];
-    a[i - 1] = h0 / 6.0;
-    b[i - 1] = (h0 + h1) / 3.0;
-    c[i - 1] = h1 / 6.0;
-    d[i - 1] = (y[i + 1] - y[i]) / h1 - (y[i] - y[i - 1]) / h0;
-  }
-  // Natural BC: y2[0] = y2[n-1] = 0, drop couplings to the boundary.
-  a[0] = 0.0;
-  c[n - 3] = 0.0;
-  solve_tridiagonal(a, b, c, d);
-  for (std::size_t i = 1; i + 1 < n; ++i) y2[i] = d[i - 1];
+  std::vector<double> y2(x.size(), 0.0);
+  if (x.size() < 3) return y2;
+  NaturalSplineKnots(x).second_derivatives(y.data(), y2.data());
   return y2;
 }
 
@@ -103,11 +140,8 @@ double CubicSpline::second_derivative(double x) const {
 std::vector<double> CubicSpline::cumulative_at_knots() const {
   std::vector<double> cum(x_.size(), 0.0);
   for (std::size_t i = 0; i + 1 < x_.size(); ++i) {
-    const double h = x_[i + 1] - x_[i];
-    // integral over [x_i, x_{i+1}] of the cubic piece:
-    //   h (y_i + y_{i+1})/2 - h^3 (y2_i + y2_{i+1})/24.
-    cum[i + 1] = cum[i] + h * (y_[i] + y_[i + 1]) / 2.0 -
-                 h * h * h * (y2_[i] + y2_[i + 1]) / 24.0;
+    cum[i + 1] = spline_cumulative_step(cum[i], x_[i + 1] - x_[i], y_[i],
+                                        y_[i + 1], y2_[i], y2_[i + 1]);
   }
   return cum;
 }

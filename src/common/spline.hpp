@@ -116,10 +116,49 @@ inline double spline_combine(const SplineWeights& w, double y0, double y1,
   return w.a * y0 + w.b * y1 + (w.a3 * m0 + w.b3 * m1) * w.h2 / 6.0;
 }
 
-// Natural-spline second derivatives at the knots x (strictly increasing,
-// at least 2): the y2 table CubicSpline interpolates with. Exposed for
-// callers that keep many channels over one knot vector in their own
-// layout (hartree::MultipolePotential).
+// cum plus the exact integral of one natural-spline interval of width h
+// with end values y0, y1 and end second derivatives m0, m1:
+//   cum + h (y0 + y1)/2 - h^3 (m0 + m1)/24.
+// The one expression behind every cumulative spline integral
+// (CubicSpline::cumulative_at_knots, NaturalSplineKnots::cumulative), so
+// the two agree bitwise.
+inline double spline_cumulative_step(double cum, double h, double y0,
+                                     double y1, double m0, double m1) {
+  return cum + h * (y0 + y1) / 2.0 - h * h * h * (m0 + m1) / 24.0;
+}
+
+// The natural-spline system of one knot vector (strictly increasing, at
+// least 2), factored once. The tridiagonal bands, and with them the
+// elimination multipliers and pivots, depend on the knots alone, so
+// channels tabulated on the same knots (hartree::MultipoleSolver keeps up
+// to (lmax+1)^2 per atom) pay only for the right-hand side and the two
+// substitution sweeps. natural_spline_second_derivatives runs on this
+// class, so both give bitwise the same second derivatives.
+class NaturalSplineKnots {
+ public:
+  NaturalSplineKnots() = default;
+  explicit NaturalSplineKnots(const std::vector<double>& x);
+
+  [[nodiscard]] std::size_t size() const { return h_.size() + 1; }
+
+  // y2[k] = natural-spline second derivative at knot k of the data y; both
+  // arrays have size() entries. Allocation-free.
+  void second_derivatives(const double* y, double* y2) const;
+
+  // cum[k] = exact integral of the spline (y, y2) from the first knot to
+  // knot k; all arrays have size() entries. Allocation-free.
+  void cumulative(const double* y, const double* y2, double* cum) const;
+
+ private:
+  std::vector<double> h_;      // interval widths x[i+1] - x[i]
+  // Row r of the system is interior knot r + 1 (r = 0..size()-3).
+  std::vector<double> mult_;   // forward-elimination multiplier of row r
+  std::vector<double> pivot_;  // eliminated diagonal of row r
+  std::vector<double> super_;  // super-diagonal of row r
+};
+
+// Natural-spline second derivatives at the knots x (strictly increasing):
+// the y2 table CubicSpline interpolates with. Zero for fewer than 3 knots.
 std::vector<double> natural_spline_second_derivatives(
     const std::vector<double>& x, const std::vector<double>& y);
 

@@ -27,23 +27,26 @@ constexpr std::size_t n_lm(int lmax) {
 // Scratch buffers for real_ylm: hold one per thread and the evaluation
 // never heap-allocates after the first call (the hot Hartree / FMM
 // per-point paths depend on this). The workspace also caches the Legendre
-// recurrence constants, which depend on lmax alone; they are rebuilt only
-// when a call asks for a different lmax than the previous one.
+// recurrence constants, which depend on (l, m) alone; they are built up to
+// the largest lmax asked for so far and serve every smaller lmax, so
+// callers that alternate lmax (per-atom channel counts in the Hartree
+// evaluation) do not rebuild them.
 struct YlmWorkspace {
-  std::vector<double> q;   // associated-Legendre table
+  std::vector<double> q;   // associated-Legendre table, [l(l+1)/2 + m]
   std::vector<double> cm;  // cos(m phi)
   std::vector<double> sm;  // sin(m phi)
 
-  int const_lmax = -1;       // lmax the constants below were built for
+  int const_lmax = -1;       // lmax the constants below cover
   std::vector<double> diag;  // Q_mm from Q_(m-1)(m-1): sqrt((2m+1)/(2m))
   std::vector<double> sub;   // Q_(m+1)m from Q_mm: sqrt(2m+3)
-  std::vector<double> ra;    // upward-in-l recurrence a_lm, [l * nl + m]
-  std::vector<double> rb;    // upward-in-l recurrence b_lm, [l * nl + m]
+  std::vector<double> ra;    // upward-in-l recurrence a_lm, [l(l+1)/2 + m]
+  std::vector<double> rb;    // upward-in-l recurrence b_lm, [l(l+1)/2 + m]
 };
 
 // Evaluates all real Y_lm for l = 0..lmax at unit direction u into out
 // (resized to n_lm(lmax)). u does not need to be normalized; the zero vector
-// maps to the north pole.
+// maps to the north pole. real_ylm(u, l) is bitwise the first n_lm(l)
+// entries of real_ylm(u, L) for every L >= l.
 void real_ylm(const Vec3& u, int lmax, std::vector<double>& out,
               YlmWorkspace& ws);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
@@ -19,25 +18,60 @@ MultipoleSolver::MultipoleSolver(const grid::MolecularGrid& grid, int lmax)
                   "MultipoleSolver: grid lacks shell structure");
   n_lm_ = grid::n_lm(lmax_);
 
-  // Precompute Y_lm(u) for every point relative to its owning atom.
-  ylm_.resize(grid_.size() * n_lm_);
+  radial_.resize(grid_.atoms.size());
+  for (std::size_t s = 0; s < grid_.shells.size(); ++s) {
+    AtomRadial& ar = radial_[static_cast<std::size_t>(grid_.shells[s].atom)];
+    ar.shells.push_back(s);
+    ar.l_res = std::max(ar.l_res, grid_.shells[s].angular_order / 2);
+  }
+  int l_res_max = -1;
+  for (AtomRadial& ar : radial_) {
+    if (ar.shells.empty()) continue;
+    std::sort(ar.shells.begin(), ar.shells.end(),
+              [this](std::size_t a, std::size_t b) {
+                return grid_.shells[a].radius < grid_.shells[b].radius;
+              });
+    const std::size_t ns = ar.shells.size();
+    SWRAMAN_REQUIRE(ns >= 2, "MultipoleSolver: an atom needs >= 2 shells");
+    ar.l_res = std::min(ar.l_res, lmax_);
+    l_res_max = std::max(l_res_max, ar.l_res);
+    n_channels_ += grid::n_lm(ar.l_res);
+    ar.radii.resize(ns);
+    for (std::size_t si = 0; si < ns; ++si) {
+      ar.radii[si] = grid_.shells[ar.shells[si]].radius;
+    }
+    ar.spline = NaturalSplineKnots(ar.radii);
+    const std::size_t nl = static_cast<std::size_t>(ar.l_res + 1);
+    ar.pow_lt.resize(nl * ns);
+    ar.pow_gt.resize(nl * ns);
+    ar.pow_in.resize(nl * ns);
+    ar.pow_out.resize(nl * ns);
+    ar.pow_inner.resize(nl);
+    for (int l = 0; l <= ar.l_res; ++l) {
+      const std::size_t row = static_cast<std::size_t>(l) * ns;
+      for (std::size_t si = 0; si < ns; ++si) {
+        const double r = ar.radii[si];
+        ar.pow_lt[row + si] = std::pow(r, l + 2);
+        ar.pow_gt[row + si] = std::pow(r, 1 - l);
+        ar.pow_in[row + si] = std::pow(r, l + 1);
+        ar.pow_out[row + si] = std::pow(r, l);
+      }
+      ar.pow_inner[static_cast<std::size_t>(l)] = std::pow(ar.radii[0], l + 3);
+    }
+  }
+
+  // Precompute Y_lm(u) for every point relative to its owning atom, up to
+  // the highest channel any shell projects onto.
+  ylm_stride_ = grid::n_lm(l_res_max);
+  ylm_.resize(grid_.size() * ylm_stride_);
   std::vector<double> y;
   grid::YlmWorkspace ylm_ws;
   for (std::size_t p = 0; p < grid_.size(); ++p) {
     const int a = grid_.owner_atom[p];
     const Vec3 u = grid_.points[p] - grid_.atoms[static_cast<std::size_t>(a)].pos;
-    grid::real_ylm(u, lmax_, y, ylm_ws);
-    std::copy(y.begin(), y.end(), ylm_.begin() + static_cast<long>(p * n_lm_));
-  }
-
-  shells_of_atom_.resize(grid_.atoms.size());
-  for (std::size_t s = 0; s < grid_.shells.size(); ++s) {
-    shells_of_atom_[static_cast<std::size_t>(grid_.shells[s].atom)].push_back(s);
-  }
-  for (auto& list : shells_of_atom_) {
-    std::sort(list.begin(), list.end(), [this](std::size_t a, std::size_t b) {
-      return grid_.shells[a].radius < grid_.shells[b].radius;
-    });
+    grid::real_ylm(u, l_res_max, y, ylm_ws);
+    std::copy(y.begin(), y.end(),
+              ylm_.begin() + static_cast<long>(p * ylm_stride_));
   }
 }
 
@@ -50,56 +84,72 @@ MultipolePotential MultipoleSolver::solve(
   if (span.active()) {
     span.attr("atoms", static_cast<double>(n_atoms));
     span.attr("lmax", static_cast<double>(lmax_));
+    span.attr("channels", static_cast<double>(n_channels_));
   }
 
   MultipolePotential pot;
   pot.lmax_ = lmax_;
+  pot.l_res_.resize(n_atoms);
   pot.centers_.resize(n_atoms);
   pot.outer_radius_.assign(n_atoms, 0.0);
   pot.tables_.resize(n_atoms);
   pot.moments_.assign(n_atoms, std::vector<double>(n_lm_, 0.0));
 
+  // Radial scratch shared by every atom and channel of this solve.
+  std::vector<double> rho;     // projected density, [lm * ns + s]
+  std::vector<double> rho_ch;  // one channel above its noise floor
+  std::vector<double> f_lt, f_gt, ilt, igt, v_r, y2;
+
   for (std::size_t a = 0; a < n_atoms; ++a) {
+    const AtomRadial& ar = radial_[a];
     pot.centers_[a] = grid_.atoms[a].pos;
-    const std::vector<std::size_t>& shells = shells_of_atom_[a];
-    if (shells.empty()) continue;
-    const std::size_t ns = shells.size();
+    pot.l_res_[a] = ar.l_res;
+    if (ar.shells.empty()) continue;
+    const std::size_t ns = ar.shells.size();
+    const std::size_t n_live = grid::n_lm(ar.l_res);
 
     // Project the partitioned density onto Y_lm on each shell.
-    std::vector<double> radii(ns);
-    // rho[lm * ns + s]
-    std::vector<double> rho(n_lm_ * ns, 0.0);
+    rho.assign(n_live * ns, 0.0);
     for (std::size_t si = 0; si < ns; ++si) {
-      const grid::ShellInfo& sh = grid_.shells[shells[si]];
-      radii[si] = sh.radius;
+      const grid::ShellInfo& sh = grid_.shells[ar.shells[si]];
       // A shell's angular rule resolves the Y_l * Y_l product only up to
       // l = order/2; projecting beyond that aliases order-one garbage into
       // the channel (pruned inner shells have low-order rules). Density is
       // nearly spherical there, so truncating is the physical choice.
       const std::size_t lm_cap =
-          std::min(n_lm_, grid::n_lm(sh.angular_order / 2));
+          std::min(n_live, grid::n_lm(sh.angular_order / 2));
       for (std::size_t k = 0; k < sh.n_points; ++k) {
         const std::size_t p = sh.first_point + k;
         const double f =
             grid_.angular_weight[p] * grid_.partition[p] * density[p];
         if (f == 0.0) continue;
-        const double* y = &ylm_[p * n_lm_];
+        const double* y = &ylm_[p * ylm_stride_];
         for (std::size_t lm = 0; lm < lm_cap; ++lm) {
           rho[lm * ns + si] += f * y[lm];
         }
       }
     }
 
-    pot.outer_radius_[a] = radii.back();
+    pot.outer_radius_[a] = ar.radii.back();
     MultipolePotential::RadialTable& table = pot.tables_[a];
+    table.knots = ar.radii;
+    // Channels above l_res keep their zero columns and moments.
     table.values.assign(ns * n_lm_, 0.0);
     table.second.assign(ns * n_lm_, 0.0);
 
     // Radial Green's-function integrals per lm channel, exact spline
     // integration over the shell radii (+ analytic inner-sphere term).
-    std::vector<double> v_r(ns);
-    std::vector<double> rho_ch(ns);
-    for (int l = 0; l <= lmax_; ++l) {
+    for (std::vector<double>* v : {&rho_ch, &f_lt, &f_gt, &ilt, &igt, &v_r,
+                                   &y2}) {
+      v->resize(ns);
+    }
+    for (int l = 0; l <= ar.l_res; ++l) {
+      const std::size_t row = static_cast<std::size_t>(l) * ns;
+      const double* pow_lt = &ar.pow_lt[row];
+      const double* pow_gt = &ar.pow_gt[row];
+      const double* pow_in = &ar.pow_in[row];
+      const double* pow_out = &ar.pow_out[row];
+      const double pref = kFourPi / (2.0 * l + 1.0);
       for (int m = -l; m <= l; ++m) {
         const std::size_t lm = grid::lm_index(l, m);
         // Physical channels vanish like s^l at the nucleus; angular
@@ -119,38 +169,32 @@ MultipolePotential MultipoleSolver::solve(
         // I<(r_k) = integral_0^{r_k} rho s^{l+2} ds: spline integration of
         // the tabulated integrand plus the analytic inner-sphere term
         // (rho ~ const below the first shell).
-        std::vector<double> f_lt(ns);
-        std::vector<double> f_gt(ns);
         for (std::size_t s = 0; s < ns; ++s) {
-          f_lt[s] = rl[s] * std::pow(radii[s], l + 2);
-          f_gt[s] = rl[s] * std::pow(radii[s], 1 - l);
+          f_lt[s] = rl[s] * pow_lt[s];
+          f_gt[s] = rl[s] * pow_gt[s];
         }
-        std::vector<double> ilt =
-            CubicSpline(radii, f_lt).cumulative_at_knots();
-        const double inner =
-            rl[0] * std::pow(radii[0], l + 3) / static_cast<double>(l + 3);
+        ar.spline.second_derivatives(f_lt.data(), y2.data());
+        ar.spline.cumulative(f_lt.data(), y2.data(), ilt.data());
+        const double inner = rl[0] * ar.pow_inner[static_cast<std::size_t>(l)] /
+                             static_cast<double>(l + 3);
         for (double& v : ilt) v += inner;
         // I>(r_k) = integral_{r_k}^{rmax} rho s^{1-l} ds.
-        std::vector<double> igt =
-            CubicSpline(radii, f_gt).cumulative_at_knots();
+        ar.spline.second_derivatives(f_gt.data(), y2.data());
+        ar.spline.cumulative(f_gt.data(), y2.data(), igt.data());
         const double igt_total = igt.back();
         for (double& v : igt) v = igt_total - v;
 
-        const double pref = kFourPi / (2.0 * l + 1.0);
         for (std::size_t s = 0; s < ns; ++s) {
-          v_r[s] = pref * (ilt[s] / std::pow(radii[s], l + 1) +
-                           igt[s] * std::pow(radii[s], l));
+          v_r[s] = pref * (ilt[s] / pow_in[s] + igt[s] * pow_out[s]);
         }
         pot.moments_[a][lm] = ilt[ns - 1];
-        const std::vector<double> y2 =
-            natural_spline_second_derivatives(radii, v_r);
+        ar.spline.second_derivatives(v_r.data(), y2.data());
         for (std::size_t s = 0; s < ns; ++s) {
           table.values[s * n_lm_ + lm] = v_r[s];
           table.second[s * n_lm_ + lm] = y2[s];
         }
       }
     }
-    table.knots = std::move(radii);
   }
   return pot;
 }
@@ -196,10 +240,14 @@ void MultipolePotential::accumulate_atom(std::size_t atom, const Vec3& point,
                                          Workspace& ws, double& v) const {
   const RadialTable& t = tables_[atom];
   if (t.knots.empty()) return;
-  const std::size_t n_lm = grid::n_lm(lmax_);
+  // Channels above l_res are zero (see the header comment): stopping there
+  // drops only +-0.0 terms.
+  const int l_res = l_res_[atom];
+  const std::size_t n_lm = grid::n_lm(lmax_);  // table row stride
+  const std::size_t n_live = grid::n_lm(l_res);
   const Vec3 d = point - centers_[atom];
   const double r = std::max(d.norm(), 1e-8);
-  grid::real_ylm(d, lmax_, ws.ylm, ws.ylm_scratch);
+  grid::real_ylm(d, l_res, ws.ylm, ws.ylm_scratch);
   const double* y = ws.ylm.data();
   if (r <= outer_radius_[atom]) {
     // One interval search and one set of interval weights for all
@@ -211,14 +259,14 @@ void MultipolePotential::accumulate_atom(std::size_t atom, const Vec3& point,
     const double* f1 = &t.values[(i + 1) * n_lm];
     const double* m0 = &t.second[i * n_lm];
     const double* m1 = &t.second[(i + 1) * n_lm];
-    for (std::size_t lm = 0; lm < n_lm; ++lm) {
+    for (std::size_t lm = 0; lm < n_live; ++lm) {
       v += spline_combine(w, f0[lm], f1[lm], m0[lm], m1[lm]) * y[lm];
     }
   } else {
     // Analytic multipole far field.
     double rpow = r;  // r^{l+1}
     std::size_t lm = 0;
-    for (int l = 0; l <= lmax_; ++l) {
+    for (int l = 0; l <= l_res; ++l) {
       const double pref = kFourPi / (2.0 * l + 1.0) / rpow;
       for (int m = -l; m <= l; ++m, ++lm) {
         v += pref * moments_[atom][lm] * y[lm];

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/spline.hpp"
 #include "common/vec3.hpp"
 #include "grid/atom_grid.hpp"
 #include "grid/ylm.hpp"
@@ -30,6 +31,16 @@
 // evaluated with exactly the expression of CubicSpline::value, so results
 // are bitwise those of one CubicSpline per channel. sunway::build_csi_tables
 // converts the same tables into Algorithm 2's per-interval monomials.
+//
+// Resolved channels: a shell's angular rule of design order n resolves the
+// Y_l Y_l product only up to l = n/2, and the projection drops every higher
+// channel on that shell. Atom a therefore carries density only in channels
+// l <= l_res(a) = min(lmax, max over a's shells of n/2); every higher
+// channel has an all-zero density, so its table columns and moments are
+// exactly 0.0. Solve and evaluation stop at l_res(a). The tables keep all
+// (lmax+1)^2 columns, the dropped ones zero; each dropped evaluation term
+// would add +-0.0 to the sum, and real_ylm(u, l_res) is a bitwise prefix of
+// real_ylm(u, lmax), so results are bitwise those of running every channel.
 
 namespace swraman::hartree {
 
@@ -79,6 +90,11 @@ class MultipolePotential {
 
   [[nodiscard]] int lmax() const { return lmax_; }
 
+  // Highest channel l the atom's shells resolve (see the header comment);
+  // table columns and moments above it are zero. -1 for an atom without
+  // shells.
+  [[nodiscard]] int l_res(std::size_t atom) const { return l_res_[atom]; }
+
   // Multipole moment q_lm of atom a (flat lm index), defined as
   // integral rho_lm s^{l+2} ds.
   [[nodiscard]] double moment(std::size_t atom, std::size_t lm) const;
@@ -98,6 +114,7 @@ class MultipolePotential {
   void accumulate_atom(std::size_t atom, const Vec3& point, Workspace& ws,
                        double& v) const;
   int lmax_ = 0;
+  std::vector<int> l_res_;                       // per atom
   std::vector<Vec3> centers_;
   std::vector<double> outer_radius_;             // per atom
   std::vector<RadialTable> tables_;              // per atom
@@ -120,13 +137,30 @@ class MultipoleSolver {
   [[nodiscard]] int lmax() const { return lmax_; }
 
  private:
+  // Geometry-static radial data of one atom, built once by the
+  // constructor: shells, spline system and the Green's-function powers of
+  // every shell radius for l = 0..l_res, each [l * n_shells + s].
+  struct AtomRadial {
+    int l_res = -1;
+    std::vector<std::size_t> shells;  // grid shell indices, ascending radius
+    std::vector<double> radii;        // their radii
+    NaturalSplineKnots spline;        // natural-spline system on radii
+    std::vector<double> pow_lt;       // r^(l+2), integrand of I<
+    std::vector<double> pow_gt;       // r^(1-l), integrand of I>
+    std::vector<double> pow_in;       // r^(l+1), divides I<
+    std::vector<double> pow_out;      // r^l, multiplies I>
+    std::vector<double> pow_inner;    // r_0^(l+3), inner-sphere term, [l]
+  };
+
   const grid::MolecularGrid& grid_;
   int lmax_;
-  // Precomputed Y_lm for every grid point (n_points x n_lm, row-major).
-  std::vector<double> ylm_;
   std::size_t n_lm_ = 0;
-  // Shells grouped per atom, ascending radius.
-  std::vector<std::vector<std::size_t>> shells_of_atom_;
+  std::size_t n_channels_ = 0;  // sum over atoms of n_lm(l_res)
+  // Y_lm of every grid point about its owning atom, n_points x ylm_stride_
+  // row-major; ylm_stride_ = n_lm(max l_res) covers every projected channel.
+  std::vector<double> ylm_;
+  std::size_t ylm_stride_ = 0;
+  std::vector<AtomRadial> radial_;  // per atom
 };
 
 }  // namespace swraman::hartree

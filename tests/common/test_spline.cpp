@@ -84,6 +84,49 @@ TEST(IndexSpline, ClampsOutOfRange) {
   EXPECT_NEAR(is.value(99.0), 3.0, 1e-12);
 }
 
+TEST(NaturalSplineKnots, MatchesBandedSolveAndCubicSplineBitwise) {
+  // The factored system must reproduce, bit for bit, the natural-spline
+  // second derivatives assembled band by band and solved by
+  // solve_tridiagonal, and CubicSpline's cumulative integrals.
+  for (std::size_t n : {2u, 3u, 4u, 11u, 40u}) {
+    std::vector<double> x(n);
+    std::vector<double> y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = 0.01 + std::pow(0.37 * static_cast<double>(i), 1.7);
+      y[i] = std::exp(-x[i]) * std::cos(3.0 * x[i]) + 0.1 * x[i];
+    }
+    std::vector<double> ref(n, 0.0);
+    if (n >= 3) {
+      std::vector<double> a(n - 2), b(n - 2), c(n - 2), d(n - 2);
+      for (std::size_t i = 1; i + 1 < n; ++i) {
+        const double h0 = x[i] - x[i - 1];
+        const double h1 = x[i + 1] - x[i];
+        a[i - 1] = h0 / 6.0;
+        b[i - 1] = (h0 + h1) / 3.0;
+        c[i - 1] = h1 / 6.0;
+        d[i - 1] = (y[i + 1] - y[i]) / h1 - (y[i] - y[i - 1]) / h0;
+      }
+      a[0] = 0.0;
+      c[n - 3] = 0.0;
+      solve_tridiagonal(a, b, c, d);
+      for (std::size_t i = 1; i + 1 < n; ++i) ref[i] = d[i - 1];
+    }
+    const NaturalSplineKnots sys(x);
+    ASSERT_EQ(sys.size(), n);
+    std::vector<double> y2(n, -1.0);
+    sys.second_derivatives(y.data(), y2.data());
+    std::vector<double> cum(n, -1.0);
+    sys.cumulative(y.data(), y2.data(), cum.data());
+    const std::vector<double> spline_cum =
+        CubicSpline(x, y).cumulative_at_knots();
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(y2[i], ref[i]) << "n=" << n << " i=" << i;
+      EXPECT_EQ(cum[i], spline_cum[i]) << "n=" << n << " i=" << i;
+    }
+    EXPECT_EQ(natural_spline_second_derivatives(x, y), y2) << "n=" << n;
+  }
+}
+
 TEST(Tridiagonal, SolvesKnownSystem) {
   // [2 1 0; 1 2 1; 0 1 2] x = [4; 8; 8] -> x = [1; 2; 3].
   std::vector<double> a{0.0, 1.0, 1.0};

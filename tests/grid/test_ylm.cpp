@@ -97,8 +97,8 @@ TEST(Ylm, AdditionTheorem) {
 
 TEST(RealYlm, CachedConstantsAreBitwise) {
   // One workspace reused across changing lmax (the recurrence constants are
-  // cached per lmax and must be rebuilt on every change) against a fresh
-  // workspace per call.
+  // built up to the largest lmax seen and must serve every smaller one)
+  // against a fresh workspace per call.
   const std::vector<Vec3> dirs = {{0.3, -0.4, 0.87},
                                   {0.0, 0.0, 1.0},
                                   {-1.2, 0.5, -0.1},
@@ -122,6 +122,33 @@ TEST(RealYlm, CachedConstantsAreBitwise) {
       for (std::size_t i = 0; i < y_fresh.size(); ++i) {
         EXPECT_EQ(y_conv[i], y_fresh[i])
             << "lmax=" << lmax << " u=" << u << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(RealYlm, LowerLmaxIsBitwisePrefix) {
+  // The Hartree evaluation stops each atom at its resolved channel l and
+  // relies on real_ylm(u, l) being exactly the head of real_ylm(u, L).
+  // One workspace serves every call, so lmax moves both up and down
+  // between calls on the same cached constants.
+  const std::vector<Vec3> dirs = {{0.3, -0.4, 0.87},  {0.0, 0.0, 1.0},
+                                  {0.0, 0.0, -2.5},   {-1.2, 0.5, -0.1},
+                                  {0.0, 2.0, 0.0},    {1e-9, -3e-9, 0.2},
+                                  {0.0, 0.0, 0.0}};
+  YlmWorkspace ws;
+  std::vector<double> lo;
+  std::vector<double> hi;
+  for (const Vec3& u : dirs) {
+    for (int big = 0; big <= 8; ++big) {
+      real_ylm(u, big, hi, ws);
+      for (int l = big; l >= 0; --l) {
+        real_ylm(u, l, lo, ws);
+        ASSERT_EQ(lo.size(), n_lm(l));
+        for (std::size_t i = 0; i < lo.size(); ++i) {
+          EXPECT_EQ(lo[i], hi[i])
+              << "l=" << l << " L=" << big << " u=" << u << " i=" << i;
+        }
       }
     }
   }

@@ -10,6 +10,7 @@
 
 #include "common/constants.hpp"
 #include "common/spline.hpp"
+#include "obs/trace.hpp"
 
 namespace swraman::hartree {
 namespace {
@@ -206,10 +207,14 @@ void per_channel_atom_terms(const MultipolePotential& pot,
   }
 }
 
-TEST(Multipole, SharedIntervalMatchesPerChannelSplineBitwise) {
+// The shared-interval, resolved-channel evaluation against one CubicSpline
+// per channel over all n_lm(lmax) channels, on one grid whose shells
+// resolve channels up to l_res.
+void check_shared_interval_bitwise(const grid::GridSettings& settings,
+                                   int l_res) {
   const std::vector<grid::AtomSite> atoms = {{8, {0.0, 0.0, 0.0}},
                                              {1, {0.3, -0.2, 1.8}}};
-  const grid::MolecularGrid g = make_grid(atoms, grid::GridLevel::Light);
+  const grid::MolecularGrid g = grid::build_molecular_grid(atoms, settings);
   const MultipoleSolver solver(g, 6);
   std::vector<double> n(g.size());
   for (std::size_t p = 0; p < g.size(); ++p) {
@@ -221,10 +226,28 @@ TEST(Multipole, SharedIntervalMatchesPerChannelSplineBitwise) {
 
   std::vector<std::vector<CubicSpline>> splines(pot.n_atoms());
   for (std::size_t a = 0; a < pot.n_atoms(); ++a) {
+    ASSERT_EQ(pot.l_res(a), l_res) << "atom " << a;
     const MultipolePotential::RadialTable& t = pot.table(a);
     ASSERT_GE(t.knots.size(), 2u);
     ASSERT_EQ(t.values.size(), t.knots.size() * n_lm);
     ASSERT_EQ(t.second.size(), t.knots.size() * n_lm);
+    // The off-center densities reach every resolved channel: some l_res
+    // moment is nonzero, so the solve did not stop short.
+    const std::size_t n_live = grid::n_lm(l_res);
+    bool top_live = false;
+    for (std::size_t lm = grid::n_lm(l_res - 1); lm < n_live; ++lm) {
+      top_live = top_live || pot.moment(a, lm) != 0.0;
+    }
+    EXPECT_TRUE(top_live) << "atom " << a;
+    // Channels above l_res are exactly zero, in the tables and moments.
+    for (std::size_t lm = n_live; lm < n_lm; ++lm) {
+      SCOPED_TRACE("atom " + std::to_string(a) + " lm " + std::to_string(lm));
+      EXPECT_EQ(pot.moment(a, lm), 0.0);
+      for (std::size_t k = 0; k < t.knots.size(); ++k) {
+        EXPECT_EQ(t.values[k * n_lm + lm], 0.0);
+        EXPECT_EQ(t.second[k * n_lm + lm], 0.0);
+      }
+    }
     for (std::size_t lm = 0; lm < n_lm; ++lm) {
       std::vector<double> column(t.knots.size());
       for (std::size_t k = 0; k < t.knots.size(); ++k) {
@@ -278,6 +301,65 @@ TEST(Multipole, SharedIntervalMatchesPerChannelSplineBitwise) {
     EXPECT_EQ(pot.value(r), ref) << r;
     EXPECT_EQ(pot.value(r, ws), ref) << r;
   }
+}
+
+TEST(Multipole, SharedIntervalMatchesPerChannelSplineBitwise) {
+  // Light resolves l <= 5 of lmax 6; the serve (12 shells, order 5) and
+  // golden-water (16 shells, order 7) grids resolve l <= 2 and l <= 3.
+  grid::GridSettings light;
+  light.level = grid::GridLevel::Light;
+  grid::GridSettings serve;
+  serve.n_radial = 12;
+  serve.angular_order = 5;
+  grid::GridSettings water;
+  water.n_radial = 16;
+  water.angular_order = 7;
+  {
+    SCOPED_TRACE("light");
+    check_shared_interval_bitwise(light, 5);
+  }
+  {
+    SCOPED_TRACE("serve 12/5");
+    check_shared_interval_bitwise(serve, 2);
+  }
+  {
+    SCOPED_TRACE("water 16/7");
+    check_shared_interval_bitwise(water, 3);
+  }
+}
+
+TEST(Multipole, SpanReportsResolvedChannels) {
+  // The hartree.multipole span carries the channel work of the solve:
+  // three atoms on the serve grid resolve l <= 2, 9 channels each.
+  const std::vector<grid::AtomSite> atoms = {{8, {0.0, 0.0, 0.0}},
+                                             {1, {1.4, 0.0, 1.1}},
+                                             {1, {-1.4, 0.0, 1.1}}};
+  grid::GridSettings serve;
+  serve.n_radial = 12;
+  serve.angular_order = 5;
+  const grid::MolecularGrid g = grid::build_molecular_grid(atoms, serve);
+  const MultipoleSolver solver(g, 6);
+  obs::reset_for_testing();
+  obs::set_enabled(true);
+  const MultipolePotential pot =
+      solver.solve(std::vector<double>(g.size(), 0.0));
+  obs::set_enabled(false);
+  std::size_t spans = 0;
+  for (const obs::SpanRecord& rec : obs::snapshot()) {
+    if (rec.name != "hartree.multipole") continue;
+    ++spans;
+    double channels = -1.0;
+    double lmax = -1.0;
+    for (const obs::Attr& a : rec.attrs) {
+      if (a.key == "channels") channels = a.num;
+      if (a.key == "lmax") lmax = a.num;
+    }
+    EXPECT_EQ(channels, 27.0);
+    EXPECT_EQ(lmax, 6.0);
+  }
+  EXPECT_EQ(spans, 1u);
+  for (std::size_t a = 0; a < pot.n_atoms(); ++a) EXPECT_EQ(pot.l_res(a), 2);
+  obs::reset_for_testing();
 }
 
 TEST(Multipole, ZeroDensityGivesZeroPotential) {
