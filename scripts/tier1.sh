@@ -7,10 +7,11 @@
 # FIFO with dedup hits), the serve chaos gate (shard kills + WAL
 # replay, zero lost jobs, bitwise spectra, lockcheck-clean), then
 # instrumented passes — the robustness/fault-injection suite under
-# ASan/UBSan, the obs + parallel + serve suites under TSan (the
-# metrics registry claims lock-free counters and the serve pool claims
-# race-free work stealing; this is where we prove both), and the serve,
-# obs, hartree and grid suites under UBSan.
+# ASan/UBSan, the obs + parallel + serve + fmm + hartree suites under
+# TSan (the metrics registry claims lock-free counters, the serve pool
+# race-free work stealing, the Hartree context race-free shared solves;
+# this is where we prove them), and the serve, obs, hartree and grid
+# suites under UBSan.
 # Set SWRAMAN_SANITIZE=undefined to swap the robustness pass to UBSan,
 # or SWRAMAN_SANITIZE=none to skip every instrumented pass.
 set -euo pipefail
@@ -194,19 +195,23 @@ if [ "${SANITIZER}" != "none" ]; then
         test_robustness
   "./build-${SANITIZER}/tests/test_robustness"
 
-  echo "== tier-1: obs + parallel + serve suites under -fsanitize=thread =="
+  echo "== tier-1: obs + parallel + serve + fmm + hartree suites under -fsanitize=thread =="
   # Bench stays ON here (only the chaos target is built): the sharded
   # tier's kill/replay interleavings are exactly what TSan must see.
   cmake -B build-thread -S . \
         -DSWRAMAN_SANITIZE=thread \
         -DSWRAMAN_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-thread -j "${JOBS}" --target test_obs test_parallel \
-        test_serve test_fmm bench_serve_chaos
+        test_serve test_fmm test_hartree bench_serve_chaos
   ./build-thread/tests/test_obs
   ./build-thread/tests/test_parallel
   # The FMM backend claims its CPE model fan-out is race-free; the
-  # backend suite (M2L/P2P offload vs host path) runs under TSan.
+  # backend suite (M2L/P2P offload vs host path) runs under TSan, as do
+  # concurrent Direct solves on one shared context.
   ./build-thread/tests/test_fmm
+  # The Direct evaluation plan is built lazily under std::call_once while
+  # threads race the first evaluation of a shared solver.
+  ./build-thread/tests/test_hartree
   # The serve pool/cache/scheduler run their full modeled-engine suite
   # under TSan; the RealEngine end-to-end tests are excluded only for
   # time (SCF under TSan is ~20x slower), not correctness.

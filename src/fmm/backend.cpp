@@ -138,6 +138,13 @@ const HartreeContext::Geometry& HartreeContext::geometry() const {
       (n_atoms + static_cast<double>(g->sources->cells().size()) +
        static_cast<double>(g->targets->cells().size())) *
           0.5 * translate;
+  if (backend_ == HartreeBackend::Auto) {
+    // The Auto decision is geometry-static: record it once.
+    stats_.direct_flops = g->direct_flops;
+    stats_.fmm_flops = g->fmm_flops;
+    stats_.resolved = g->fmm_flops < g->direct_flops ? HartreeBackend::Fmm
+                                                     : HartreeBackend::Direct;
+  }
 
   if (span.active()) {
     span.attr("source_cells", static_cast<double>(g->sources->cells().size()));
@@ -157,22 +164,26 @@ const HartreeContext::Geometry& HartreeContext::geometry() const {
 
 HartreeBackend HartreeContext::resolve_backend() const {
   if (backend_ != HartreeBackend::Auto) return backend_;
+  const lockcheck::CheckedLock lock(mutex_);
   const Geometry& g = geometry();
   return g.fmm_flops < g.direct_flops ? HartreeBackend::Fmm
                                       : HartreeBackend::Direct;
 }
 
+FmmStats HartreeContext::stats() const {
+  const lockcheck::CheckedLock lock(mutex_);
+  return stats_;
+}
+
+void HartreeContext::request_plan() {
+  if (resolve_backend() == HartreeBackend::Direct) solver_.request_plan();
+}
+
 std::vector<double> HartreeContext::solve_on_grid(
     const std::vector<double>& density) const {
-  const HartreeBackend resolved = resolve_backend();
-  if (resolved == HartreeBackend::Direct) {
-    stats_.resolved = HartreeBackend::Direct;
-    if (backend_ == HartreeBackend::Auto) {
-      const Geometry& g = geometry();
-      stats_.direct_flops = g.direct_flops;
-      stats_.fmm_flops = g.fmm_flops;
-    }
-    // Verbatim dense path: bitwise identical to the pre-FMM solver.
+  if (resolve_backend() == HartreeBackend::Direct) {
+    // Verbatim dense path: bitwise identical to the pre-FMM solver. It
+    // writes no context state, so concurrent Direct solves are race-free.
     return solver_.solve_on_grid(density);
   }
   SWRAMAN_TRACE_SCOPE("hartree.poisson");
@@ -182,6 +193,9 @@ std::vector<double> HartreeContext::solve_on_grid(
 
 std::vector<double> HartreeContext::fmm_on_grid(
     const hartree::MultipolePotential& pot) const {
+  // The CPE cluster model and the stats are per context: one tree
+  // evaluation at a time.
+  const lockcheck::CheckedLock lock(mutex_);
   const Geometry& g = geometry();
   const FmmKernel& K = g.kernel;
   const int p = options_.order;

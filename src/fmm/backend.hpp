@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/lockcheck.hpp"
 #include "grid/atom_grid.hpp"
 #include "hartree/multipole.hpp"
 
@@ -25,6 +26,11 @@
 //
 // Trees and interaction lists depend only on the geometry, so they are
 // built once per context and reused by every SCF / DFPT solve.
+//
+// One context may be shared by threads (the serve tier hands one
+// ForceEvaluator's displaced engines to every worker). A Direct solve
+// writes no context state; the Fmm path's lazily built trees, CPE cluster
+// model and stats sit under one mutex.
 
 namespace swraman::sunway {
 class CpeCluster;
@@ -72,6 +78,11 @@ class HartreeContext {
   [[nodiscard]] std::vector<double> solve_on_grid(
       const std::vector<double>& density) const;
 
+  // Requests the solver's evaluation plan when this context evaluates
+  // through Direct (MultipoleSolver::request_plan); an Fmm context never
+  // builds one. Called by engines that iterate (ScfEngine::solve).
+  void request_plan();
+
   // Tree evaluation of an already-solved potential (bench / test entry;
   // ignores the configured backend).
   [[nodiscard]] std::vector<double> fmm_on_grid(
@@ -83,12 +94,15 @@ class HartreeContext {
   }
   [[nodiscard]] HartreeBackend backend() const { return backend_; }
   [[nodiscard]] const FmmOptions& fmm_options() const { return options_; }
-  // Stats of the most recent solve_on_grid / fmm_on_grid on this context.
-  [[nodiscard]] const FmmStats& stats() const { return stats_; }
+  // Stats of the most recent tree evaluation (fmm_on_grid) on this
+  // context; a Direct context's stats are geometry-static (resolved, and
+  // under Auto the two modeled costs), set once.
+  [[nodiscard]] FmmStats stats() const;
 
  private:
   struct Geometry;
   // Builds trees + interaction lists on first use (geometry-static).
+  // Caller holds mutex_.
   const Geometry& geometry() const;
   [[nodiscard]] HartreeBackend resolve_backend() const;
 
@@ -96,6 +110,8 @@ class HartreeContext {
   hartree::MultipoleSolver solver_;
   HartreeBackend backend_;
   FmmOptions options_;
+  // Guards geo_, cluster_ and stats_.
+  mutable lockcheck::CheckedMutex mutex_{"fmm.context"};
   mutable std::unique_ptr<Geometry> geo_;
   mutable std::unique_ptr<sunway::CpeCluster> cluster_;
   mutable FmmStats stats_;

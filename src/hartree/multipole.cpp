@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <mutex>
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
@@ -199,13 +201,143 @@ MultipolePotential MultipoleSolver::solve(
   return pot;
 }
 
+void MultipoleSolver::build_plan() const {
+  const std::size_t n_atoms = radial_.size();
+  // Pair records in evaluation order, sized before filling so the plan
+  // never over-allocates: near pairs carry SplineWeights, far pairs one
+  // prefactor per l, both followed by Y_lm up to l_res.
+  auto pair_doubles = [&](std::size_t p, std::size_t a) -> std::size_t {
+    const AtomRadial& ar = radial_[a];
+    if (ar.shells.empty()) return 0;
+    const double r = std::max((grid_.points[p] - grid_.atoms[a].pos).norm(),
+                              1e-8);
+    const std::size_t head = r <= ar.radii.back()
+                                 ? 5
+                                 : static_cast<std::size_t>(ar.l_res + 1);
+    return head + grid::n_lm(ar.l_res);
+  };
+  const std::size_t point_ints = n_atoms * sizeof(std::uint32_t);
+  std::size_t n_points = 0;
+  std::size_t n_coef = 0;
+  for (; n_points < grid_.size(); ++n_points) {
+    std::size_t d = 0;
+    for (std::size_t a = 0; a < n_atoms; ++a) d += pair_doubles(n_points, a);
+    const std::size_t bytes = (n_points + 1) * point_ints +
+                              (n_coef + d) * sizeof(double);
+    if (bytes > kPlanByteCap) break;
+    n_coef += d;
+  }
+
+  plan_.n_points = n_points;
+  plan_.interval.resize(n_points * n_atoms);
+  plan_.coef.resize(n_coef);
+  std::uint32_t* iv = plan_.interval.data();
+  double* c = plan_.coef.data();
+  std::vector<double> y;
+  grid::YlmWorkspace ylm_ws;
+  for (std::size_t p = 0; p < n_points; ++p) {
+    for (std::size_t a = 0; a < n_atoms; ++a, ++iv) {
+      const AtomRadial& ar = radial_[a];
+      if (ar.shells.empty()) continue;
+      // The expressions of MultipolePotential::accumulate_atom.
+      const Vec3 d = grid_.points[p] - grid_.atoms[a].pos;
+      const double r = std::max(d.norm(), 1e-8);
+      if (r <= ar.radii.back()) {
+        const std::size_t i = spline_interval(ar.radii, r);
+        const SplineWeights w = spline_weights(ar.radii, i, r);
+        *iv = static_cast<std::uint32_t>(i);
+        *c++ = w.a;
+        *c++ = w.b;
+        *c++ = w.a3;
+        *c++ = w.b3;
+        *c++ = w.h2;
+      } else {
+        *iv = Plan::kFarPair;
+        double rpow = r;  // r^{l+1}
+        for (int l = 0; l <= ar.l_res; ++l) {
+          *c++ = kFourPi / (2.0 * l + 1.0) / rpow;
+          rpow *= r;
+        }
+      }
+      grid::real_ylm(d, ar.l_res, y, ylm_ws);
+      c = std::copy(y.begin(), y.end(), c);
+    }
+  }
+  plan_built_.store(true, std::memory_order_release);
+}
+
+std::size_t MultipoleSolver::planned_points() const {
+  return plan_built_.load(std::memory_order_acquire) ? plan_.n_points : 0;
+}
+
+std::size_t MultipoleSolver::plan_bytes() const {
+  if (!plan_built_.load(std::memory_order_acquire)) return 0;
+  return plan_.interval.size() * sizeof(std::uint32_t) +
+         plan_.coef.size() * sizeof(double);
+}
+
+std::vector<double> MultipoleSolver::evaluate_on_grid(
+    const MultipolePotential& pot) const {
+  const std::size_t n_atoms = radial_.size();
+  SWRAMAN_REQUIRE(pot.n_atoms() == n_atoms && pot.lmax() == lmax_,
+                  "MultipoleSolver::evaluate_on_grid: foreign potential");
+  // plan_ is read only after call_once, which orders it after the build.
+  std::size_t n_planned = 0;
+  const std::uint32_t* iv = nullptr;
+  const double* c = nullptr;
+  if (plan_requested_.load(std::memory_order_acquire)) {
+    std::call_once(plan_once_, [this] { build_plan(); });
+    n_planned = plan_.n_points;
+    iv = plan_.interval.data();
+    c = plan_.coef.data();
+  }
+
+  // Planned points: accumulate_atom's running sum over the cached values.
+  std::vector<double> v(grid_.size());
+  for (std::size_t p = 0; p < n_planned; ++p) {
+    double acc = 0.0;
+    for (std::size_t a = 0; a < n_atoms; ++a, ++iv) {
+      const AtomRadial& ar = radial_[a];
+      if (ar.shells.empty()) continue;
+      const std::size_t n_live = grid::n_lm(ar.l_res);
+      const bool near = *iv != Plan::kFarPair;
+      const double* y = c + (near ? 5 : ar.l_res + 1);
+      if (near) {
+        const MultipolePotential::RadialTable& t = pot.tables_[a];
+        const SplineWeights w{c[0], c[1], c[2], c[3], c[4]};
+        const double* f0 = &t.values[*iv * n_lm_];
+        const double* f1 = f0 + n_lm_;
+        const double* m0 = &t.second[*iv * n_lm_];
+        const double* m1 = m0 + n_lm_;
+        for (std::size_t lm = 0; lm < n_live; ++lm) {
+          acc += spline_combine(w, f0[lm], f1[lm], m0[lm], m1[lm]) * y[lm];
+        }
+      } else {
+        const double* q = pot.moments_[a].data();
+        std::size_t lm = 0;
+        for (int l = 0; l <= ar.l_res; ++l) {
+          for (int m = -l; m <= l; ++m, ++lm) {
+            acc += c[l] * q[lm] * y[lm];
+          }
+        }
+      }
+      c = y + n_live;
+    }
+    v[p] = acc;
+  }
+  for (std::size_t p = n_planned; p < grid_.size(); ++p) {
+    v[p] = pot.value(grid_.points[p]);
+  }
+  return v;
+}
+
 std::vector<double> MultipoleSolver::solve_on_grid(
     const std::vector<double>& density) const {
-  SWRAMAN_TRACE_SCOPE("hartree.poisson");
-  const MultipolePotential pot = solve(density);
-  std::vector<double> v(grid_.size());
-  for (std::size_t p = 0; p < grid_.size(); ++p) {
-    v[p] = pot.value(grid_.points[p]);
+  SWRAMAN_TRACE_SPAN(span, "hartree.poisson");
+  std::vector<double> v = evaluate_on_grid(solve(density));
+  if (span.active()) {
+    span.attr("planned_points", static_cast<double>(planned_points()));
+    span.attr("plan_bytes", static_cast<double>(plan_bytes()));
   }
   return v;
 }

@@ -1,6 +1,9 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "common/spline.hpp"
@@ -41,6 +44,18 @@
 // (lmax+1)^2 columns, the dropped ones zero; each dropped evaluation term
 // would add +-0.0 to the sum, and real_ylm(u, l_res) is a bitwise prefix of
 // real_ylm(u, lmax), so results are bitwise those of running every channel.
+//
+// Evaluation plan: everything the evaluation computes per (grid point,
+// atom) pair besides the table reads depends on geometry alone: Y_lm up to
+// l_res(a), the radial interval and its SplineWeights inside the atom's
+// outer radius, the far-field prefactors 4pi/(2l+1)/r^(l+1) beyond it. An
+// engine that iterates (ScfEngine::solve) asks for the plan with
+// request_plan(); the first evaluate_on_grid after that tabulates those
+// values once, under std::call_once, and every later evaluation only
+// gathers them. The cached doubles come from the same expressions and are
+// combined in the same order, so planned and unplanned results are bitwise
+// equal. The plan stops at kPlanByteCap; points past the cap are evaluated
+// by MultipolePotential::value as before.
 
 namespace swraman::hartree {
 
@@ -60,8 +75,8 @@ class MultipolePotential {
 
   // Reusable per-thread scratch for point evaluation: the real-Y_lm basis
   // buffer and real_ylm's scratch (recurrence tables, cached constants)
-  // that value() would otherwise heap-allocate per call. Callers on hot loops (solve_on_grid,
-  // the FMM P2P kernel) hold one per thread.
+  // that value() would otherwise heap-allocate per call. Callers on hot
+  // loops (the FMM P2P kernel) hold one per thread.
   struct Workspace {
     std::vector<double> ylm;
     grid::YlmWorkspace ylm_scratch;
@@ -130,13 +145,44 @@ class MultipoleSolver {
   [[nodiscard]] MultipolePotential solve(
       const std::vector<double>& density) const;
 
-  // Convenience: potential evaluated back on every grid point.
+  // Potential of a solve of this solver evaluated on every grid point:
+  // through the evaluation plan when one was requested, pointwise value()
+  // otherwise (bitwise the same). Safe to call from several threads.
+  [[nodiscard]] std::vector<double> evaluate_on_grid(
+      const MultipolePotential& pot) const;
+
+  // evaluate_on_grid(solve(density)) under one "hartree.poisson" span.
   [[nodiscard]] std::vector<double> solve_on_grid(
       const std::vector<double>& density) const;
+
+  // Asks for the evaluation plan (see the header comment); the next
+  // evaluate_on_grid builds it. For solvers that evaluate many times.
+  void request_plan() {
+    plan_requested_.store(true, std::memory_order_release);
+  }
+
+  // Grid points the built plan covers (a prefix of the grid) and its heap
+  // size; both 0 until the plan is built, and for solvers without one.
+  [[nodiscard]] std::size_t planned_points() const;
+  [[nodiscard]] std::size_t plan_bytes() const;
+
+  // Fixed per-solver memory budget of the plan.
+  static constexpr std::size_t kPlanByteCap = std::size_t{16} << 20;
 
   [[nodiscard]] int lmax() const { return lmax_; }
 
  private:
+  // Per (point, atom) pair, in point-major, atom order. interval holds the
+  // radial interval of a near pair or kFarPair; coef holds, per pair of an
+  // atom with shells, either the SplineWeights (a, b, a3, b3, h2) or the
+  // l_res + 1 far-field prefactors, followed by the n_lm(l_res) Y_lm.
+  struct Plan {
+    static constexpr std::uint32_t kFarPair = UINT32_MAX;
+    std::size_t n_points = 0;
+    std::vector<std::uint32_t> interval;  // [point * n_atoms + atom]
+    std::vector<double> coef;
+  };
+  void build_plan() const;
   // Geometry-static radial data of one atom, built once by the
   // constructor: shells, spline system and the Green's-function powers of
   // every shell radius for l = 0..l_res, each [l * n_shells + s].
@@ -161,6 +207,11 @@ class MultipoleSolver {
   std::vector<double> ylm_;
   std::size_t ylm_stride_ = 0;
   std::vector<AtomRadial> radial_;  // per atom
+
+  std::atomic<bool> plan_requested_{false};
+  mutable std::once_flag plan_once_;
+  mutable std::atomic<bool> plan_built_{false};  // set after plan_ is filled
+  mutable Plan plan_;
 };
 
 }  // namespace swraman::hartree

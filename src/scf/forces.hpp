@@ -48,6 +48,11 @@ class ForceEvaluator {
 
   [[nodiscard]] double displacement() const { return displacement_; }
 
+  // Displaced sibling engine i, i = 2 * coord + (sign < 0).
+  [[nodiscard]] const ScfEngine& displaced(std::size_t i) const {
+    return *displaced_[i];
+  }
+
  private:
   // L at one displaced engine for the frozen state.
   [[nodiscard]] double lagrangian(const ScfEngine& engine,

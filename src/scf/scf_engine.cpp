@@ -317,6 +317,10 @@ void ScfEngine::solve_eigenproblem(const linalg::Matrix& h,
 GroundState ScfEngine::solve(const linalg::Matrix* initial_density) {
   SWRAMAN_TRACE_SPAN(span, "scf.solve");
   obs::count("scf.solves");
+  // The SCF cycle and the DFPT responses on this engine solve Poisson tens
+  // of times on one geometry: worth a Direct evaluation plan. Engines that
+  // never solve (ForceEvaluator siblings) evaluate without one.
+  hartree_.request_plan();
   const int attempts = std::max(1, options_.recovery_attempts);
   for (int attempt = 1; attempt <= attempts; ++attempt) {
     bool diverged = false;

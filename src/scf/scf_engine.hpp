@@ -118,7 +118,8 @@ class ScfEngine {
     return hartree_.solver();
   }
   // The backend-dispatching Hartree context (Direct / Fmm / Auto); the
-  // v_eff, DFPT v1 and force paths all solve Poisson through it.
+  // v_eff, DFPT v1 and force paths all solve Poisson through it. solve()
+  // requests its Direct evaluation plan, which DFPT then reuses.
   [[nodiscard]] const fmm::HartreeContext& hartree() const {
     return hartree_;
   }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,6 +63,51 @@ TEST(HartreeBackendDispatch, DirectIsBitwiseThePlainSolver) {
                         plain.size() * sizeof(double)),
             0);
   EXPECT_EQ(ctx.stats().resolved, HartreeBackend::Direct);
+}
+
+TEST(HartreeBackendDispatch, ConcurrentDirectSolvesAreRaceFreeAndBitwise) {
+  // The serve tier shares one ForceEvaluator, and with it each displaced
+  // engine's Direct context, across its workers. A Direct solve writes no
+  // context state, so concurrent solves are race-free (the suite runs
+  // under TSan in tier-1) and bitwise the plain solver.
+  const HartreeContext ctx(cluster_grid(), 6, HartreeBackend::Direct,
+                           FmmOptions{});
+  const std::vector<double> ref =
+      ctx.solver().solve_on_grid(cluster_density());
+  std::vector<double> out[2];
+  std::thread workers[2];
+  for (int t = 0; t < 2; ++t) {
+    workers[t] = std::thread(
+        [&ctx, &out, t] { out[t] = ctx.solve_on_grid(cluster_density()); });
+  }
+  for (std::thread& w : workers) w.join();
+  for (const std::vector<double>& v : out) {
+    ASSERT_EQ(v.size(), ref.size());
+    EXPECT_EQ(std::memcmp(v.data(), ref.data(), ref.size() * sizeof(double)),
+              0);
+  }
+  EXPECT_EQ(ctx.stats().resolved, HartreeBackend::Direct);
+  EXPECT_EQ(ctx.solver().planned_points(), 0u);  // none was requested
+}
+
+TEST(HartreeBackendDispatch, OnlyDirectContextsBuildAnEvaluationPlan) {
+  HartreeContext fmm(cluster_grid(), 6, HartreeBackend::Fmm, FmmOptions{});
+  fmm.request_plan();
+  (void)fmm.solve_on_grid(cluster_density());
+  EXPECT_EQ(fmm.solver().planned_points(), 0u);
+  EXPECT_EQ(fmm.solver().plan_bytes(), 0u);
+
+  HartreeContext direct(cluster_grid(), 6, HartreeBackend::Direct,
+                        FmmOptions{});
+  direct.request_plan();
+  const std::vector<double> planned = direct.solve_on_grid(cluster_density());
+  EXPECT_GT(direct.solver().planned_points(), 0u);
+  const std::vector<double> plain =
+      fmm.solver().solve_on_grid(cluster_density());
+  ASSERT_EQ(planned.size(), plain.size());
+  EXPECT_EQ(std::memcmp(planned.data(), plain.data(),
+                        plain.size() * sizeof(double)),
+            0);
 }
 
 struct SweepCase {

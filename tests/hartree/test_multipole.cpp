@@ -4,12 +4,16 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
+#include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/constants.hpp"
 #include "common/spline.hpp"
+#include "core/molecules.hpp"
 #include "obs/trace.hpp"
 
 namespace swraman::hartree {
@@ -105,18 +109,140 @@ TEST(Multipole, FarFieldIsMonopole) {
   }
 }
 
-TEST(Multipole, SolveOnGridMatchesPointwiseEvaluation) {
-  const std::vector<grid::AtomSite> atoms = {{1, {0.0, 0.0, 0.0}}};
-  const grid::MolecularGrid g = make_grid(atoms, grid::GridLevel::Light);
-  const MultipoleSolver solver(g, 4);
-  std::vector<double> n(g.size());
-  for (std::size_t p = 0; p < g.size(); ++p) {
-    n[p] = gaussian_density(g.points[p], {0, 0, 0}, 1.0);
+// A water molecule on one grid, with a density that reaches every
+// resolved channel.
+struct WaterCase {
+  grid::MolecularGrid grid;
+  std::vector<double> density;
+};
+
+WaterCase water_case(const grid::GridSettings& settings,
+                     const std::vector<grid::AtomSite>& atoms = {
+                         {8, {0.0, 0.0, 0.0}},
+                         {1, {1.43, 0.0, 1.11}},
+                         {1, {-1.43, 0.0, 1.11}}}) {
+  WaterCase w{grid::build_molecular_grid(atoms, settings), {}};
+  w.density.resize(w.grid.size());
+  for (std::size_t p = 0; p < w.grid.size(); ++p) {
+    for (const grid::AtomSite& a : atoms) {
+      w.density[p] += gaussian_density(w.grid.points[p],
+                                       a.pos + Vec3{0.0, 0.1, 0.2},
+                                       a.z > 1 ? 1.1 : 1.7);
+    }
   }
-  const MultipolePotential pot = solver.solve(n);
-  const std::vector<double> on_grid = solver.solve_on_grid(n);
-  for (std::size_t p = 0; p < g.size(); p += 97) {
-    EXPECT_NEAR(on_grid[p], pot.value(g.points[p]), 1e-12);
+  return w;
+}
+
+// The three grid shapes the Hartree tests pin: Light, serve (12 shells,
+// order 5) and golden water (16 shells, order 7).
+std::vector<std::pair<const char*, grid::GridSettings>> plan_grids() {
+  grid::GridSettings light;
+  light.level = grid::GridLevel::Light;
+  grid::GridSettings serve;
+  serve.n_radial = 12;
+  serve.angular_order = 5;
+  grid::GridSettings water;
+  water.n_radial = 16;
+  water.angular_order = 7;
+  return {{"light", light}, {"serve 12/5", serve}, {"water 16/7", water}};
+}
+
+std::vector<double> pointwise(const MultipolePotential& pot,
+                              const grid::MolecularGrid& g) {
+  std::vector<double> v(g.size());
+  for (std::size_t p = 0; p < g.size(); ++p) v[p] = pot.value(g.points[p]);
+  return v;
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Multipole, SolveOnGridMatchesPointwiseEvaluation) {
+  // Planned and unplanned evaluation on every grid point are bitwise the
+  // pointwise value(), with both near and far (point, atom) pairs present.
+  for (const auto& [name, settings] : plan_grids()) {
+    SCOPED_TRACE(name);
+    const WaterCase w = water_case(settings);
+    const grid::MolecularGrid& g = w.grid;
+    MultipoleSolver planned(g, 6);
+    planned.request_plan();
+    const MultipoleSolver unplanned(g, 6);
+    const MultipolePotential pot = planned.solve(w.density);
+    const std::vector<double> ref = pointwise(pot, g);
+
+    std::size_t near = 0;
+    std::size_t far = 0;
+    for (std::size_t p = 0; p < g.size(); ++p) {
+      for (std::size_t a = 0; a < pot.n_atoms(); ++a) {
+        const double r = (g.points[p] - pot.centers()[a]).norm();
+        (r <= pot.outer_radius(a) ? near : far) += 1;
+      }
+    }
+    EXPECT_GT(near, 0u);
+    EXPECT_GT(far, 0u);
+
+    EXPECT_EQ(planned.planned_points(), 0u);  // built on first evaluation
+    EXPECT_TRUE(bitwise_equal(planned.solve_on_grid(w.density), ref));
+    EXPECT_EQ(planned.planned_points(), g.size());
+    EXPECT_GT(planned.plan_bytes(), 0u);
+    EXPECT_LE(planned.plan_bytes(), MultipoleSolver::kPlanByteCap);
+    EXPECT_TRUE(bitwise_equal(planned.evaluate_on_grid(pot), ref));
+    EXPECT_TRUE(bitwise_equal(unplanned.solve_on_grid(w.density), ref));
+    EXPECT_EQ(unplanned.planned_points(), 0u);
+    EXPECT_EQ(unplanned.plan_bytes(), 0u);
+  }
+}
+
+TEST(Multipole, PlanPastTheByteCapFallsBackBitwise) {
+  // A 12-molecule water cluster on the serve grid needs more than the
+  // plan's byte cap: a prefix of the points is planned, the rest are
+  // evaluated pointwise, and both agree bitwise with value().
+  grid::GridSettings serve;
+  serve.n_radial = 12;
+  serve.angular_order = 5;
+  const WaterCase w = water_case(serve, molecules::water_cluster(12));
+  MultipoleSolver solver(w.grid, 6);
+  solver.request_plan();
+  const MultipolePotential pot = solver.solve(w.density);
+  const std::vector<double> v = solver.evaluate_on_grid(pot);
+  EXPECT_GT(solver.planned_points(), 0u);
+  EXPECT_LT(solver.planned_points(), w.grid.size());
+  EXPECT_LE(solver.plan_bytes(), MultipoleSolver::kPlanByteCap);
+  EXPECT_TRUE(bitwise_equal(v, pointwise(pot, w.grid)));
+}
+
+TEST(Multipole, ConcurrentFirstEvaluationBuildsPlanOnce) {
+  // Threads race the first evaluation of a shared planned solver; the plan
+  // is built once (std::call_once) and every output is bitwise the
+  // pointwise value().
+  grid::GridSettings serve;
+  serve.n_radial = 12;
+  serve.angular_order = 5;
+  const WaterCase w = water_case(serve);
+  MultipoleSolver solver(w.grid, 6);
+  solver.request_plan();
+  const MultipolePotential pot = solver.solve(w.density);
+  const std::vector<double> ref = pointwise(pot, w.grid);
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<double>> out(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      out[static_cast<std::size_t>(t)] = solver.evaluate_on_grid(pot);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(solver.planned_points(), w.grid.size());
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(bitwise_equal(out[static_cast<std::size_t>(t)], ref))
+        << "thread " << t;
   }
 }
 
@@ -359,6 +485,36 @@ TEST(Multipole, SpanReportsResolvedChannels) {
   }
   EXPECT_EQ(spans, 1u);
   for (std::size_t a = 0; a < pot.n_atoms(); ++a) EXPECT_EQ(pot.l_res(a), 2);
+  obs::reset_for_testing();
+}
+
+TEST(Multipole, PoissonSpanReportsThePlan) {
+  // One solve_on_grid is one hartree.poisson span (the plan build adds
+  // none), carrying the plan's coverage and size.
+  grid::GridSettings serve;
+  serve.n_radial = 12;
+  serve.angular_order = 5;
+  const WaterCase w = water_case(serve);
+  MultipoleSolver solver(w.grid, 6);
+  solver.request_plan();
+  obs::reset_for_testing();
+  obs::set_enabled(true);
+  (void)solver.solve_on_grid(w.density);
+  obs::set_enabled(false);
+  std::size_t spans = 0;
+  for (const obs::SpanRecord& rec : obs::snapshot()) {
+    if (rec.name != "hartree.poisson") continue;
+    ++spans;
+    double planned = -1.0;
+    double bytes = -1.0;
+    for (const obs::Attr& a : rec.attrs) {
+      if (a.key == "planned_points") planned = a.num;
+      if (a.key == "plan_bytes") bytes = a.num;
+    }
+    EXPECT_EQ(planned, static_cast<double>(w.grid.size()));
+    EXPECT_EQ(bytes, static_cast<double>(solver.plan_bytes()));
+  }
+  EXPECT_EQ(spans, 1u);
   obs::reset_for_testing();
 }
 

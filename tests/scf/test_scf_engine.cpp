@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/constants.hpp"
+#include "scf/forces.hpp"
 
 namespace swraman::scf {
 namespace {
@@ -176,6 +177,33 @@ TEST(ScfEngine, GtoBackendAgreesRoughlyWithNao) {
 
 namespace swraman::scf {
 namespace {
+
+TEST(ScfEngine, OnlySolvingDirectEnginesHoldAnEvaluationPlan) {
+  // solve() requests the Direct evaluation plan; an Fmm engine and the
+  // ForceEvaluator's displaced siblings (which never solve, and are shared
+  // across serve workers) evaluate without one.
+  ScfOptions opt;
+  opt.species.tier = basis::Tier::Minimal;
+  opt.grid.level = grid::GridLevel::Light;
+  ScfEngine direct(h2(), opt);
+  EXPECT_EQ(direct.poisson().planned_points(), 0u);
+  const GroundState gs = direct.solve();
+  EXPECT_EQ(direct.poisson().planned_points(), direct.grid().size());
+  EXPECT_GT(direct.poisson().plan_bytes(), 0u);
+
+  const ForceEvaluator forces(h2(), opt);
+  (void)forces.forces(gs);
+  for (std::size_t i = 0; i < 2 * 3 * 2; ++i) {
+    EXPECT_EQ(forces.displaced(i).poisson().planned_points(), 0u) << i;
+  }
+
+  ScfOptions fmm_opt = opt;
+  fmm_opt.hartree_backend = fmm::HartreeBackend::Fmm;
+  ScfEngine fmm(h2(), fmm_opt);
+  (void)fmm.solve();
+  EXPECT_EQ(fmm.poisson().planned_points(), 0u);
+  EXPECT_EQ(fmm.poisson().plan_bytes(), 0u);
+}
 
 TEST(ScfRestart, SameEnergyFewerIterations) {
   const auto eq = water();
