@@ -10,8 +10,9 @@
 # ASan/UBSan, the obs + parallel + serve + fmm + hartree suites under
 # TSan (the metrics registry claims lock-free counters, the serve pool
 # race-free work stealing, the Hartree context race-free shared solves;
-# this is where we prove them), and the serve, obs, hartree and grid
-# suites under UBSan.
+# this is where we prove them; plus the concurrent SCF grid-pass test),
+# and the serve, obs, hartree and grid suites plus the SCF grid-pass
+# reference tests under UBSan.
 # Set SWRAMAN_SANITIZE=undefined to swap the robustness pass to UBSan,
 # or SWRAMAN_SANITIZE=none to skip every instrumented pass.
 set -euo pipefail
@@ -195,14 +196,14 @@ if [ "${SANITIZER}" != "none" ]; then
         test_robustness
   "./build-${SANITIZER}/tests/test_robustness"
 
-  echo "== tier-1: obs + parallel + serve + fmm + hartree suites under -fsanitize=thread =="
+  echo "== tier-1: obs + parallel + serve + fmm + hartree (+ scf grid passes) under -fsanitize=thread =="
   # Bench stays ON here (only the chaos target is built): the sharded
   # tier's kill/replay interleavings are exactly what TSan must see.
   cmake -B build-thread -S . \
         -DSWRAMAN_SANITIZE=thread \
         -DSWRAMAN_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-thread -j "${JOBS}" --target test_obs test_parallel \
-        test_serve test_fmm test_hartree bench_serve_chaos
+        test_serve test_fmm test_hartree test_scf bench_serve_chaos
   ./build-thread/tests/test_obs
   ./build-thread/tests/test_parallel
   # The FMM backend claims its CPE model fan-out is race-free; the
@@ -212,13 +213,17 @@ if [ "${SANITIZER}" != "none" ]; then
   # The Direct evaluation plan is built lazily under std::call_once while
   # threads race the first evaluation of a shared solver.
   ./build-thread/tests/test_hartree
+  # One const SCF engine serves concurrent grid passes (the serve workers
+  # share it): their scratch must be per call. Only this test, for time.
+  ./build-thread/tests/test_scf \
+    --gtest_filter=ScfEngine.ConcurrentGridPassesOnSharedEngineAreBitwise
   # The serve pool/cache/scheduler run their full modeled-engine suite
   # under TSan; the RealEngine end-to-end tests are excluded only for
   # time (SCF under TSan is ~20x slower), not correctness.
   ./build-thread/tests/test_serve --gtest_filter=-ServeRealEngine.*
   (cd build-thread && ./bench/bench_serve_chaos --short --shards 2)
 
-  echo "== tier-1: serve + obs + hartree + grid suites under -fsanitize=undefined =="
+  echo "== tier-1: serve + obs + hartree + grid (+ scf grid passes) under -fsanitize=undefined =="
   # UBSan complements the concurrency checker: lockcheck proves lock
   # discipline, UBSan proves the code under those locks is free of
   # undefined behavior (the WAL record codec, the histogram bucket math,
@@ -229,11 +234,14 @@ if [ "${SANITIZER}" != "none" ]; then
         -DSWRAMAN_SANITIZE=undefined \
         -DSWRAMAN_BUILD_BENCH=OFF -DSWRAMAN_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-undefined -j "${JOBS}" --target test_obs test_serve \
-        test_hartree test_grid
+        test_hartree test_grid test_scf
   ./build-undefined/tests/test_obs
   ./build-undefined/tests/test_serve --gtest_filter=-ServeRealEngine.*
   ./build-undefined/tests/test_hartree
   ./build-undefined/tests/test_grid
+  # The strip-sparse grid kernels' tile and strip tails (DESIGN.md §17),
+  # checked against the dense reference loops.
+  ./build-undefined/tests/test_scf --gtest_filter='GridPassReference.*:ScfEngine.ConcurrentGridPassesOnSharedEngineAreBitwise'
 fi
 
 echo "tier-1: OK"

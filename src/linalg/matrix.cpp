@@ -60,7 +60,11 @@ double Matrix::norm() const {
 
 double Matrix::max_abs() const {
   double m = 0.0;
-  for (double v : data_) m = std::max(m, std::abs(v));
+  for (double v : data_) {
+    // std::max would drop a NaN (every comparison with it is false).
+    if (std::isnan(v)) return v;
+    m = std::max(m, std::abs(v));
+  }
   return m;
 }
 

@@ -51,6 +51,7 @@ class Matrix {
   [[nodiscard]] double trace() const;
   // Frobenius norm.
   [[nodiscard]] double norm() const;
+  // Largest |element|; NaN when any element is NaN.
   [[nodiscard]] double max_abs() const;
 
   void fill(double value);

@@ -37,6 +37,8 @@ inline constexpr const char* kDmaFail = "sunway.dma.fail";
 inline constexpr const char* kRmaDrop = "sunway.rma.drop";
 inline constexpr const char* kCpeDeath = "sunway.cpe.death";
 inline constexpr const char* kScfDiverge = "scf.diverge";
+inline constexpr const char* kScfPoisonDensityMatrix =
+    "scf.density_matrix.poison";
 inline constexpr const char* kDfptDiverge = "dfpt.diverge";
 inline constexpr const char* kRamanKill = "raman.kill";
 inline constexpr const char* kBecKill = "raman.bec.kill";

@@ -17,20 +17,6 @@ namespace swraman::scf {
 
 namespace {
 
-// Extracts the local block P(fn_ids, fn_ids) of a global matrix.
-linalg::Matrix local_block(const linalg::Matrix& global,
-                           const std::vector<std::size_t>& ids) {
-  linalg::Matrix loc(ids.size(), ids.size());
-  for (std::size_t a = 0; a < ids.size(); ++a)
-    for (std::size_t b = 0; b < ids.size(); ++b)
-      loc(a, b) = global(ids[a], ids[b]);
-  return loc;
-}
-
-}  // namespace
-
-namespace {
-
 // Wires the real species free-atom densities into the Hirshfeld partition
 // when the caller requested it without supplying a model.
 ScfOptions prepare_options(ScfOptions options) {
@@ -120,7 +106,15 @@ void ScfEngine::build_matrices() {
   // Per-batch caches + overlap and kinetic matrices.
   batch_data_.resize(batches_.size());
   std::vector<Vec3> pts;
+  linalg::Matrix values;
   linalg::Matrix lap;
+  linalg::Matrix qs;
+  linalg::Matrix qt;
+  std::vector<double> w;
+  std::vector<double> packed;
+  double strips = 0.0;
+  double active_work = 0.0;
+  double dense_work = 0.0;
   for (std::size_t b = 0; b < batches_.size(); ++b) {
     if (partition_.active() && batch_owner_[b] != partition_.rank) continue;
     const grid::Batch& batch = batches_[b];
@@ -129,30 +123,45 @@ void ScfEngine::build_matrices() {
 
     double radius = 0.0;
     pts.resize(batch.size());
+    w.resize(batch.size());
     for (std::size_t k = 0; k < batch.size(); ++k) {
       pts[k] = grid_.points[batch.point_ids[k]];
+      w[k] = grid_.weights[batch.point_ids[k]];
       radius = std::max(radius, distance(pts[k], batch.center));
     }
     data.fn_ids = basis_.local_functions(batch.center, radius);
-    basis_.evaluate(data.fn_ids, pts.data(), pts.size(), data.values, &lap);
+    basis_.evaluate(data.fn_ids, pts.data(), pts.size(), values, &lap);
+    set_batch_values(data, values, lap);
 
-    // S_uv += sum_p w_p chi_u chi_v ; T_uv += -1/2 sum_p w_p chi_u lap_v.
+    // S_uv += sum_p (w_p chi_u) chi_v ; T_uv += -1/2 sum_p (w_p chi_u) lap_v.
+    // The pair sums hold them transposed, qs(v, u) and qt(v, u): the
+    // products commute bitwise.
     const std::size_t nloc = data.fn_ids.size();
+    qs = linalg::Matrix(nloc, nloc);
+    qt = linalg::Matrix(nloc, nloc);
+    batch_pair_sums(data, data.values, w, qs, packed);
+    batch_pair_sums(data, lap, w, qt, packed);
     for (std::size_t a = 0; a < nloc; ++a) {
       const std::size_t ga = data.fn_ids[a];
       for (std::size_t bfn = 0; bfn < nloc; ++bfn) {
         const std::size_t gb = data.fn_ids[bfn];
-        double sv = 0.0;
-        double tv = 0.0;
-        for (std::size_t k = 0; k < batch.size(); ++k) {
-          const double w = grid_.weights[batch.point_ids[k]];
-          sv += w * data.values(a, k) * data.values(bfn, k);
-          tv += w * data.values(a, k) * lap(bfn, k);
-        }
-        s_(ga, gb) += sv;
-        t_(ga, gb) += -0.5 * tv;
+        s_(ga, gb) += qs(bfn, a);
+        t_(ga, gb) += -0.5 * qt(bfn, a);
       }
     }
+
+    strips += static_cast<double>(data.strips.size());
+    for (const Strip& strip : data.strips) {
+      active_work += static_cast<double>(
+          (strip.end_active - strip.first_active) *
+          (strip.end_point - strip.first_point));
+    }
+    dense_work += static_cast<double>(nloc * batch.size());
+  }
+  if (span.active()) {
+    span.attr("strips", strips);
+    span.attr("active_share",
+              dense_work > 0.0 ? active_work / dense_work : 0.0);
   }
   // Both reductions in flight at once: T's exchange overlaps S's (and the
   // orthogonalizer below only needs S once its wait returns).
@@ -204,18 +213,9 @@ std::function<void()> ScfEngine::density_on_grid_async(
   for (const grid::BatchSlice& slice : slices) {
     for (std::size_t b = slice.first; b < slice.last; ++b) {
       const BatchData& data = batch_data_[b];
-      const std::size_t nloc = data.fn_ids.size();
-      if (nloc == 0) continue;  // also skips batches owned by other ranks
-      const linalg::Matrix p_loc = local_block(density_matrix, data.fn_ids);
-      // tmp = P_loc * values; n_p = sum_a values(a,p) tmp(a,p).
-      const linalg::Matrix tmp = p_loc * data.values;
-      for (std::size_t k = 0; k < data.pt_ids.size(); ++k) {
-        double acc = 0.0;
-        for (std::size_t a = 0; a < nloc; ++a) {
-          acc += data.values(a, k) * tmp(a, k);
-        }
-        n[data.pt_ids[k]] = acc;
-      }
+      // Also skips batches owned by other ranks.
+      if (data.fn_ids.empty()) continue;
+      batch_density(data, density_matrix, n);
     }
   }
   // Ranks fill disjoint point subsets; the sum assembles the full density.
@@ -237,20 +237,22 @@ std::function<void()> ScfEngine::integrate_matrix_async(
   const std::size_t nbf = basis_.size();
   linalg::Matrix& m = *out;
   m = linalg::Matrix(nbf, nbf);
-  linalg::Matrix scaled;
+  // Per-call scratch: one const engine serves concurrent callers.
+  linalg::Matrix m_loc;
+  std::vector<double> wv;
+  std::vector<double> packed;
   for (const BatchData& data : batch_data_) {
     const std::size_t nloc = data.fn_ids.size();
     const std::size_t npts = data.pt_ids.size();
     if (nloc == 0) continue;
-    scaled = data.values;
+    wv.resize(npts);
     for (std::size_t k = 0; k < npts; ++k) {
-      const double wv = grid_.weights[data.pt_ids[k]] *
-                        potential_on_grid[data.pt_ids[k]];
-      for (std::size_t a = 0; a < nloc; ++a) scaled(a, k) *= wv;
+      wv[k] = grid_.weights[data.pt_ids[k]] * potential_on_grid[data.pt_ids[k]];
     }
-    // M_loc = values * scaled^T, scattered into the global matrix — the
-    // paper's large-array reduction arr[idx] += val (Sec. 3.3).
-    const linalg::Matrix m_loc = linalg::a_bt(data.values, scaled);
+    // M_loc(a, b) = sum_p chi_a (chi_b w v), scattered into the global
+    // matrix — the paper's large-array reduction arr[idx] += val (Sec. 3.3).
+    m_loc = linalg::Matrix(nloc, nloc);
+    batch_pair_sums(data, data.values, wv, m_loc, packed);
     for (std::size_t a = 0; a < nloc; ++a)
       for (std::size_t b = 0; b < nloc; ++b)
         m(data.fn_ids[a], data.fn_ids[b]) += 0.5 * (m_loc(a, b) + m_loc(b, a));
@@ -495,6 +497,16 @@ GroundState ScfEngine::solve_attempt(const linalg::Matrix* initial_density,
           p_new(u, v) += cu * c(v, j);
         }
       }
+    }
+
+    // Forced corruption of one density-matrix element (the first function
+    // coupled to the last). The grid passes skip products with an
+    // exact-zero basis factor, so such a NaN need not reach the grid
+    // density: the max_abs check below is what must catch it.
+    if (fault::should_fire(fault::kScfPoisonDensityMatrix)) {
+      log::warn("fault ", fault::kScfPoisonDensityMatrix,
+                ": poisoning SCF density matrix at iteration ", iter);
+      p_new(0, nbf - 1) = std::numeric_limits<double>::quiet_NaN();
     }
 
     const double dp = (p_new - p_old).max_abs();

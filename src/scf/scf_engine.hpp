@@ -13,6 +13,7 @@
 #include "grid/loadbalance.hpp"
 #include "hartree/multipole.hpp"
 #include "linalg/matrix.hpp"
+#include "scf/grid_kernels.hpp"
 #include "xc/lda.hpp"
 
 // Self-consistent all-electron (or pseudized) Kohn-Sham DFT on numeric
@@ -180,13 +181,7 @@ class ScfEngine {
                           linalg::Matrix& coefficients) const;
 
  private:
-  struct BatchData {
-    std::vector<std::size_t> fn_ids;   // global basis functions touching it
-    std::vector<std::size_t> pt_ids;   // global point ids
-    linalg::Matrix values;             // (n_fns x n_pts)
-  };
-
-  void build_matrices();  // S, T, v_ext, batch caches
+  void build_matrices();  // S, T, v_ext, batch caches and strips
   void reduce(double* data, std::size_t n) const;
   void reduce_matrix(linalg::Matrix& m) const;
   // Starts a non-blocking reduction when the partition provides one

@@ -1,5 +1,8 @@
 #include "linalg/matrix.hpp"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -78,6 +81,17 @@ TEST(Matrix, NormAndMaxAbs) {
   const Matrix a{{3.0, 0.0}, {0.0, -4.0}};
   EXPECT_DOUBLE_EQ(a.norm(), 5.0);
   EXPECT_DOUBLE_EQ(a.max_abs(), 4.0);
+}
+
+TEST(Matrix, MaxAbsPropagatesNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // NaN first, last and between larger elements: std::max alone would
+  // return 3, 4 and 4 here.
+  EXPECT_TRUE(std::isnan(Matrix({{nan, 1.0}, {2.0, 3.0}}).max_abs()));
+  EXPECT_TRUE(std::isnan(Matrix({{1.0, -4.0}, {2.0, nan}}).max_abs()));
+  EXPECT_TRUE(std::isnan(Matrix({{-4.0, nan}, {2.0, 3.0}}).max_abs()));
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Matrix({{1.0, -inf}}).max_abs(), inf);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/constants.hpp"
+#include "robustness/fault.hpp"
 #include "scf/forces.hpp"
 
 namespace swraman::scf {
@@ -47,6 +48,37 @@ TEST(ScfEngine, H2GroundState) {
   // Homonuclear: no dipole.
   EXPECT_NEAR(gs.dipole.norm(), 0.0, 1e-3);
   EXPECT_GT(gs.homo_lumo_gap, 0.3);
+}
+
+// One NaN in the density matrix on the iteration that would converge: only
+// the max_abs step check stands between it and a "converged" result, since
+// the grid passes need not multiply it into the grid density.
+TEST(ScfEngine, PoisonedDensityMatrixTakesRecoveryPath) {
+  fault::ScopedFaults guard;
+  GroundState clean;
+  {
+    ScfEngine eng(h2(), {});
+    clean = eng.solve();
+  }
+  ASSERT_TRUE(clean.converged);
+  fault::FaultSpec spec;
+  spec.fire_at = clean.iterations;
+  fault::FaultInjector::instance().configure(fault::kScfPoisonDensityMatrix,
+                                             spec);
+  ScfEngine eng(h2(), {});
+  const GroundState gs = eng.solve();
+  EXPECT_EQ(fault::FaultInjector::instance()
+                .stats(fault::kScfPoisonDensityMatrix)
+                .fires,
+            1u);
+  EXPECT_TRUE(gs.converged);
+  for (std::size_t i = 0; i < gs.density.rows(); ++i) {
+    for (std::size_t j = 0; j < gs.density.cols(); ++j) {
+      ASSERT_TRUE(std::isfinite(gs.density(i, j))) << i << "," << j;
+    }
+  }
+  // The restarted cycle converges to the same ground state.
+  EXPECT_NEAR(gs.total_energy, clean.total_energy, 1e-6);
 }
 
 TEST(ScfEngine, H2BindingCurveHasMinimum) {
