@@ -9,12 +9,8 @@ The schema is autodetected from the top-level "schema" field:
   swraman-jobtrace-v1  per-job cross-shard timelines (src/obs/jobtrace.cpp)
   swraman-health-v1    SLO monitor snapshots (src/obs/slo.cpp)
   swraman-flight-v1    flight-recorder postmortem dumps (src/obs/flight.cpp)
-  swraman-check-v1     swcheck exit summary (src/sunway/check/check.cpp)
-  swraman-lockcheck-v1 host-concurrency checker summary
-                       (src/common/lockcheck.cpp)
-
-A SWRAMAN_CHECK_FILE is a JSON-lines file (one summary line per
-checker); every line is validated against its own schema.
+  swraman-check-v2     checker exit summary (src/common/check.cpp): one
+                       document for swcheck, lockcheck and commcheck
 
 Exits non-zero with a diagnostic on any violation.  Used by
 scripts/tier1.sh after the traced smoke run, the bench smoke runs, and
@@ -448,21 +444,10 @@ def check_perf_histograms(path: str, hists: dict) -> None:
             fail(f"{path}: {where} mean * count != sum")
 
 
-# Every violation rule a checker summary may tally.  The lockcheck
-# summary carries both its own lock.* rules and the commcheck p2p.*
-# rules (one tally for the whole host tier); the swcheck summary
-# carries the accelerator-model rules.
-LOCKCHECK_RULES = {
-    "lock.order_cycle",
-    "lock.blocking_under_lock",
-    "lock.condvar_no_predicate",
-    "lock.guard_unheld",
-    "p2p.orphaned_message",
-    "p2p.tag_mismatch",
-    "p2p.recv_cycle",
-}
-
-SWCHECK_RULES = {
+# Every violation rule the checker summary may tally: swcheck's
+# accelerator-model rules, lockcheck's lock.* rules, commcheck's p2p.*
+# rules and the communicator's coll.* rule share one tally.
+CHECK_RULES = {
     "ldm.bounds",
     "ldm.use_after_reset",
     "dma.inflight_access",
@@ -472,17 +457,24 @@ SWCHECK_RULES = {
     "dma.unwaited_at_finish",
     "rma.unconsumed",
     "rma.deadlock",
+    "lock.order_cycle",
+    "lock.blocking_under_lock",
+    "lock.condvar_no_predicate",
+    "lock.guard_unheld",
+    "p2p.orphaned_message",
+    "p2p.recv_cycle",
     "coll.abandoned_request",
 }
 
+RETIRED_CHECK_SCHEMAS = ("swraman-check-v1", "swraman-lockcheck-v1")
 
-def check_checker_summary(path: str, doc: dict, schema: str,
-                          known_rules: set) -> None:
-    """Shared shape of the swraman-check-v1 / swraman-lockcheck-v1 exit
-    summaries: enabled flag, total, per-rule tally drawn from the
-    enumerated rule set with the counts summing to the total, and (for
-    lockcheck) a well-formed lock-class site table.  A disabled run must
-    emit an empty report."""
+
+def check_checker_summary(path: str, doc: dict) -> None:
+    """swraman-check-v2 exit summary: enabled flag, total, per-rule tally
+    drawn from CHECK_RULES with the counts summing to the total, and a
+    well-formed lock-class site table.  A disabled run must emit an
+    empty report."""
+    schema = "swraman-check-v2"
     enabled = doc.get("enabled")
     if not isinstance(enabled, bool):
         fail(f"{path}: {schema} enabled must be a boolean")
@@ -494,9 +486,9 @@ def check_checker_summary(path: str, doc: dict, schema: str,
         fail(f"{path}: {schema} rules must be an object")
     tallied = 0
     for rule, n in rules.items():
-        if rule not in known_rules:
+        if rule not in CHECK_RULES:
             fail(f"{path}: {schema} unknown rule {rule!r} (known: "
-                 f"{sorted(known_rules)})")
+                 f"{sorted(CHECK_RULES)})")
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             fail(f"{path}: {schema} rules[{rule!r}] must be a positive "
                  f"integer (a rule that never fired is omitted)")
@@ -507,75 +499,44 @@ def check_checker_summary(path: str, doc: dict, schema: str,
     if not enabled and (total != 0 or rules):
         fail(f"{path}: {schema} disabled run must emit an empty report "
              f"(got violations={total}, {len(rules)} rules)")
-    n_sites = 0
-    if schema == "swraman-lockcheck-v1":
-        sites = doc.get("sites")
-        if not isinstance(sites, list):
-            fail(f"{path}: {schema} sites must be an array")
-        seen_ids = set()
-        for i, s in enumerate(sites):
-            where = f"sites[{i}]"
-            sid = s.get("id")
-            if isinstance(sid, bool) or not isinstance(sid, int) or sid < 1:
-                fail(f"{path}: {where} id must be a positive integer")
-            if sid in seen_ids:
-                fail(f"{path}: {where} duplicate lock-class id {sid}")
-            seen_ids.add(sid)
-            for key in ("name", "file"):
-                if not isinstance(s.get(key), str) or not s[key]:
-                    fail(f"{path}: {where} {key} must be a non-empty "
-                         f"string")
-            line = s.get("line")
-            if isinstance(line, bool) or not isinstance(line, int) \
-                    or line < 1:
-                fail(f"{path}: {where} line must be a positive integer")
-        n_sites = len(sites)
+    sites = doc.get("sites")
+    if not isinstance(sites, list):
+        fail(f"{path}: {schema} sites must be an array")
+    seen_ids = set()
+    for i, s in enumerate(sites):
+        where = f"sites[{i}]"
+        sid = s.get("id")
+        if isinstance(sid, bool) or not isinstance(sid, int) or sid < 1:
+            fail(f"{path}: {where} id must be a positive integer")
+        if sid in seen_ids:
+            fail(f"{path}: {where} duplicate lock-class id {sid}")
+        seen_ids.add(sid)
+        for key in ("name", "file"):
+            if not isinstance(s.get(key), str) or not s[key]:
+                fail(f"{path}: {where} {key} must be a non-empty string")
+        line = s.get("line")
+        if isinstance(line, bool) or not isinstance(line, int) or line < 1:
+            fail(f"{path}: {where} line must be a positive integer")
     state = "enabled" if enabled else "disabled"
     print(f"check_perf_json: {path}: OK ({schema} {state}, "
-          f"{total} violations, {len(rules)} rules fired"
-          + (f", {n_sites} lock classes" if n_sites else "") + ")")
-
-
-def check_one_doc(path: str, doc: dict) -> bool:
-    """Dispatches one parsed JSON document; returns False when the schema
-    is not one of the self-describing side schemas (i.e. the caller
-    should run the swraman-perf-v1 validation)."""
-    schema = doc.get("schema")
-    if schema == "swraman-check-v1":
-        check_checker_summary(path, doc, schema, SWCHECK_RULES)
-        return True
-    if schema == "swraman-lockcheck-v1":
-        check_checker_summary(path, doc, schema, LOCKCHECK_RULES)
-        return True
-    return False
+          f"{total} violations, {len(rules)} rules fired, "
+          f"{len(sites)} lock classes)")
 
 
 def check_perf(path: str) -> None:
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-
-    # A whole-file parse wins: most artifacts are one (possibly
-    # pretty-printed, multi-line) JSON document. Only when that fails is
-    # the file treated as JSON-lines (a shared SWRAMAN_CHECK_FILE, one
-    # compact summary document per line).
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
         try:
-            docs = [json.loads(ln) for ln in lines]
+            doc = json.load(fh)
         except json.JSONDecodeError as e:
-            fail(f"{path}: not valid JSON or JSON-lines: {e}")
-        for doc in docs:
-            if not check_one_doc(path, doc):
-                fail(f"{path}: JSON-lines entry with schema "
-                     f"{doc.get('schema')!r} — only checker summaries "
-                     f"may share a file")
-        return
-    if check_one_doc(path, doc):
-        return
+            fail(f"{path}: not valid JSON: {e}")
 
     schema = doc.get("schema")
+    if schema in RETIRED_CHECK_SCHEMAS:
+        fail(f"{path}: schema {schema!r} is retired; the checkers now "
+             f"write one 'swraman-check-v2' summary")
+    if schema == "swraman-check-v2":
+        check_checker_summary(path, doc)
+        return
     if schema == "swraman-bench-v1":
         check_bench(path, doc)
         return
@@ -592,8 +553,7 @@ def check_perf(path: str) -> None:
         fail(f"{path}: schema is {schema!r}, expected one of "
              f"'swraman-perf-v1', 'swraman-bench-v1', "
              f"'swraman-jobtrace-v1', 'swraman-health-v1', "
-             f"'swraman-flight-v1', 'swraman-check-v1', "
-             f"'swraman-lockcheck-v1'")
+             f"'swraman-flight-v1', 'swraman-check-v2'")
     if not isinstance(doc.get("total_wall_s"), (int, float)) or doc["total_wall_s"] <= 0:
         fail(f"{path}: total_wall_s must be a positive number")
     if not isinstance(doc.get("spans"), int) or doc["spans"] <= 0:

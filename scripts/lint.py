@@ -36,10 +36,11 @@ Refresh the baseline with --update-tidy-baseline after triaging.
      condvar-predicate rule — a raw mutex is a lock the deadlock
      checker cannot see. Use lockcheck::CheckedMutex / CheckedLock /
      CheckedCondVar (scope-ended, never manually unlocked). Sanctioned
-     homes: the checker's own implementation (src/common/lockcheck.*,
-     src/parallel/commcheck.*) and the seqlock flight recorder
-     (src/obs/flight.cpp), which is lock-free by design and must stay
-     dumpable from crash paths that may hold arbitrary locks.
+     homes: the checker's own implementation (src/common/check.*,
+     src/common/lockcheck.*, src/parallel/commcheck.*) and the seqlock
+     flight recorder (src/obs/flight.cpp), which is lock-free by design
+     and must stay dumpable from crash paths that may hold arbitrary
+     locks.
 
 Exit status: 0 clean, 1 violations, 2 usage/setup error.
 
@@ -253,6 +254,7 @@ CHECKED_TIERS = (SRC / "serve", SRC / "obs")
 # lock-free flight recorder (seqlock by design; must stay acquirable
 # from crash paths holding arbitrary locks).
 LOCK_HOMES = {
+    SRC / "common" / "check.cpp",
     SRC / "common" / "lockcheck.hpp",
     SRC / "common" / "lockcheck.cpp",
     SRC / "parallel" / "commcheck.hpp",

@@ -21,31 +21,24 @@ cd "$(dirname "$0")/.."
 SANITIZER="${SWRAMAN_SANITIZE:-address}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-# check_summary FILE LABEL MODE SCHEMA...: validates a SWRAMAN_CHECK_FILE
-# (JSON-lines, one summary line per checker: swraman-check-v1 from
-# swcheck, swraman-lockcheck-v1 from the host concurrency checker), then
-# asserts each named checker ran enabled. MODE=clean also asserts zero
-# violations; MODE=seeded is for suites that plant violations on purpose.
+# check_summary FILE LABEL MODE: validates a SWRAMAN_CHECK_FILE (one
+# swraman-check-v2 document: the merged swcheck + lockcheck + commcheck
+# tally), then asserts the checkers ran enabled. MODE=clean also asserts
+# zero violations of any rule; MODE=seeded is for suites that plant
+# violations on purpose.
 check_summary() {
   local file="$1" label="$2" mode="$3"
-  shift 3
   python3 scripts/check_perf_json.py "${file}"
-  python3 - "${file}" "${label}" "${mode}" "$@" <<'EOF'
+  python3 - "${file}" "${label}" "${mode}" <<'EOF'
 import json, sys
-path, label, mode, schemas = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
-docs = {}
+path, label, mode = sys.argv[1:4]
 with open(path) as f:
-    for line in f:
-        if line.strip():
-            d = json.loads(line)
-            docs[d["schema"]] = d
-for schema in schemas:
-    s = docs[schema]
-    assert s["enabled"] is True, s
-    if mode == "clean":
-        assert s["violations"] == 0, \
-            f"{label}: {schema} violations under SWRAMAN_CHECK=1: {s}"
-    print(f"{label}: {schema} enabled, {s['violations']} violation(s)")
+    s = json.load(f)
+assert s["enabled"] is True, s
+if mode == "clean":
+    assert s["violations"] == 0, \
+        f"{label}: violations under SWRAMAN_CHECK=1: {s['rules']}"
+print(f"{label}: checkers enabled, {s['violations']} violation(s)")
 EOF
 }
 
@@ -59,15 +52,14 @@ python3 scripts/lint.py build
 
 echo "== tier-1: checked execution (SWRAMAN_CHECK=1) =="
 # test_sunway_check plants swcheck violations on purpose, so this stage
-# asserts only that the checker ran.
+# asserts only that the checkers ran.
 CHECK_DIR="build/check-smoke"
 mkdir -p "${CHECK_DIR}"
 SWRAMAN_CHECK=1 \
   SWRAMAN_CHECK_FILE="${CHECK_DIR}/swraman_check.json" \
   ./build/tests/test_sunway_check
 SWRAMAN_CHECK=1 ./build/tests/test_sunway >/dev/null
-check_summary "${CHECK_DIR}/swraman_check.json" "checked run" seeded \
-  swraman-check-v1
+check_summary "${CHECK_DIR}/swraman_check.json" "checked run" seeded
 
 echo "== tier-1: fmm suite + golden Fmm water under the checkers =="
 # The octree Hartree backend's CPE offload (M2L / P2P staging) runs with
@@ -82,21 +74,20 @@ for run in "test_fmm:./build/tests/test_fmm" \
   SWRAMAN_CHECK=1 \
     SWRAMAN_CHECK_FILE="${CHECK_DIR}/${name}_check.json" \
     ${cmd} >/dev/null
-  check_summary "${CHECK_DIR}/${name}_check.json" "${name}" clean \
-    swraman-check-v1 swraman-lockcheck-v1
+  check_summary "${CHECK_DIR}/${name}_check.json" "${name}" clean
 done
 
 echo "== tier-1: serve + obs suites under the concurrency checker =="
-# The whole serve tier and obs plane run with the lock-order graph,
-# blocking-under-lock audit and p2p verifier live; both suites must be
+# The whole serve tier, obs plane and SPMD runtime run with every checker
+# live — lock-order graph, blocking-under-lock audit, p2p verifier,
+# abandoned-collective rule and the CPE shadow state; each suite must be
 # violation-free (the seeded-violation tests clean up after themselves
 # via ScopedChecking, so any nonzero tally is a real contract breach).
 for suite in test_serve test_obs test_parallel; do
   SWRAMAN_CHECK=1 \
     SWRAMAN_CHECK_FILE="${CHECK_DIR}/${suite}_check.json" \
     "./build/tests/${suite}" >/dev/null
-  check_summary "${CHECK_DIR}/${suite}_check.json" "${suite}" clean \
-    swraman-lockcheck-v1
+  check_summary "${CHECK_DIR}/${suite}_check.json" "${suite}" clean
 done
 
 echo "== tier-1: traced smoke run (SWRAMAN_TRACE=1) =="
@@ -112,22 +103,23 @@ python3 scripts/check_perf_json.py \
 echo "== tier-1: bench smoke (fig15 acceptance gate + JSON) =="
 # The bench itself enforces the hierarchical-allreduce acceptance criteria
 # (>= 1.5x over flat RSAG, >= 50% overlap-hidden) and exits non-zero on
-# regression; the emitted swraman-bench-v1 series is validated and kept as
-# the repo's reference curve.
+# regression; the emitted swraman-bench-v1 series is validated and left in
+# build/trace-smoke (the committed BENCH_*.json baselines are refreshed
+# only on purpose, see README "Benchmarks").
 ./build/bench/bench_fig15_allreduce --json "${SMOKE_DIR}/BENCH_fig15.json" \
   >/dev/null
 python3 scripts/check_perf_json.py "${SMOKE_DIR}/BENCH_fig15.json"
-cp "${SMOKE_DIR}/BENCH_fig15.json" BENCH_fig15.json
 
 echo "== tier-1: serve smoke + throughput gate (SWRAMAN_CHECK=1) =="
 # The serve bench runs the mixed-tenant trace twice (naive FIFO vs the
 # full scheduler) and exits non-zero unless the DAG/dedup path is >= 2x
 # faster with a non-zero cache hit ratio; running it under SWRAMAN_CHECK=1
 # keeps the shadow-state checker live across the whole service stack.
-SWRAMAN_CHECK=1 ./build/bench/bench_serve_throughput \
+SWRAMAN_CHECK=1 SWRAMAN_CHECK_FILE="${CHECK_DIR}/serve_bench_check.json" \
+  ./build/bench/bench_serve_throughput \
   --json "${SMOKE_DIR}/BENCH_serve.json" >/dev/null
 python3 scripts/check_perf_json.py "${SMOKE_DIR}/BENCH_serve.json"
-cp "${SMOKE_DIR}/BENCH_serve.json" BENCH_serve.json
+check_summary "${CHECK_DIR}/serve_bench_check.json" "serve bench" clean
 
 echo "== tier-1: accuracy-tier gate (bec vs dfpt, golden water) =="
 # The tiers bench pushes the same water-scale job batch through both
@@ -136,20 +128,20 @@ echo "== tier-1: accuracy-tier gate (bec vs dfpt, golden water) =="
 # the bec tier is a wall-clock capacity win, performs >= 5x fewer engine
 # evaluations than full DFPT, and lands inside the DESIGN.md S15 golden
 # tolerances (activities within 5% on shared-Hessian modes).
-SWRAMAN_CHECK=1 ./build/bench/bench_serve_tiers \
+SWRAMAN_CHECK=1 SWRAMAN_CHECK_FILE="${CHECK_DIR}/tiers_bench_check.json" \
+  ./build/bench/bench_serve_tiers \
   --json "${SMOKE_DIR}/BENCH_tiers.json" >/dev/null
 python3 scripts/check_perf_json.py "${SMOKE_DIR}/BENCH_tiers.json"
-cp "${SMOKE_DIR}/BENCH_tiers.json" BENCH_tiers.json
+check_summary "${CHECK_DIR}/tiers_bench_check.json" "tiers bench" clean
 
 echo "== tier-1: fmm crossover gate (octree Hartree backend) =="
 # Growing water clusters priced through both Hartree evaluation paths.
 # The bench exits non-zero unless FMM crosses below direct summation
 # before the largest cluster and wins >= 1.5x at the largest; the
-# emitted swraman-bench-v1 series is validated and kept as the repo's
-# reference crossover curve.
+# emitted swraman-bench-v1 series is validated and left in
+# build/trace-smoke.
 ./build/bench/bench_fmm_crossover --json "${SMOKE_DIR}/BENCH_fmm.json"
 python3 scripts/check_perf_json.py "${SMOKE_DIR}/BENCH_fmm.json"
-cp "${SMOKE_DIR}/BENCH_fmm.json" BENCH_fmm.json
 
 echo "== tier-1: hotspots pipeline (selftest + smoke report) =="
 # The ranking core is pinned by its checked-in fixture, then run over the
@@ -176,8 +168,7 @@ python3 scripts/check_perf_json.py "${SMOKE_DIR}/BENCH_chaos.json"
 # The chaos run is the concurrency checker's hardest gate: shard kills,
 # WAL replay and failover, all with the lock graph live — and zero
 # violations tolerated.
-check_summary "${SMOKE_DIR}/chaos_check.json" "chaos run" clean \
-  swraman-lockcheck-v1
+check_summary "${SMOKE_DIR}/chaos_check.json" "chaos run" clean
 python3 scripts/check_perf_json.py "${SMOKE_DIR}/chaos_jobtrace.json"
 python3 scripts/check_perf_json.py "${SMOKE_DIR}/chaos_health.json"
 test -f "${SMOKE_DIR}/flight-serve.shard.kill.json" || {
@@ -185,7 +176,6 @@ test -f "${SMOKE_DIR}/flight-serve.shard.kill.json" || {
   exit 1
 }
 python3 scripts/check_perf_json.py "${SMOKE_DIR}/flight-serve.shard.kill.json"
-cp "${SMOKE_DIR}/BENCH_chaos.json" BENCH_chaos.json
 
 if [ "${SANITIZER}" != "none" ]; then
   echo "== tier-1: robustness suite under -fsanitize=${SANITIZER} =="

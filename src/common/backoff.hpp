@@ -7,8 +7,7 @@
 // deterministic splitmix64 stream:
 //
 //   exponential    delay_k = min(cap, base * multiplier^k) — the classic
-//                  doubling schedule the comm retransmit path used before
-//                  this helper existed.
+//                  doubling schedule of the comm retransmit path.
 //   decorrelated   delay_k = min(cap, uniform(base, prev * 3)) — the
 //                  "decorrelated jitter" schedule; retries of independent
 //                  actors spread out instead of synchronizing into

@@ -1,19 +1,17 @@
 #include "common/lockcheck.hpp"
 
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
+#include <map>
+#include <mutex>
 #include <sstream>
-
-#include "common/logging.hpp"
 
 namespace swraman::lockcheck {
 
-namespace detail {
-std::atomic<bool> g_lockcheck_enabled{false};
-}  // namespace detail
-
 namespace {
+
+using check::detail::Reentry;
+using check::detail::reentry_depth;
+using check::loc_str;
+using check::trim_path;
 
 // One entry per checked lock the calling thread currently holds. The
 // raw pointer is only ever *compared* (release matching, condvar
@@ -30,17 +28,6 @@ struct HeldLock {
 
 thread_local std::vector<HeldLock> t_held;
 
-// Reentrancy guard: reporting a violation bumps obs counters and dumps
-// the flight recorder, both of which take migrated CheckedMutexes.
-// Instrumentation is a no-op while a report is in flight on this
-// thread, so the checker can never deadlock or recurse through itself.
-thread_local int t_depth = 0;
-
-struct Reentry {
-  Reentry() { ++t_depth; }
-  ~Reentry() { --t_depth; }
-};
-
 // Provenance of the first observation of an order edge A -> B: where A
 // was held and where B was acquired. This is what makes a cycle report
 // actionable long after the first-direction acquisition happened.
@@ -49,11 +36,10 @@ struct EdgeProv {
   std::string acq_at;
 };
 
-// Leaked singleton: the atexit summary writer may run after other
-// statics are destroyed (same pattern as swcheck and the obs buffers).
-// Internal state is guarded by a plain std::mutex — the checker is the
-// sanctioned home for one (lint rule 6); instrumenting it would
-// recurse.
+// Leaked singleton: the check core's atexit summary writer reads the
+// site table after other statics may be destroyed. Internal state is
+// guarded by a plain std::mutex — the checker is the sanctioned home
+// for one (lint rule 6); instrumenting it would recurse.
 struct State {
   std::mutex mutex;
   std::map<std::string, std::uint32_t> site_ids;  // "file:line" -> id
@@ -61,9 +47,6 @@ struct State {
   // Acquisition-order graph over lock-class ids: edges[a][b] exists
   // when some thread acquired class b while holding class a.
   std::map<std::uint32_t, std::map<std::uint32_t, EdgeProv>> edges;
-  std::map<std::string, std::uint64_t> by_rule;
-  std::uint64_t total = 0;
-  ObsSinks sinks;
 };
 
 State& state() {
@@ -71,24 +54,10 @@ State& state() {
   return *s;
 }
 
-// Compiler __FILE__ paths are absolute on this builder; trim to the
-// repo-relative tail so site ids read as src/serve/service.hpp:207.
-std::string trim_path(const std::string& file) {
-  for (const char* anchor : {"/src/", "/tests/", "/bench/", "/examples/"}) {
-    const std::size_t pos = file.rfind(anchor);
-    if (pos != std::string::npos) return file.substr(pos + 1);
-  }
-  return file;
-}
-
 std::string site_str(const char* name, const char* file, std::uint32_t line) {
   std::ostringstream os;
   os << "\"" << name << "\" (" << trim_path(file) << ":" << line << ")";
   return os.str();
-}
-
-std::string loc_str(const std::source_location& loc) {
-  return trim_path(loc.file_name()) + ":" + std::to_string(loc.line());
 }
 
 std::string held_str(const HeldLock& h) {
@@ -106,63 +75,6 @@ std::string held_str(const HeldLock& h) {
   }
   return os.str();
 }
-
-// Shared recording path of report()/note(): tally, obs sinks, log. The
-// Reentry guard covers the sinks — they take checked locks.
-std::string record_violation(const char* rule, const std::string& context) {
-  const Reentry guard;
-  {
-    State& s = state();
-    const std::scoped_lock lock(s.mutex);
-    ++s.by_rule[rule];
-    ++s.total;
-  }
-  const std::string what =
-      std::string("lockcheck[") + rule + "]: " + context;
-  // Sinks are installed once from a static registrar before main; the
-  // unlocked read is benign.
-  State& s = state();
-  if (s.sinks.violation != nullptr) s.sinks.violation(rule, what);
-  log::error(what);
-  return what;
-}
-
-void write_env_summary() {
-  const char* path = std::getenv("SWRAMAN_CHECK_FILE");
-  const std::string json = summary_json();
-  if (path == nullptr || *path == '\0' ||
-      std::string(path) == "-") {
-    std::cerr << json << "\n";
-    return;
-  }
-  // Appended, not truncated: SWRAMAN_CHECK_FILE is shared with swcheck
-  // as a JSON-lines file, one line per checker; both EnvInits truncate
-  // it at static init (idempotent, pre-main) and both exit hooks
-  // append.
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    log::error("lockcheck: cannot open summary file ", path);
-    return;
-  }
-  out << json << "\n";
-}
-
-// Reads SWRAMAN_CHECK at static-initialization time so any binary —
-// bench, example, test — runs checked without touching its main().
-struct EnvInit {
-  EnvInit() {
-    state();  // force construction before any atexit callback may run
-    if (env_truthy(std::getenv("SWRAMAN_CHECK"))) {
-      set_enabled(true);
-      const char* path = std::getenv("SWRAMAN_CHECK_FILE");
-      if (path != nullptr && *path != '\0' && std::string(path) != "-") {
-        const std::ofstream trunc(path, std::ios::trunc);
-      }
-      std::atexit(write_env_summary);
-    }
-  }
-};
-const EnvInit g_env_init;
 
 // DFS over the order graph: is `to` reachable from `from`? On success
 // fills `path` with the class chain from -> ... -> to. Called with
@@ -204,97 +116,10 @@ std::string class_name(const State& s, std::uint32_t cls) {
 
 }  // namespace
 
-void set_enabled(bool on) {
-  detail::g_lockcheck_enabled.store(on, std::memory_order_relaxed);
-}
-
-void report(const char* rule, const std::string& context) {
-  const std::string what = record_violation(rule, context);
-  {
-    // A throwing violation is crash-grade: dump the flight rings before
-    // unwinding so the postmortem shows what led up to it.
-    const Reentry guard;
-    State& s = state();
-    if (s.sinks.flight_dump != nullptr) s.sinks.flight_dump("check.violation");
-  }
-  throw CheckViolation(rule, what);
-}
-
-void note(const char* rule, const std::string& context) {
-  record_violation(rule, context);
-}
-
-std::map<std::string, std::uint64_t> violation_counts() {
-  State& s = state();
-  const std::scoped_lock lock(s.mutex);
-  return s.by_rule;
-}
-
-std::uint64_t total_violations() {
-  State& s = state();
-  const std::scoped_lock lock(s.mutex);
-  return s.total;
-}
-
 std::vector<SiteInfo> sites() {
   State& s = state();
   const std::scoped_lock lock(s.mutex);
   return s.site_infos;
-}
-
-std::string summary_json() {
-  State& s = state();
-  const std::scoped_lock lock(s.mutex);
-  std::ostringstream os;
-  os << "{\"schema\":\"swraman-lockcheck-v1\",\"enabled\":"
-     << (enabled() ? "true" : "false") << ",\"violations\":" << s.total
-     << ",\"rules\":{";
-  bool first = true;
-  for (const auto& [rule, n] : s.by_rule) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << rule << "\":" << n;
-  }
-  os << "},\"sites\":[";
-  first = true;
-  for (const SiteInfo& si : s.site_infos) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"id\":" << si.id << ",\"name\":\"" << si.name
-       << "\",\"file\":\"" << si.file << "\",\"line\":" << si.line << "}";
-  }
-  os << "]}";
-  return os.str();
-}
-
-bool write_summary(const std::string& path) {
-  const std::string json = summary_json();
-  if (path.empty() || path == "-") {
-    std::cerr << json << "\n";
-    return true;
-  }
-  std::ofstream out(path);
-  if (!out) {
-    log::error("lockcheck: cannot open summary file ", path);
-    return false;
-  }
-  out << json << "\n";
-  return static_cast<bool>(out);
-}
-
-void reset_for_testing() {
-  State& s = state();
-  const std::scoped_lock lock(s.mutex);
-  s.by_rule.clear();
-  s.total = 0;
-  s.edges.clear();
-  t_held.clear();
-}
-
-void install_obs_sinks(const ObsSinks& sinks) {
-  State& s = state();
-  const std::scoped_lock lock(s.mutex);
-  s.sinks = sinks;
 }
 
 bool is_held(const CheckedMutex* m) {
@@ -305,6 +130,15 @@ bool is_held(const CheckedMutex* m) {
 }
 
 namespace detail {
+
+void reset_graph() {
+  {
+    State& s = state();
+    const std::scoped_lock lock(s.mutex);
+    s.edges.clear();
+  }
+  t_held.clear();
+}
 
 std::uint32_t register_site(const char* name, const char* file,
                             std::uint32_t line) {
@@ -325,7 +159,7 @@ std::uint32_t register_site(const char* name, const char* file,
 }
 
 void before_acquire(CheckedMutex* m, const std::source_location& acq) {
-  if (t_depth > 0) return;
+  if (reentry_depth() > 0) return;
   const Reentry guard;
   const std::uint32_t cls = m->site_id();
   std::string violation;
@@ -338,8 +172,8 @@ void before_acquire(CheckedMutex* m, const std::source_location& acq) {
         // doing the same with the instances swapped deadlocks.
         std::ostringstream os;
         os << "same-class nesting of " << class_name(s, cls)
-           << ": already held (acquired at " << h.file << ":" << h.line
-           << "), acquiring again at " << loc_str(acq);
+           << ": already held (acquired at " << trim_path(h.file) << ":"
+           << h.line << "), acquiring again at " << loc_str(acq);
         violation = os.str();
         break;
       }
@@ -355,7 +189,7 @@ void before_acquire(CheckedMutex* m, const std::source_location& acq) {
         std::ostringstream os;
         os << "acquiring " << class_name(s, cls) << " at " << loc_str(acq)
            << " while holding " << class_name(s, h.cls)
-           << " (acquired at " << h.file << ":" << h.line
+           << " (acquired at " << trim_path(h.file) << ":" << h.line
            << "); reverse order already recorded:";
         for (std::size_t i = 0; i < path.size(); ++i) {
           os << (i == 0 ? " " : " -> ") << class_name(s, path[i]);
@@ -370,18 +204,18 @@ void before_acquire(CheckedMutex* m, const std::source_location& acq) {
                                          acq.line())});
     }
   }
-  if (!violation.empty()) report(kRuleOrderCycle, violation);
+  if (!violation.empty()) check::report(kRuleOrderCycle, violation);
 }
 
 void after_acquire(CheckedMutex* m, const std::source_location& acq) {
-  if (t_depth > 0) return;
+  if (reentry_depth() > 0) return;
   const Reentry guard;
   t_held.push_back({m, m->site_id(), m->allows_blocking(), m->name(),
                     acq.file_name(), acq.line()});
 }
 
 void on_release(CheckedMutex* m) {
-  if (t_depth > 0) return;
+  if (reentry_depth() > 0) return;
   for (auto it = t_held.rbegin(); it != t_held.rend(); ++it) {
     if (it->mutex == m) {
       t_held.erase(std::next(it).base());
@@ -393,7 +227,7 @@ void on_release(CheckedMutex* m) {
 
 void blocking_call_slow(const char* what, const CheckedMutex* exempt,
                         const std::source_location& loc) {
-  if (t_depth > 0) return;
+  if (reentry_depth() > 0) return;
   std::string violation;
   for (const HeldLock& h : t_held) {
     if (h.mutex == exempt || h.allows_blocking) continue;
@@ -406,18 +240,18 @@ void blocking_call_slow(const char* what, const CheckedMutex* exempt,
     violation = os.str();
     break;
   }
-  if (!violation.empty()) report(kRuleBlockingUnderLock, violation);
+  if (!violation.empty()) check::report(kRuleBlockingUnderLock, violation);
 }
 
 void assert_held_slow(const CheckedMutex* m, const char* what,
                       const std::source_location& loc) {
-  if (t_depth > 0 || m == nullptr) return;
+  if (reentry_depth() > 0 || m == nullptr) return;
   if (is_held(m)) return;
   std::ostringstream os;
   os << what << " at " << loc_str(loc) << " requires "
      << site_str(m->name(), m->file(), m->line())
      << " to be held by the calling thread";
-  report(kRuleGuardUnheld, os.str());
+  check::report(kRuleGuardUnheld, os.str());
 }
 
 void condvar_no_predicate(const CheckedMutex* m,
@@ -427,7 +261,7 @@ void condvar_no_predicate(const CheckedMutex* m,
      << loc_str(loc) << " on " << site_str(m->name(), m->file(), m->line())
      << "; a spurious wakeup returns early and a missed notify parks "
         "forever — wait with a predicate or a timeout";
-  report(kRuleCondvarNoPredicate, os.str());
+  check::report(kRuleCondvarNoPredicate, os.str());
 }
 
 }  // namespace detail

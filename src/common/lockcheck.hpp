@@ -4,13 +4,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <source_location>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
+#include "common/check.hpp"
 
 // lockcheck — host-concurrency contract checker (DESIGN.md §14), the
 // host-tier sibling of swcheck (src/sunway/check). TSan proves the
@@ -33,58 +32,23 @@
 //     (FairShareScheduler, DisplacementCache) verify the contract,
 //     reporting lock.guard_unheld instead of corrupting state silently.
 //
-// The p2p protocol rules (p2p.*) are detected by the Communicator-side
-// verifier (src/parallel/commcheck) but share this tally and summary so
-// one SWRAMAN_CHECK_FILE line covers the whole host tier.
-//
-// Enabling: SWRAMAN_CHECK=1 in the environment (read at static init,
-// shared with swcheck), or set_enabled(true) / ScopedChecking in tests.
-// Disabled cost is one relaxed atomic load per lock()/unlock() — no
-// graph, no held set, no registration beyond the constructor storing
-// three words.
-//
-// Violations are (a) tallied by rule, (b) surfaced through the obs
-// layer when it is linked (check.violations counter + flight-recorder
-// dump, installed via install_obs_sinks from an obs TU so this header
-// stays at the bottom of the library stack), and (c) thrown as
-// CheckViolation with file:line provenance. When enabled from the
-// environment, an exit hook appends a swraman-lockcheck-v1 JSON line to
-// SWRAMAN_CHECK_FILE (shared, line-per-checker, with swcheck).
+// Gate, tally, reporting and exit summary are the checker core's
+// (common/check.hpp): disabled cost is its one relaxed atomic load per
+// lock()/unlock() — no graph, no held set, no registration beyond the
+// constructor storing three words. Violations throw CheckViolation with
+// file:line provenance; the lock-class site table below rides in the
+// core's swraman-check-v2 summary.
 
 namespace swraman::lockcheck {
 
-namespace detail {
-extern std::atomic<bool> g_lockcheck_enabled;
-}  // namespace detail
-
-// Hot-path gate: one relaxed load.
-inline bool enabled() {
-  return detail::g_lockcheck_enabled.load(std::memory_order_relaxed);
-}
-
-void set_enabled(bool on);
-
-// Canonical rule names — keys of the exit summary and of
-// violation_counts(). Tests assert on these.
+// Canonical rule names — keys of the check summary and of
+// check::violation_counts(). Tests assert on these.
 inline constexpr const char* kRuleOrderCycle = "lock.order_cycle";
 inline constexpr const char* kRuleBlockingUnderLock =
     "lock.blocking_under_lock";
 inline constexpr const char* kRuleCondvarNoPredicate =
     "lock.condvar_no_predicate";
 inline constexpr const char* kRuleGuardUnheld = "lock.guard_unheld";
-inline constexpr const char* kRuleP2pOrphan = "p2p.orphaned_message";
-inline constexpr const char* kRuleP2pTagMismatch = "p2p.tag_mismatch";
-inline constexpr const char* kRuleP2pRecvCycle = "p2p.recv_cycle";
-
-// Records the violation (tally + obs sinks) and throws CheckViolation.
-[[noreturn]] void report(const char* rule, const std::string& context);
-
-// Same recording but non-throwing — for violations detected on paths
-// that must not unwind (destructors, server/poll threads).
-void note(const char* rule, const std::string& context);
-
-[[nodiscard]] std::map<std::string, std::uint64_t> violation_counts();
-[[nodiscard]] std::uint64_t total_violations();
 
 // Registered lock classes (stable ids, append-only for the process).
 struct SiteInfo {
@@ -95,32 +59,12 @@ struct SiteInfo {
 };
 [[nodiscard]] std::vector<SiteInfo> sites();
 
-// swraman-lockcheck-v1 JSON: enabled flag, tally by rule, lock-class
-// site table. A disabled run serializes to an empty report.
-[[nodiscard]] std::string summary_json();
-
-// Writes summary_json() to `path` ("-" or empty: stderr). Returns false
-// when the file could not be opened.
-bool write_summary(const std::string& path);
-
-// Clears the tally, the acquisition-order graph, and the calling
-// thread's held-lock set (tests). Lock-class ids stay stable.
-void reset_for_testing();
-
-// Obs-layer hooks. lockcheck lives in swraman_common, below the obs
-// library; binaries that link obs install these from a static
-// registrar (src/obs/metrics.cpp) so violations still bump the
-// check.violations counter and dump the flight recorder without a
-// layering inversion. Either pointer may be null.
-struct ObsSinks {
-  void (*violation)(const char* rule, const std::string& what) = nullptr;
-  void (*flight_dump)(const char* reason) = nullptr;
-};
-void install_obs_sinks(const ObsSinks& sinks);
-
 class CheckedMutex;
 
 namespace detail {
+// Clears the acquisition-order graph and the calling thread's held-lock
+// set; called by check::reset_for_testing.
+void reset_graph();
 std::uint32_t register_site(const char* name, const char* file,
                             std::uint32_t line);
 void before_acquire(CheckedMutex* m, const std::source_location& acq);
@@ -151,20 +95,21 @@ class CheckedMutex {
       std::source_location site = std::source_location::current())
       : name_(name), file_(site.file_name()), line_(site.line()),
         flags_(flags) {
-    if (enabled()) static_cast<void>(site_id());  // eager registration
+    // Eager registration.
+    if (check::enabled()) static_cast<void>(site_id());
   }
   CheckedMutex(const CheckedMutex&) = delete;
   CheckedMutex& operator=(const CheckedMutex&) = delete;
 
   void lock(std::source_location acq = std::source_location::current()) {
-    const bool checked = enabled();
+    const bool checked = check::enabled();
     if (checked) detail::before_acquire(this, acq);
     m_.lock();
     if (checked) detail::after_acquire(this, acq);
   }
 
   void unlock() {
-    if (enabled()) detail::on_release(this);
+    if (check::enabled()) detail::on_release(this);
     m_.unlock();
   }
 
@@ -239,7 +184,7 @@ class CheckedLock {
 inline void blocking_call(
     const char* what, const CheckedMutex* exempt = nullptr,
     std::source_location loc = std::source_location::current()) {
-  if (enabled()) detail::blocking_call_slow(what, exempt, loc);
+  if (check::enabled()) detail::blocking_call_slow(what, exempt, loc);
 }
 
 // Guard-contract check for "the caller locks for us" components.
@@ -248,7 +193,7 @@ inline void blocking_call(
 inline void assert_held(
     const CheckedMutex* m, const char* what,
     std::source_location loc = std::source_location::current()) {
-  if (enabled()) detail::assert_held_slow(m, what, loc);
+  if (check::enabled()) detail::assert_held_slow(m, what, loc);
 }
 
 // True when the calling thread's tracked held set contains m (tests).
@@ -267,7 +212,7 @@ class CheckedCondVar {
 
   void wait(CheckedLock& lock,
             std::source_location loc = std::source_location::current()) {
-    if (enabled()) detail::condvar_no_predicate(lock.mutex(), loc);
+    if (check::enabled()) detail::condvar_no_predicate(lock.mutex(), loc);
     cv_.wait(lock);
   }
 
@@ -297,25 +242,6 @@ class CheckedCondVar {
 
  private:
   std::condition_variable_any cv_;
-};
-
-// RAII enable/disable for tests; restores the previous state and clears
-// tally + graph on both ends so violations never leak across cases.
-class ScopedChecking {
- public:
-  explicit ScopedChecking(bool on = true) : prev_(enabled()) {
-    reset_for_testing();
-    set_enabled(on);
-  }
-  ScopedChecking(const ScopedChecking&) = delete;
-  ScopedChecking& operator=(const ScopedChecking&) = delete;
-  ~ScopedChecking() {
-    set_enabled(prev_);
-    reset_for_testing();
-  }
-
- private:
-  bool prev_;
 };
 
 }  // namespace swraman::lockcheck

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 
+#include "common/check.hpp"
 #include "obs/flight.hpp"
 
 namespace swraman::obs {
@@ -14,24 +15,25 @@ namespace {
 constexpr double kBucketLo = 1e-6;
 constexpr double kBucketsPerDecade = 6.0;
 
-// lockcheck lives in swraman_common, below this library, so it cannot
-// reach the metrics registry or the flight recorder directly. Any binary
-// linking obs installs these sinks from static init; lockcheck violations
+// The check core lives in swraman_common, below this library, so it
+// cannot reach the metrics registry or the flight recorder directly. Any
+// binary linking obs installs these sinks from static init; violations
 // then bump check.violations (bypassing the obs::count tracing gate — a
-// checked run tallies whether or not tracing is on, same policy as
-// swcheck) and dump the flight rings before a throwing report unwinds.
-struct LockcheckSinkInit {
-  LockcheckSinkInit() {
-    lockcheck::ObsSinks sinks;
+// checked run tallies whether or not tracing is on; the instant stays
+// gated, it is trace data) and dump the flight rings before a throwing
+// report unwinds.
+struct CheckSinkInit {
+  CheckSinkInit() {
+    check::ObsSinks sinks;
     sinks.violation = [](const char* rule, const std::string&) {
       Registry::instance().counter("check.violations").add(1.0);
       obs::instant("check.violation", "rule", std::string(rule));
     };
     sinks.flight_dump = [](const char* reason) { flight::dump(reason); };
-    lockcheck::install_obs_sinks(sinks);
+    check::install_obs_sinks(sinks);
   }
 };
-const LockcheckSinkInit g_lockcheck_sink_init;
+const CheckSinkInit g_check_sink_init;
 }  // namespace
 
 double Histogram::bucket_upper(std::size_t i) {

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/backoff.hpp"
+#include "common/check.hpp"
 #include "common/error.hpp"
 #include "common/lockcheck.hpp"
 #include "common/logging.hpp"
@@ -16,7 +17,6 @@
 #include "parallel/allreduce_select.hpp"
 #include "parallel/commcheck.hpp"
 #include "robustness/fault.hpp"
-#include "sunway/check/check.hpp"
 #include "sunway/rma_reduce.hpp"
 
 namespace swraman::parallel {
@@ -59,12 +59,10 @@ class CommContext {
  public:
   explicit CommContext(std::size_t n, CommConfig config = {})
       : n_(n), config_(config), split_colors_(n, 0), op_seq_(n, 0),
-        check_id_(commcheck::register_context(n)) {}
+        check_id_(commcheck::register_context()) {}
 
   // Orphan scan: every message still enqueued here was sent and never
-  // received. The commcheck tolerance list (abandon()) explains the
-  // ones a timed-out requester deliberately walked away from; the rest
-  // are protocol bugs.
+  // received — a protocol bug.
   ~CommContext() {
     if (check_id_ == 0) return;
     std::vector<commcheck::Leftover> leftovers;
@@ -81,7 +79,6 @@ class CommContext {
 
   [[nodiscard]] std::size_t size() const { return n_; }
   [[nodiscard]] const CommConfig& config() const { return config_; }
-  [[nodiscard]] std::uint64_t check_id() const { return check_id_; }
 
   void post(std::size_t src, std::size_t dst, int tag,
             std::vector<double> data) {
@@ -91,21 +88,17 @@ class CommContext {
   }
 
   // Waits up to timeout_s for a message; false on expiry (out untouched).
-  // `blocking` marks untimed-intent receives (Communicator::recv): those
-  // register a wait-for edge in the commcheck recv-cycle detector for
-  // the duration of the wait; bounded polls (try_recv) do not.
+  // While it waits, the receiver holds a wait-for edge in the commcheck
+  // recv-cycle detector.
   bool take(std::size_t src, std::size_t dst, int tag, double timeout_s,
-            std::vector<double>& out, bool blocking = false,
-            const std::source_location& loc =
-                std::source_location::current()) {
+            std::vector<double>& out, const std::source_location& loc) {
     lockcheck::CheckedLock lock(mutex_);
     const std::uint64_t k = key(src, dst, tag);
     const auto ready = [&] {
       const auto it = mail_.find(k);
       return it != mail_.end() && !it->second.empty();
     };
-    const bool track =
-        blocking && check_id_ != 0 && lockcheck::enabled() && !ready();
+    const bool track = check_id_ != 0 && check::enabled() && !ready();
     if (track) {
       // The probe reads mail_ under mutex_, which this thread holds for
       // the whole recv_wait_begin call.
@@ -248,25 +241,16 @@ void Communicator::barrier() {
   ctx_->barrier();
 }
 
-std::uint64_t Communicator::context_id() const { return ctx_->check_id(); }
-
 void Communicator::send(std::size_t dest, const std::vector<double>& data,
                         int tag, std::source_location loc) {
   SWRAMAN_REQUIRE(dest < size(), "send: destination rank out of range");
   // Sends can sleep through the retransmit backoff; doing that while
   // holding a strict lock stalls every thread queued behind it.
   lockcheck::blocking_call("comm.send", nullptr, loc);
-  commcheck::on_send(ctx_->check_id(), rank_, dest, tag, data.size(), loc);
   const CommConfig& cfg = config();
   BackoffOptions bo;
   bo.base_s = cfg.backoff_base_s;
   bo.cap_s = cfg.backoff_max_s;
-  bo.decorrelated = cfg.backoff_jitter;
-  // Deterministic per-edge jitter stream: retries of distinct (src, dst,
-  // tag) edges decorrelate, yet a fixed seed replays a fixed timeline.
-  bo.seed = cfg.backoff_seed ^ (static_cast<std::uint64_t>(rank_) << 40) ^
-            (static_cast<std::uint64_t>(dest) << 20) ^
-            static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag));
   Backoff backoff(bo);
   for (int attempt = 0;; ++attempt) {
     // The transport acknowledges delivery; a drop injected here is what a
@@ -291,19 +275,6 @@ void Communicator::send(std::size_t dest, const std::vector<double>& data,
   }
 }
 
-bool Communicator::try_recv(std::size_t src, int tag, double timeout_s,
-                            std::vector<double>* out,
-                            std::source_location loc) {
-  SWRAMAN_REQUIRE(src < size(), "try_recv: source rank out of range");
-  lockcheck::blocking_call("comm.try_recv", nullptr, loc);
-  if (!ctx_->take(src, rank_, tag, timeout_s, *out, /*blocking=*/false,
-                  loc)) {
-    return false;
-  }
-  commcheck::on_recv(ctx_->check_id(), src, rank_, tag, out->size());
-  return true;
-}
-
 std::vector<double> Communicator::recv(std::size_t src, int tag,
                                        std::source_location loc) {
   SWRAMAN_REQUIRE(src < size(), "recv: source rank out of range");
@@ -317,10 +288,7 @@ std::vector<double> Communicator::recv(std::size_t src, int tag,
   std::vector<double> data;
   double timeout = cfg.recv_timeout_s;
   for (int attempt = 0; attempt <= cfg.recv_retries; ++attempt) {
-    if (ctx_->take(src, rank_, tag, timeout, data, /*blocking=*/true, loc)) {
-      commcheck::on_recv(ctx_->check_id(), src, rank_, tag, data.size());
-      return data;
-    }
+    if (ctx_->take(src, rank_, tag, timeout, data, loc)) return data;
     obs::count("comm.recv.timeouts");
     if (attempt < cfg.recv_retries) {
       log::warn("recv: rank ", rank_, " <- ", src, " tag ", tag,
@@ -749,14 +717,12 @@ void AllreduceRequest::abandon() noexcept {
     log::warn("iallreduce: abandoned request also failed on its "
               "communication thread; error dropped");
   }
-  if (sunway::check::enabled()) {
-    sunway::check::note(sunway::check::kRuleCollAbandoned,
-                        "iallreduce request destroyed without wait(); "
-                        "algorithm=" +
-                            std::string(allreduce_algorithm_name(
-                                state_->algorithm)) +
-                            " payload_doubles=" +
-                            std::to_string(state_->data.size()));
+  if (check::enabled()) {
+    check::note(commcheck::kRuleCollAbandoned,
+                "iallreduce request destroyed without wait(); algorithm=" +
+                    std::string(allreduce_algorithm_name(state_->algorithm)) +
+                    " payload_doubles=" +
+                    std::to_string(state_->data.size()));
   }
 }
 
@@ -859,16 +825,6 @@ void run_spmd(std::size_t n_ranks,
   for (const std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);
   }
-}
-
-std::vector<Communicator> make_comm_group(std::size_t n_ranks,
-                                          const CommConfig& config) {
-  SWRAMAN_REQUIRE(n_ranks >= 1, "make_comm_group: need at least one rank");
-  auto ctx = std::make_shared<CommContext>(n_ranks, config);
-  std::vector<Communicator> group;
-  group.reserve(n_ranks);
-  for (std::size_t r = 0; r < n_ranks; ++r) group.emplace_back(ctx, r);
-  return group;
 }
 
 }  // namespace swraman::parallel

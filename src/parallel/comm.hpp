@@ -43,12 +43,6 @@ struct CommConfig {
   int send_retries = 8;           // retransmissions after a dropped send
   double backoff_base_s = 1e-4;   // first retransmit backoff; doubles
   double backoff_max_s = 0.05;    // backoff ceiling
-  // Decorrelated-jitter retransmit backoff (common/backoff.hpp) instead
-  // of the plain doubling schedule: concurrent senders whose drops
-  // coincide stop retrying in lockstep. Deterministic — each (rank, dest,
-  // tag) derives its jitter stream from backoff_seed.
-  bool backoff_jitter = false;
-  std::uint64_t backoff_seed = 2026;
   double stall_s = 1e-3;          // injected delay for comm.stall / delay
   // Ranks per node group for AllreduceAlgorithm::Hierarchical: consecutive
   // ranks [k*node_size, (k+1)*node_size) share one "node" whose intra
@@ -74,7 +68,7 @@ struct Hierarchy;
 // Handle of a non-blocking allreduce started with Communicator::iallreduce.
 // Exactly one of wait() must consume the handle; destroying a live request
 // without wait() still completes the collective (so peers cannot deadlock)
-// but is reported as the swcheck violation "coll.abandoned_request" and
+// but is reported as the check violation "coll.abandoned_request" and
 // counted under comm.iallreduce.abandoned — the reduced data is lost.
 class AllreduceRequest {
  public:
@@ -84,8 +78,8 @@ class AllreduceRequest {
   AllreduceRequest(const AllreduceRequest&) = delete;
   AllreduceRequest& operator=(const AllreduceRequest&) = delete;
   // Destroying a live handle still completes the exchange (peers block on
-  // our messages) but reports check::kRuleCollAbandoned — the reduced data
-  // was thrown away.
+  // our messages) but reports commcheck::kRuleCollAbandoned — the reduced
+  // data was thrown away.
   ~AllreduceRequest();
 
   [[nodiscard]] bool valid() const { return state_ != nullptr; }
@@ -123,8 +117,8 @@ class Communicator {
   // Reliable send: retransmits (with exponential backoff) when the
   // transport drops the message; throws TimeoutError once the retry budget
   // of the communicator's CommConfig is exhausted. The source_location
-  // defaults carry the caller's site into the commcheck p2p verifier's
-  // reports; never pass them explicitly.
+  // defaults carry the caller's site into the checkers' reports; never
+  // pass them explicitly.
   void send(std::size_t dest, const std::vector<double>& data, int tag = 0,
             std::source_location loc = std::source_location::current());
 
@@ -133,19 +127,6 @@ class Communicator {
   [[nodiscard]] std::vector<double> recv(
       std::size_t src, int tag = 0,
       std::source_location loc = std::source_location::current());
-
-  // Non-throwing timed receive: waits at most timeout_s for one message;
-  // false on expiry (out untouched). The polling primitive of server
-  // loops that must stay responsive to shutdown (no exception churn, no
-  // retry doubling).
-  bool try_recv(std::size_t src, int tag, double timeout_s,
-                std::vector<double>* out,
-                std::source_location loc = std::source_location::current());
-
-  // Id of the shared context in the commcheck p2p verifier (0 when
-  // checking was off at construction). Lets endpoint owners bind wire
-  // types to their tags.
-  [[nodiscard]] std::uint64_t context_id() const;
 
   [[nodiscard]] const CommConfig& config() const;
 
@@ -207,14 +188,5 @@ class Communicator {
 void run_spmd(std::size_t n_ranks,
               const std::function<void(Communicator&)>& fn,
               const CommConfig& config = {});
-
-// Endpoints of a fresh shared context without the run_spmd thread
-// harness: element k of the returned vector is rank k. The caller owns
-// the threading — each endpoint must be driven by at most one thread at a
-// time (the usual one-thread-per-rank rule), but different endpoints may
-// live on arbitrary threads. Used by the sharded serve tier's cross-shard
-// cache, where shard server threads outlive any single SPMD region.
-std::vector<Communicator> make_comm_group(std::size_t n_ranks,
-                                          const CommConfig& config = {});
 
 }  // namespace swraman::parallel

@@ -5,28 +5,12 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <tuple>
+
+#include "common/check.hpp"
 
 namespace swraman::parallel::commcheck {
 
 namespace {
-
-std::string trim_path(const std::string& file) {
-  for (const char* anchor : {"/src/", "/tests/", "/bench/", "/examples/"}) {
-    const std::size_t pos = file.rfind(anchor);
-    if (pos != std::string::npos) return file.substr(pos + 1);
-  }
-  return file;
-}
-
-std::string loc_str(const std::source_location& loc) {
-  return trim_path(loc.file_name()) + ":" + std::to_string(loc.line());
-}
-
-struct Binding {
-  std::size_t expect_len = 0;
-  std::string name;
-};
 
 struct WaitEdge {
   std::size_t src = 0;
@@ -35,12 +19,6 @@ struct WaitEdge {
 };
 
 struct Context {
-  std::size_t n_ranks = 0;
-  std::map<int, Binding> bindings;
-  Binding default_binding;
-  bool has_default = false;
-  // (src, dst, tag) -> tolerated leftover count at destruction.
-  std::map<std::tuple<std::size_t, std::size_t, int>, std::size_t> abandoned;
   // waiter rank -> what it is blocked on (present only while blocked).
   std::map<std::size_t, WaitEdge> waits;
   // Cycles already noted, keyed by their rank chain — a retrying recv
@@ -50,7 +28,7 @@ struct Context {
 
 // Checker-internal state behind a plain std::mutex (the sanctioned
 // exception of lint rule 6 — instrumenting the checker would recurse).
-// Leaked for the same atexit reasons as the lockcheck tally.
+// Leaked for the same atexit reasons as the check core's tally.
 struct State {
   std::mutex mutex;
   std::uint64_t next_id = 1;
@@ -60,13 +38,6 @@ struct State {
 State& state() {
   static State* s = new State;
   return *s;
-}
-
-const Binding* find_binding(const Context& c, int tag) {
-  const auto it = c.bindings.find(tag);
-  if (it != c.bindings.end()) return &it->second;
-  if (c.has_default && tag >= 0) return &c.default_binding;
-  return nullptr;
 }
 
 std::string edge_str(std::uint64_t ctx, std::size_t src, std::size_t dst,
@@ -79,89 +50,19 @@ std::string edge_str(std::uint64_t ctx, std::size_t src, std::size_t dst,
 
 }  // namespace
 
-std::uint64_t register_context(std::size_t n_ranks) {
-  if (!lockcheck::enabled()) return 0;
+std::uint64_t register_context() {
+  if (!check::enabled()) return 0;
   State& s = state();
   const std::scoped_lock lock(s.mutex);
   const std::uint64_t id = s.next_id++;
-  s.contexts[id].n_ranks = n_ranks;
+  s.contexts.emplace(id, Context{});
   return id;
-}
-
-void bind_tag(std::uint64_t ctx, int tag, std::size_t expect_len,
-              const char* name) {
-  if (ctx == 0 || !lockcheck::enabled()) return;
-  State& s = state();
-  const std::scoped_lock lock(s.mutex);
-  const auto it = s.contexts.find(ctx);
-  if (it == s.contexts.end()) return;
-  it->second.bindings[tag] = {expect_len, name};
-}
-
-void bind_default(std::uint64_t ctx, std::size_t expect_len,
-                  const char* name) {
-  if (ctx == 0 || !lockcheck::enabled()) return;
-  State& s = state();
-  const std::scoped_lock lock(s.mutex);
-  const auto it = s.contexts.find(ctx);
-  if (it == s.contexts.end()) return;
-  it->second.default_binding = {expect_len, name};
-  it->second.has_default = true;
-}
-
-void abandon(std::uint64_t ctx, std::size_t src, std::size_t dst, int tag) {
-  if (ctx == 0 || !lockcheck::enabled()) return;
-  State& s = state();
-  const std::scoped_lock lock(s.mutex);
-  const auto it = s.contexts.find(ctx);
-  if (it == s.contexts.end()) return;
-  ++it->second.abandoned[{src, dst, tag}];
-}
-
-void on_send(std::uint64_t ctx, std::size_t src, std::size_t dst, int tag,
-             std::size_t len, std::source_location loc) {
-  if (ctx == 0 || !lockcheck::enabled()) return;
-  std::string violation;
-  {
-    State& s = state();
-    const std::scoped_lock lock(s.mutex);
-    const auto it = s.contexts.find(ctx);
-    if (it == s.contexts.end()) return;
-    const Binding* b = find_binding(it->second, tag);
-    if (b == nullptr || b->expect_len == len) return;
-    std::ostringstream os;
-    os << "send of " << len << " doubles on " << edge_str(ctx, src, dst, tag)
-       << " at " << loc_str(loc) << " but tag is bound to wire type \""
-       << b->name << "\" (" << b->expect_len << " doubles)";
-    violation = os.str();
-  }
-  lockcheck::report(lockcheck::kRuleP2pTagMismatch, violation);
-}
-
-void on_recv(std::uint64_t ctx, std::size_t src, std::size_t dst, int tag,
-             std::size_t len) {
-  if (ctx == 0 || !lockcheck::enabled()) return;
-  std::string violation;
-  {
-    State& s = state();
-    const std::scoped_lock lock(s.mutex);
-    const auto it = s.contexts.find(ctx);
-    if (it == s.contexts.end()) return;
-    const Binding* b = find_binding(it->second, tag);
-    if (b == nullptr || b->expect_len == len) return;
-    std::ostringstream os;
-    os << "received " << len << " doubles on "
-       << edge_str(ctx, src, dst, tag) << " but tag is bound to wire type \""
-       << b->name << "\" (" << b->expect_len << " doubles)";
-    violation = os.str();
-  }
-  lockcheck::note(lockcheck::kRuleP2pTagMismatch, violation);
 }
 
 void recv_wait_begin(std::uint64_t ctx, std::size_t waiter, std::size_t src,
                      int tag, const MailProbe& probe,
                      std::source_location loc) {
-  if (ctx == 0 || !lockcheck::enabled()) return;
+  if (ctx == 0 || !check::enabled()) return;
   // Only user tags (>= 0) join the wait graph. Internal collective tags
   // (< 0) ride extra communication threads — one rank may hold several
   // concurrent waits while another of its threads makes progress for
@@ -176,7 +77,7 @@ void recv_wait_begin(std::uint64_t ctx, std::size_t waiter, std::size_t src,
     const auto it = s.contexts.find(ctx);
     if (it == s.contexts.end()) return;
     Context& c = it->second;
-    c.waits[waiter] = {src, tag, loc_str(loc)};
+    c.waits[waiter] = {src, tag, check::loc_str(loc)};
     // Follow the wait chain from this rank; a return to it is a cycle.
     std::vector<std::size_t> chain{waiter};
     std::size_t cur = src;
@@ -215,7 +116,7 @@ void recv_wait_begin(std::uint64_t ctx, std::size_t waiter, std::size_t src,
     os << "; progress only resumes via recv timeout";
     violation = os.str();
   }
-  lockcheck::note(lockcheck::kRuleP2pRecvCycle, violation);
+  check::note(kRuleP2pRecvCycle, violation);
 }
 
 void recv_wait_end(std::uint64_t ctx, std::size_t waiter) {
@@ -236,31 +137,19 @@ void on_context_destroyed(std::uint64_t ctx,
     const std::scoped_lock lock(s.mutex);
     const auto it = s.contexts.find(ctx);
     if (it == s.contexts.end()) return;
-    Context& c = it->second;
     for (const Leftover& l : leftovers) {
-      std::size_t tolerated = 0;
-      const auto a = c.abandoned.find({l.src, l.dst, l.tag});
-      if (a != c.abandoned.end()) tolerated = a->second;
-      if (l.count <= tolerated) continue;
       std::ostringstream os;
-      os << (l.count - tolerated) << " unconsumed message(s) on "
+      os << l.count << " unconsumed message(s) on "
          << edge_str(ctx, l.src, l.dst, l.tag)
-         << " at context destruction (sent, never received, never "
-            "declared abandoned)";
+         << " at context destruction (sent, never received)";
       violations.push_back(os.str());
     }
     s.contexts.erase(it);
   }
   // note() after releasing the registry lock: it takes obs locks.
   for (const std::string& v : violations) {
-    lockcheck::note(lockcheck::kRuleP2pOrphan, v);
+    check::note(kRuleP2pOrphan, v);
   }
-}
-
-void reset_for_testing() {
-  State& s = state();
-  const std::scoped_lock lock(s.mutex);
-  s.contexts.clear();
 }
 
 }  // namespace swraman::parallel::commcheck

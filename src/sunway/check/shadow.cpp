@@ -1,12 +1,13 @@
 #include "sunway/check/shadow.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 #include <utility>
 
 #include "sunway/double_buffer.hpp"
 
-namespace swraman::sunway::check {
+namespace swraman::sunway::swcheck {
 
 namespace {
 
@@ -21,18 +22,37 @@ std::string hex_ptr(const void* p) {
   return os.str();
 }
 
+std::atomic<std::int64_t> g_live_tiles{0};
+std::atomic<std::int64_t> g_live_transfers{0};
+
+void tiles_add(std::int64_t n) {
+  g_live_tiles.fetch_add(n, std::memory_order_relaxed);
+}
+
+void transfers_add(std::int64_t n) {
+  g_live_transfers.fetch_add(n, std::memory_order_relaxed);
+}
+
 // The thread's innermost checked CpeContext (contexts nest LIFO within a
 // thread; CpeCluster::run creates and destroys them sequentially).
 thread_local CpeShadow* t_current_shadow = nullptr;
 
 }  // namespace
 
+std::int64_t live_shadow_tiles() {
+  return g_live_tiles.load(std::memory_order_relaxed);
+}
+
+std::int64_t live_transfers() {
+  return g_live_transfers.load(std::memory_order_relaxed);
+}
+
 // --- LdmShadow -------------------------------------------------------------
 
 LdmShadow::~LdmShadow() {
   std::size_t live = 0;
   for (const Tile& t : tiles_) live += t.live ? 1 : 0;
-  detail::tiles_add(-static_cast<std::int64_t>(live));
+  tiles_add(-static_cast<std::int64_t>(live));
 }
 
 void LdmShadow::on_allocate(const void* ptr, std::size_t bytes) {
@@ -43,7 +63,7 @@ void LdmShadow::on_allocate(const void* ptr, std::size_t bytes) {
   t.generation = generation_;
   t.live = true;
   tiles_.push_back(t);
-  detail::tiles_add(1);
+  tiles_add(1);
 }
 
 void LdmShadow::on_reset() {
@@ -54,7 +74,7 @@ void LdmShadow::on_reset() {
       ++retired;
     }
   }
-  detail::tiles_add(-static_cast<std::int64_t>(retired));
+  tiles_add(-static_cast<std::int64_t>(retired));
   ++generation_;
   next_index_ = 0;
 }
@@ -111,7 +131,7 @@ CpeShadow::CpeShadow(int cpe_id, std::string kernel, const LdmShadow* ldm)
 
 CpeShadow::~CpeShadow() {
   t_current_shadow = prev_;
-  detail::transfers_add(-static_cast<std::int64_t>(pending_.size()));
+  transfers_add(-static_cast<std::int64_t>(pending_.size()));
 }
 
 CpeShadow* CpeShadow::current() { return t_current_shadow; }
@@ -123,7 +143,7 @@ std::string CpeShadow::where() const {
 }
 
 void CpeShadow::violate(const char* rule, const std::string& detail) {
-  report(rule, where() + ": " + detail);
+  check::report(rule, where() + ": " + detail);
 }
 
 void CpeShadow::validate_ldm(const void* ptr, std::size_t bytes,
@@ -186,7 +206,7 @@ void CpeShadow::enqueue(bool is_get, const void* ldm_ptr, std::size_t bytes,
   t.label = std::string(op) + " #" + std::to_string(t.seq);
   t.copy = std::move(copy);
   pending_.push_back(std::move(t));
-  detail::transfers_add(1);
+  transfers_add(1);
 }
 
 void CpeShadow::wait(ReplyWord& reply, int expected) {
@@ -214,7 +234,7 @@ void CpeShadow::wait(ReplyWord& reply, int expected) {
     }
     it->copy();
     pending_.erase(it);
-    detail::transfers_add(-1);
+    transfers_add(-1);
     ++reply.value;
   }
 }
@@ -263,8 +283,8 @@ void CpeShadow::verify_quiesced() {
   }
   os << " — their dma_wait never ran";
   // Discard before reporting so a caught violation leaves no stale
-  // shadow state behind (report() throws).
-  detail::transfers_add(-static_cast<std::int64_t>(pending_.size()));
+  // shadow state behind (check::report() throws).
+  transfers_add(-static_cast<std::int64_t>(pending_.size()));
   pending_.clear();
   violate(kRuleDmaUnwaited, os.str());
 }
@@ -331,7 +351,7 @@ void RmaMeshChecker::check_deadlock() const {
           os << " <- " << mesh_pos(v)
              << " — every CPE in the cycle waits on the next; the mesh "
                 "deadlocks";
-          report(kRuleRmaDeadlock, os.str());
+          check::report(kRuleRmaDeadlock, os.str());
         }
         if (color[v] == White) {
           color[v] = Grey;
@@ -368,7 +388,7 @@ void RmaMeshChecker::verify(const char* kernel) const {
      << " RMA message(s) were delivered but never consumed by their "
         "owner"
      << detail.str() << " — on hardware these updates are silently lost";
-  report(kRuleRmaUnconsumed, os.str());
+  check::report(kRuleRmaUnconsumed, os.str());
 }
 
 std::uint64_t RmaMeshChecker::unconsumed() const {
@@ -379,4 +399,4 @@ std::uint64_t RmaMeshChecker::unconsumed() const {
   return lost;
 }
 
-}  // namespace swraman::sunway::check
+}  // namespace swraman::sunway::swcheck

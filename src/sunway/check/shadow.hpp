@@ -6,18 +6,47 @@
 #include <string>
 #include <vector>
 
-#include "sunway/check/check.hpp"
+#include "common/check.hpp"
 
-// Shadow state behind swcheck (see check.hpp): per-arena tile registries,
-// per-CPE in-flight DMA transfer queues, and the RMA mesh mailbox
-// accountant. None of this exists when checked mode is off — the objects
-// are only constructed behind the check::enabled() gate.
+// swcheck — shadow-state correctness checker for the Sunway execution
+// model (DESIGN.md §9). The functional CpeCluster model completes every
+// DMA synchronously, so a kernel with a broken reply-word protocol (a
+// missing dma_wait, an overrunning tile, a read of a buffer whose
+// transfer is still in flight) produces correct numerics here and
+// garbage on the real SW26010Pro. Checked mode closes that gap: per-arena
+// tile registries, per-CPE in-flight DMA transfer queues and the RMA mesh
+// mailbox accountant below turn latent protocol violations into hard
+// errors carrying kernel name, CPE id and tile provenance.
+//
+// None of this exists when checked mode is off — the objects are only
+// constructed behind the check::enabled() gate (common/check.hpp), which
+// also owns the tally, the reporting path and the exit summary.
 
 namespace swraman::sunway {
 struct ReplyWord;  // double_buffer.hpp (includes this header indirectly)
 }  // namespace swraman::sunway
 
-namespace swraman::sunway::check {
+namespace swraman::sunway::swcheck {
+
+// Canonical rule names — keys of check::violation_counts() and of the
+// check summary. Tests assert on these.
+inline constexpr const char* kRuleLdmBounds = "ldm.bounds";
+inline constexpr const char* kRuleLdmUseAfterReset = "ldm.use_after_reset";
+inline constexpr const char* kRuleDmaInFlight = "dma.inflight_access";
+inline constexpr const char* kRuleDmaOverlap = "dma.overlap";
+inline constexpr const char* kRuleDmaWaitUnreachable = "dma.wait_unreachable";
+inline constexpr const char* kRuleDmaReplyOverrun = "dma.reply_overrun";
+inline constexpr const char* kRuleDmaUnwaited = "dma.unwaited_at_finish";
+inline constexpr const char* kRuleRmaUnconsumed = "rma.unconsumed";
+inline constexpr const char* kRuleRmaDeadlock = "rma.deadlock";
+
+// Live shadow-object accounting, used by the leak tests: every
+// registered tile / enqueued transfer increments, retirement or
+// materialization decrements, and shadow destruction releases the rest.
+// Both must return to zero once all CpeContexts are gone — including
+// after sunway.cpe.death adoptions and sunway.dma.fail retries.
+[[nodiscard]] std::int64_t live_shadow_tiles();
+[[nodiscard]] std::int64_t live_transfers();
 
 // --- LDM tile registry -----------------------------------------------------
 
@@ -192,4 +221,4 @@ class RmaMeshChecker {
   std::vector<std::vector<std::size_t>> waits_;  // adjacency: waiter -> holders
 };
 
-}  // namespace swraman::sunway::check
+}  // namespace swraman::sunway::swcheck

@@ -56,7 +56,7 @@ class CpeContext {
              const char* kernel_name = "kernel")
       : id_(id), n_cpes_(n_cpes), ldm_(arch.ldm_bytes) {
     if (check::enabled()) {
-      shadow_ = std::make_unique<check::CpeShadow>(id, kernel_name,
+      shadow_ = std::make_unique<swcheck::CpeShadow>(id, kernel_name,
                                                    ldm_.shadow());
     }
   }
@@ -68,7 +68,7 @@ class CpeContext {
 
   // In-flight DMA shadow state; null unless checked mode was on at
   // construction (SWRAMAN_CHECK=1 / check::set_enabled).
-  [[nodiscard]] check::CpeShadow* shadow() { return shadow_.get(); }
+  [[nodiscard]] swcheck::CpeShadow* shadow() { return shadow_.get(); }
   [[nodiscard]] bool checked() const { return shadow_ != nullptr; }
 
   // Async-style DMA: copies now (functional), charges one transaction.
@@ -167,7 +167,7 @@ class CpeContext {
   int n_cpes_;
   LdmArena ldm_;
   CpeCounters counters_;
-  std::unique_ptr<check::CpeShadow> shadow_;
+  std::unique_ptr<swcheck::CpeShadow> shadow_;
 };
 
 class CpeCluster {

@@ -34,7 +34,7 @@ struct ReplyWord {
 template <typename T>
 void dma_get_async(CpeContext& ctx, T* dst_ldm, const T* src_mem,
                    std::size_t n, ReplyWord& reply) {
-  if (check::CpeShadow* sh = ctx.shadow()) {
+  if (swcheck::CpeShadow* sh = ctx.shadow()) {
     ctx.dma_charge_async("dma_get", n * sizeof(T));
     sh->enqueue(true, dst_ldm, n * sizeof(T), reply, [dst_ldm, src_mem, n] {
       std::memcpy(dst_ldm, src_mem, n * sizeof(T));
@@ -48,7 +48,7 @@ void dma_get_async(CpeContext& ctx, T* dst_ldm, const T* src_mem,
 template <typename T>
 void dma_put_async(CpeContext& ctx, const T* src_ldm, T* dst_mem,
                    std::size_t n, ReplyWord& reply) {
-  if (check::CpeShadow* sh = ctx.shadow()) {
+  if (swcheck::CpeShadow* sh = ctx.shadow()) {
     ctx.dma_charge_async("dma_put", n * sizeof(T));
     sh->enqueue(false, src_ldm, n * sizeof(T), reply, [src_ldm, dst_mem, n] {
       std::memcpy(dst_mem, src_ldm, n * sizeof(T));
@@ -64,7 +64,7 @@ inline void dma_wait(ReplyWord& reply, int expected) {
   // an over-incremented reply word (value > expected — a stale wait) and
   // a wait no pending transfer can ever satisfy.
   if (check::enabled()) {
-    if (check::CpeShadow* sh = check::CpeShadow::current()) {
+    if (swcheck::CpeShadow* sh = swcheck::CpeShadow::current()) {
       sh->wait(reply, expected);
       return;
     }

@@ -27,7 +27,7 @@ class LdmArena {
  public:
   explicit LdmArena(std::size_t capacity_bytes) : capacity_(capacity_bytes) {
     if (check::enabled()) {
-      shadow_ = std::make_unique<check::LdmShadow>();
+      shadow_ = std::make_unique<swcheck::LdmShadow>();
     }
   }
 
@@ -72,7 +72,7 @@ class LdmArena {
   [[nodiscard]] std::size_t available() const { return capacity_ - used_; }
 
   // Shadow tile registry; null when checked mode was off at construction.
-  [[nodiscard]] const check::LdmShadow* shadow() const {
+  [[nodiscard]] const swcheck::LdmShadow* shadow() const {
     return shadow_.get();
   }
 
@@ -88,7 +88,7 @@ class LdmArena {
   // Checked mode only: memory retired by reset(), kept alive for
   // use-after-reset attribution until the arena dies.
   std::vector<std::vector<unsigned char>> retired_blocks_;
-  std::unique_ptr<check::LdmShadow> shadow_;
+  std::unique_ptr<swcheck::LdmShadow> shadow_;
 };
 
 }  // namespace swraman::sunway

@@ -54,9 +54,9 @@ RmaReduceStats rma_array_reduction(
   // Checked mode: account every mailbox send against the owner's drain
   // so a message delivered but never consumed — silently lost updates on
   // hardware — is reported at the end.
-  std::unique_ptr<check::RmaMeshChecker> mesh;
+  std::unique_ptr<swcheck::RmaMeshChecker> mesh;
   if (check::enabled()) {
-    mesh = std::make_unique<check::RmaMeshChecker>(n_cpes);
+    mesh = std::make_unique<swcheck::RmaMeshChecker>(n_cpes);
   }
 
   // Ownership ranges: CPE o owns [o*n/n_cpes, (o+1)*n/n_cpes).

@@ -4,6 +4,7 @@
 #include <string>
 #include <thread>
 
+#include "common/check.hpp"
 #include "common/error.hpp"
 #include "common/lockcheck.hpp"
 
@@ -15,10 +16,10 @@
 namespace swraman {
 namespace {
 
+using check::ScopedChecking;
 using lockcheck::CheckedCondVar;
 using lockcheck::CheckedLock;
 using lockcheck::CheckedMutex;
-using lockcheck::ScopedChecking;
 
 TEST(Lockcheck, AbBaOrderCycleReportedWithBothSites) {
   const ScopedChecking checking;
@@ -45,7 +46,7 @@ TEST(Lockcheck, AbBaOrderCycleReportedWithBothSites) {
   EXPECT_NE(what.find("test.order.a"), std::string::npos) << what;
   EXPECT_NE(what.find("test.order.b"), std::string::npos) << what;
   EXPECT_NE(what.find("test_lockcheck.cpp"), std::string::npos) << what;
-  EXPECT_EQ(lockcheck::violation_counts()[lockcheck::kRuleOrderCycle], 1u);
+  EXPECT_EQ(check::violation_counts()[lockcheck::kRuleOrderCycle], 1u);
 }
 
 TEST(Lockcheck, ConsistentOrderAcrossManyLocksStaysClean) {
@@ -63,7 +64,7 @@ TEST(Lockcheck, ConsistentOrderAcrossManyLocksStaysClean) {
     const CheckedLock la(a);
     const CheckedLock lc(c);
   }
-  EXPECT_EQ(lockcheck::total_violations(), 0u);
+  EXPECT_EQ(check::total_violations(), 0u);
 }
 
 TEST(Lockcheck, SameClassNestingReportsImmediately) {
@@ -77,7 +78,7 @@ TEST(Lockcheck, SameClassNestingReportsImmediately) {
   Deque d2;
   const CheckedLock l1(d1.mutex);
   EXPECT_THROW(static_cast<void>(CheckedLock(d2.mutex)), CheckViolation);
-  EXPECT_EQ(lockcheck::violation_counts()[lockcheck::kRuleOrderCycle], 1u);
+  EXPECT_EQ(check::violation_counts()[lockcheck::kRuleOrderCycle], 1u);
 }
 
 TEST(Lockcheck, BlockingUnderLockReported) {
@@ -107,7 +108,7 @@ TEST(Lockcheck, BlockingUnderAllowsBlockingLockIsClean) {
   }
   // Off-lock blocking is always fine.
   lockcheck::blocking_call("wal.append_fsync");
-  EXPECT_EQ(lockcheck::total_violations(), 0u);
+  EXPECT_EQ(check::total_violations(), 0u);
 }
 
 TEST(Lockcheck, CondvarUntimedWaitWithoutPredicateReported) {
@@ -117,7 +118,7 @@ TEST(Lockcheck, CondvarUntimedWaitWithoutPredicateReported) {
   CheckedLock lock(m);
   EXPECT_THROW(cv.wait(lock), CheckViolation);
   EXPECT_EQ(
-      lockcheck::violation_counts()[lockcheck::kRuleCondvarNoPredicate],
+      check::violation_counts()[lockcheck::kRuleCondvarNoPredicate],
       1u);
   // The violation is reported before the wait parks, so the lock is
   // still held and usable.
@@ -132,7 +133,7 @@ TEST(Lockcheck, CondvarTimedWaitWithoutPredicateIsLegal) {
   // The worker pool's bounded idle park: spurious wakeup or missed
   // notify costs at most the timeout.
   static_cast<void>(cv.wait_for(lock, std::chrono::milliseconds(1)));
-  EXPECT_EQ(lockcheck::total_violations(), 0u);
+  EXPECT_EQ(check::total_violations(), 0u);
 }
 
 TEST(Lockcheck, CondvarPredicateWaitReacquiresBookkeeping) {
@@ -156,7 +157,7 @@ TEST(Lockcheck, CondvarPredicateWaitReacquiresBookkeeping) {
   }
   t.join();
   EXPECT_FALSE(lockcheck::is_held(&m));
-  EXPECT_EQ(lockcheck::total_violations(), 0u);
+  EXPECT_EQ(check::total_violations(), 0u);
 }
 
 TEST(Lockcheck, GuardContractReportsUnheldAndAcceptsHeld) {
@@ -178,7 +179,7 @@ TEST(Lockcheck, GuardContractReportsUnheldAndAcceptsHeld) {
   }
   // A null guard (component not attached to a service) checks nothing.
   lockcheck::assert_held(nullptr, "unattached");
-  EXPECT_EQ(lockcheck::violation_counts()[lockcheck::kRuleGuardUnheld],
+  EXPECT_EQ(check::violation_counts()[lockcheck::kRuleGuardUnheld],
             1u);
 }
 
@@ -196,7 +197,7 @@ TEST(Lockcheck, DisabledModeChecksNothing) {
     const CheckedLock lb(b);
     const CheckedLock la(a);  // reversed — ignored while disabled
   }
-  EXPECT_EQ(lockcheck::total_violations(), 0u);
+  EXPECT_EQ(check::total_violations(), 0u);
 }
 
 TEST(Lockcheck, SummaryJsonCarriesRulesAndSites) {
@@ -212,8 +213,8 @@ TEST(Lockcheck, SummaryJsonCarriesRulesAndSites) {
     const CheckedLock la(a);
   } catch (const CheckViolation&) {
   }
-  const std::string json = lockcheck::summary_json();
-  EXPECT_NE(json.find("\"schema\":\"swraman-lockcheck-v1\""),
+  const std::string json = check::summary_json();
+  EXPECT_NE(json.find("\"schema\":\"swraman-check-v2\""),
             std::string::npos)
       << json;
   EXPECT_NE(json.find("\"enabled\":true"), std::string::npos) << json;
@@ -231,10 +232,10 @@ TEST(Lockcheck, ScopedCheckingIsolatesCases) {
       lockcheck::blocking_call("fsync");
     } catch (const CheckViolation&) {
     }
-    EXPECT_EQ(lockcheck::total_violations(), 1u);
+    EXPECT_EQ(check::total_violations(), 1u);
   }
   // Destructor cleared the tally and restored the previous mode.
-  EXPECT_EQ(lockcheck::total_violations(), 0u);
+  EXPECT_EQ(check::total_violations(), 0u);
 }
 
 TEST(Lockcheck, OrderEdgesAreSharedAcrossThreads) {

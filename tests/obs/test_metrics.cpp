@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/check.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -177,6 +178,19 @@ TEST_F(MetricsTest, GatedHelpersRespectEnabledFlag) {
   const auto counters = Registry::instance().counter_values();
   ASSERT_EQ(counters.count("fault.injected"), 1u);
   EXPECT_DOUBLE_EQ(counters.at("fault.injected"), 2.0);
+}
+
+// The check core reaches the registry through the sinks obs installs at
+// static init: a checked run counts its violations whether or not
+// tracing is on.
+TEST_F(MetricsTest, CheckViolationsCountedWithTracingOff) {
+  set_enabled(false);
+  const check::ScopedChecking checking;
+  check::note("test.sink", "seeded");
+  check::note("test.sink", "seeded again");
+  const auto counters = Registry::instance().counter_values();
+  ASSERT_EQ(counters.count("check.violations"), 1u);
+  EXPECT_DOUBLE_EQ(counters.at("check.violations"), 2.0);
 }
 
 }  // namespace

@@ -1,23 +1,25 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/error.hpp"
 #include "common/lockcheck.hpp"
 #include "parallel/comm.hpp"
 #include "parallel/commcheck.hpp"
+#include "sunway/check/shadow.hpp"
+#include "sunway/double_buffer.hpp"
 
 // Seeded-violation suite for the p2p protocol verifier: every p2p.* rule
 // is deliberately triggered through the real Communicator transport and
-// must be caught; the sanctioned escape hatches (abandon, consumed
-// messages) must stay clean.
+// must be caught; consumed messages must stay clean. The last cases pin
+// the checker core: one tally and one summary for all three checkers.
 
 namespace swraman::parallel {
 namespace {
 
-using lockcheck::ScopedChecking;
+using check::ScopedChecking;
 
 CommConfig fast_timeouts() {
   CommConfig cfg;
@@ -26,157 +28,85 @@ CommConfig fast_timeouts() {
   return cfg;
 }
 
+// Rank 0 sends on `tag` and rank 1 never receives: the context dies
+// with the message in its mailbox when run_spmd returns.
+void send_unreceived(int tag) {
+  run_spmd(2, [tag](Communicator& comm) {
+    if (comm.rank() == 0) comm.send(1, {1.0, 2.0}, tag);
+  });
+}
+
 TEST(Commcheck, OrphanedMessageNotedAtContextDestruction) {
   const ScopedChecking checking;
-  {
-    std::vector<Communicator> group = make_comm_group(2);
-    ASSERT_NE(group[0].context_id(), 0u);
-    group[0].send(1, {1.0, 2.0}, /*tag=*/7);
-    // Nobody receives it: the context dies with the message in flight.
-  }
-  const auto counts = lockcheck::violation_counts();
-  const auto it = counts.find(lockcheck::kRuleP2pOrphan);
+  send_unreceived(/*tag=*/7);
+  const auto counts = check::violation_counts();
+  const auto it = counts.find(commcheck::kRuleP2pOrphan);
   ASSERT_NE(it, counts.end());
   EXPECT_EQ(it->second, 1u);
 }
 
 TEST(Commcheck, ConsumedMessagesLeaveNoOrphans) {
   const ScopedChecking checking;
-  {
-    std::vector<Communicator> group = make_comm_group(2);
-    group[0].send(1, {1.0, 2.0}, /*tag=*/7);
-    const std::vector<double> got = group[1].recv(0, /*tag=*/7);
-    EXPECT_EQ(got.size(), 2u);
-  }
-  EXPECT_EQ(lockcheck::total_violations(), 0u);
-}
-
-TEST(Commcheck, AbandonedTimeoutRoundTripIsClean) {
-  const ScopedChecking checking;
-  {
-    std::vector<Communicator> group = make_comm_group(2);
-    const std::uint64_t ctx = group[0].context_id();
-    // A requester that sent, timed out, and walked away declares both
-    // halves of the round trip abandoned — the bounded-lookup idiom.
-    group[0].send(1, {42.0}, /*tag=*/3);
-    commcheck::abandon(ctx, 0, 1, 3);
-    commcheck::abandon(ctx, 1, 0, 9);  // the response that never came
-  }
-  EXPECT_EQ(lockcheck::total_violations(), 0u);
-}
-
-TEST(Commcheck, SendSideTagMismatchThrowsWithProvenance) {
-  const ScopedChecking checking;
-  std::vector<Communicator> group = make_comm_group(2);
-  const std::uint64_t ctx = group[0].context_id();
-  commcheck::bind_tag(ctx, /*tag=*/5, /*expect_len=*/3, "test.request");
-  group[0].send(1, {1.0, 2.0, 3.0}, 5);  // conforming: fine
-  std::string what;
-  try {
-    group[0].send(1, {1.0, 2.0}, 5);  // wrong arity for the wire type
-    FAIL() << "tag mismatch not reported";
-  } catch (const CheckViolation& v) {
-    EXPECT_EQ(v.rule(), lockcheck::kRuleP2pTagMismatch);
-    what = v.what();
-  }
-  EXPECT_NE(what.find("test.request"), std::string::npos) << what;
-  EXPECT_NE(what.find("test_commcheck.cpp"), std::string::npos) << what;
-  // Drain the conforming message so destruction stays orphan-free; the
-  // mismatched send was rejected before it entered the mailbox.
-  static_cast<void>(group[1].recv(0, 5));
-  const auto counts = lockcheck::violation_counts();
-  EXPECT_EQ(counts.at(lockcheck::kRuleP2pTagMismatch), 1u);
-}
-
-TEST(Commcheck, DefaultBindingCoversDynamicResponseTags) {
-  const ScopedChecking checking;
-  std::vector<Communicator> group = make_comm_group(2);
-  const std::uint64_t ctx = group[0].context_id();
-  commcheck::bind_tag(ctx, /*tag=*/0, /*expect_len=*/2, "test.request");
-  commcheck::bind_default(ctx, /*expect_len=*/4, "test.response");
-  // Caller-drawn response tags all inherit the default wire type.
-  group[0].send(1, {1.0, 2.0, 3.0, 4.0}, /*tag=*/17);
-  static_cast<void>(group[1].recv(0, 17));
-  EXPECT_THROW(group[0].send(1, {1.0}, /*tag=*/23), CheckViolation);
-  EXPECT_EQ(lockcheck::violation_counts().at(lockcheck::kRuleP2pTagMismatch),
-            1u);
-}
-
-TEST(Commcheck, RecvSideMismatchIsNotedNotThrown) {
-  const ScopedChecking checking;
-  std::vector<Communicator> group = make_comm_group(2);
-  const std::uint64_t ctx = group[0].context_id();
-  group[0].send(1, {1.0, 2.0}, /*tag=*/4);  // sent before the binding
-  commcheck::bind_tag(ctx, /*tag=*/4, /*expect_len=*/9, "test.late_bind");
-  // The poll-loop side must not unwind: the mismatch is tallied, the
-  // message still delivered.
-  std::vector<double> out;
-  ASSERT_TRUE(group[1].try_recv(0, 4, 0.5, &out));
-  EXPECT_EQ(out.size(), 2u);
-  EXPECT_EQ(lockcheck::violation_counts().at(lockcheck::kRuleP2pTagMismatch),
-            1u);
+  run_spmd(2, [](Communicator& comm) {
+    if (comm.rank() == 0) {
+      comm.send(1, {1.0, 2.0}, /*tag=*/7);
+    } else {
+      EXPECT_EQ(comm.recv(0, /*tag=*/7).size(), 2u);
+    }
+  });
+  EXPECT_EQ(check::total_violations(), 0u);
 }
 
 TEST(Commcheck, CrossRankRecvCycleNoted) {
   const ScopedChecking checking;
-  {
-    std::vector<Communicator> group = make_comm_group(2, fast_timeouts());
-    // Rank 0 blocks on rank 1 and rank 1 on rank 0 with both mailboxes
-    // empty: nobody can make progress until the timeouts break the
-    // ring. The wait graph sees the cycle while both are parked.
-    std::thread t0([&] {
-      try {
-        static_cast<void>(group[0].recv(1, /*tag=*/11));
-      } catch (const TimeoutError&) {
-      }
-    });
-    std::thread t1([&] {
-      try {
-        static_cast<void>(group[1].recv(0, /*tag=*/12));
-      } catch (const TimeoutError&) {
-      }
-    });
-    t0.join();
-    t1.join();
-  }
-  const auto counts = lockcheck::violation_counts();
-  const auto it = counts.find(lockcheck::kRuleP2pRecvCycle);
+  // Rank 0 blocks on rank 1 and rank 1 on rank 0 with both mailboxes
+  // empty: nobody can make progress until the timeouts break the ring.
+  // The wait graph sees the cycle while both are parked.
+  run_spmd(
+      2,
+      [](Communicator& comm) {
+        const std::size_t peer = 1 - comm.rank();
+        try {
+          static_cast<void>(
+              comm.recv(peer, /*tag=*/11 + static_cast<int>(comm.rank())));
+        } catch (const TimeoutError&) {
+        }
+      },
+      fast_timeouts());
+  const auto counts = check::violation_counts();
+  const auto it = counts.find(commcheck::kRuleP2pRecvCycle);
   ASSERT_NE(it, counts.end());
   EXPECT_GE(it->second, 1u);
 }
 
 TEST(Commcheck, PendingMessageSuppressesRecvCycle) {
   const ScopedChecking checking;
-  {
-    std::vector<Communicator> group = make_comm_group(2, fast_timeouts());
-    // Same wait shape, but rank 1's awaited mailbox has data: the ring
-    // can drain, so no cycle may be noted.
-    group[0].send(1, {5.0}, /*tag=*/12);
-    std::thread t0([&] {
-      try {
-        static_cast<void>(group[0].recv(1, /*tag=*/11));
-      } catch (const TimeoutError&) {
-      }
-    });
-    std::thread t1([&] {
-      const std::vector<double> got = group[1].recv(0, /*tag=*/12);
-      EXPECT_EQ(got.size(), 1u);
-    });
-    t0.join();
-    t1.join();
-  }
-  const auto counts = lockcheck::violation_counts();
-  EXPECT_EQ(counts.count(lockcheck::kRuleP2pRecvCycle), 0u);
-  EXPECT_EQ(counts.count(lockcheck::kRuleP2pOrphan), 0u);
+  // Same wait shape, but rank 1's awaited mailbox has data before rank
+  // 0 parks: the ring can drain, so no cycle may be noted.
+  run_spmd(
+      2,
+      [](Communicator& comm) {
+        if (comm.rank() == 0) {
+          comm.send(1, {5.0}, /*tag=*/12);
+          try {
+            static_cast<void>(comm.recv(1, /*tag=*/11));
+          } catch (const TimeoutError&) {
+          }
+        } else {
+          EXPECT_EQ(comm.recv(0, /*tag=*/12).size(), 1u);
+        }
+      },
+      fast_timeouts());
+  const auto counts = check::violation_counts();
+  EXPECT_EQ(counts.count(commcheck::kRuleP2pRecvCycle), 0u);
+  EXPECT_EQ(counts.count(commcheck::kRuleP2pOrphan), 0u);
 }
 
 TEST(Commcheck, DisabledContextsAreFree) {
   const ScopedChecking checking(false);
-  std::vector<Communicator> group = make_comm_group(2);
-  EXPECT_EQ(group[0].context_id(), 0u);
-  group[0].send(1, {1.0}, /*tag=*/2);
-  // Unchecked: leftover messages, unbound tags — nothing is tracked.
-  EXPECT_EQ(lockcheck::total_violations(), 0u);
+  // Unchecked: the leftover message is not tracked.
+  send_unreceived(/*tag=*/2);
+  EXPECT_EQ(check::total_violations(), 0u);
 }
 
 TEST(Commcheck, SpmdCollectivesRunCleanUnderCheck) {
@@ -188,7 +118,74 @@ TEST(Commcheck, SpmdCollectivesRunCleanUnderCheck) {
     EXPECT_DOUBLE_EQ(data[1], 4.0);
     comm.barrier();
   });
-  EXPECT_EQ(lockcheck::total_violations(), 0u);
+  EXPECT_EQ(check::total_violations(), 0u);
+}
+
+// One rule from each checker under one ScopedChecking lands in one
+// tally and one swraman-check-v2 document.
+TEST(CheckCore, OneSummaryCountsEveryChecker) {
+  const ScopedChecking checking;
+  {
+    // swcheck: a second get overlapping an in-flight one.
+    sunway::CpeContext ctx{0, 64, sunway::sw26010pro(), "seeded"};
+    const std::vector<double> host(16, 1.0);
+    double* tile = ctx.ldm().allocate<double>(16);
+    sunway::ReplyWord reply;
+    sunway::dma_get_async(ctx, tile, host.data(), 8, reply);
+    EXPECT_THROW(
+        sunway::dma_get_async(ctx, tile + 4, host.data() + 8, 8, reply),
+        CheckViolation);
+    sunway::dma_wait(reply, 1);
+  }
+  {
+    // lockcheck: an ABBA acquisition order.
+    lockcheck::CheckedMutex a("test.core.a");
+    lockcheck::CheckedMutex b("test.core.b");
+    {
+      const lockcheck::CheckedLock la(a);
+      const lockcheck::CheckedLock lb(b);
+    }
+    const lockcheck::CheckedLock lb(b);
+    EXPECT_THROW(lockcheck::CheckedLock la(a), CheckViolation);
+  }
+  // commcheck: a message nobody receives.
+  send_unreceived(/*tag=*/3);
+  // The communicator's own rule: an iallreduce handle dropped unwaited.
+  run_spmd(1, [](Communicator& comm) {
+    const AllreduceRequest req = comm.iallreduce({1.0});
+    EXPECT_TRUE(req.valid());
+  });
+
+  const auto counts = check::violation_counts();
+  EXPECT_EQ(check::total_violations(), 4u);
+  for (const char* rule :
+       {sunway::swcheck::kRuleDmaOverlap, lockcheck::kRuleOrderCycle,
+        commcheck::kRuleP2pOrphan, commcheck::kRuleCollAbandoned}) {
+    const auto it = counts.find(rule);
+    ASSERT_NE(it, counts.end()) << rule;
+    EXPECT_EQ(it->second, 1u) << rule;
+  }
+  const std::string json = check::summary_json();
+  EXPECT_EQ(json.find("\"schema\":"), json.rfind("\"schema\":")) << json;
+  EXPECT_NE(json.find("{\"schema\":\"swraman-check-v2\",\"enabled\":true,"
+                      "\"violations\":4,\"rules\":{"
+                      "\"coll.abandoned_request\":1,\"dma.overlap\":1,"
+                      "\"lock.order_cycle\":1,\"p2p.orphaned_message\":1},"
+                      "\"sites\":["),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"test.core.a\""), std::string::npos) << json;
+}
+
+TEST(CheckCore, DisabledRunSerializesAnEmptyReport) {
+  const ScopedChecking checking(false);
+  send_unreceived(/*tag=*/4);
+  const std::string json = check::summary_json();
+  EXPECT_EQ(json.rfind("{\"schema\":\"swraman-check-v2\",\"enabled\":false,"
+                       "\"violations\":0,\"rules\":{},\"sites\":[",
+                       0),
+            0u)
+      << json;
 }
 
 }  // namespace

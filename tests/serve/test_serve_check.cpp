@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/error.hpp"
 #include "common/lockcheck.hpp"
 #include "robustness/fault.hpp"
@@ -23,7 +24,7 @@
 namespace swraman::serve {
 namespace {
 
-using lockcheck::ScopedChecking;
+using check::ScopedChecking;
 
 JobSpec modeled_spec(const std::string& client, std::size_t n_atoms) {
   JobSpec spec;
@@ -62,8 +63,8 @@ TEST(ServeCheck, ServiceRunsCleanUnderCheck) {
     }
     service.drain();
   }
-  EXPECT_EQ(lockcheck::total_violations(), 0u)
-      << lockcheck::summary_json();
+  EXPECT_EQ(check::total_violations(), 0u)
+      << check::summary_json();
 }
 
 TEST(ServeCheck, ShardedTierWithKillRecoverRunsCleanUnderCheck) {
@@ -101,8 +102,8 @@ TEST(ServeCheck, ShardedTierWithKillRecoverRunsCleanUnderCheck) {
     tier.drain();
   }
   std::filesystem::remove_all(wal_dir);
-  EXPECT_EQ(lockcheck::total_violations(), 0u)
-      << lockcheck::summary_json();
+  EXPECT_EQ(check::total_violations(), 0u)
+      << check::summary_json();
 }
 
 TEST(ServeCheck, SeededSchedulerGuardViolationCaught) {
@@ -130,7 +131,7 @@ TEST(ServeCheck, SeededSchedulerGuardViolationCaught) {
     scheduler.release(est);
   }
   EXPECT_EQ(
-      lockcheck::violation_counts().at(lockcheck::kRuleGuardUnheld), 1u);
+      check::violation_counts().at(lockcheck::kRuleGuardUnheld), 1u);
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "common/constants.hpp"
-#include "sunway/check/check.hpp"
+#include "sunway/check/shadow.hpp"
 #include "sunway/double_buffer.hpp"
 #include "sunway/kernels.hpp"
 
@@ -52,7 +53,7 @@ TEST(CheckClean, ReduceLocalPipelinedAllShapes) {
     }
   }
   EXPECT_EQ(check::total_violations(), 0u);
-  EXPECT_EQ(check::live_transfers(), 0);
+  EXPECT_EQ(swcheck::live_transfers(), 0);
 }
 
 TEST(CheckClean, Kernel1RealSpacePotential) {
@@ -113,8 +114,8 @@ TEST(CheckClean, BatchKernelsN1AndH1) {
   EXPECT_GT(n1.total_flops(), 0.0);
   EXPECT_GT(h1.total_flops(), 0.0);
   EXPECT_EQ(check::total_violations(), 0u);
-  EXPECT_EQ(check::live_shadow_tiles(), 0);
-  EXPECT_EQ(check::live_transfers(), 0);
+  EXPECT_EQ(swcheck::live_shadow_tiles(), 0);
+  EXPECT_EQ(swcheck::live_transfers(), 0);
 }
 
 }  // namespace

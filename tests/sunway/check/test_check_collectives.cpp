@@ -3,21 +3,23 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "parallel/comm.hpp"
-#include "sunway/check/check.hpp"
+#include "parallel/commcheck.hpp"
+#include "sunway/check/shadow.hpp"
 
 // swcheck coverage for the hierarchical collectives (DESIGN.md S10): the
 // intra-node RMA-mesh stage must retire every shadow tile and DMA/RMA
 // transfer before the inter-node stage starts on the same data, and an
 // iallreduce handle destroyed without wait() must be reported under
-// check::kRuleCollAbandoned (without throwing — the detection site is a
+// commcheck::kRuleCollAbandoned (without throwing — the detection site is a
 // destructor on a communication path).
 
 namespace swraman::parallel {
 namespace {
 
 TEST(CheckCollectives, HierarchicalLeavesNoShadowStateBehind) {
-  sunway::check::ScopedChecking checking;
+  check::ScopedChecking checking;
   CommConfig cfg;
   cfg.node_size = 2;  // 4 ranks -> two node groups, leaders 0 and 2
   run_spmd(
@@ -32,13 +34,13 @@ TEST(CheckCollectives, HierarchicalLeavesNoShadowStateBehind) {
       cfg);
   // Every intra-node mesh reduction ran fully checked: all LDM tiles and
   // DMA/RMA transfers retired between the levels, no rule tripped.
-  EXPECT_EQ(sunway::check::total_violations(), 0u);
-  EXPECT_EQ(sunway::check::live_shadow_tiles(), 0);
-  EXPECT_EQ(sunway::check::live_transfers(), 0);
+  EXPECT_EQ(check::total_violations(), 0u);
+  EXPECT_EQ(sunway::swcheck::live_shadow_tiles(), 0);
+  EXPECT_EQ(sunway::swcheck::live_transfers(), 0);
 }
 
 TEST(CheckCollectives, RepeatedHierarchicalCallsStayClean) {
-  sunway::check::ScopedChecking checking;
+  check::ScopedChecking checking;
   CommConfig cfg;
   cfg.node_size = 3;  // non-divisor of 7: groups {3, 3, 1}
   run_spmd(
@@ -51,13 +53,13 @@ TEST(CheckCollectives, RepeatedHierarchicalCallsStayClean) {
         }
       },
       cfg);
-  EXPECT_EQ(sunway::check::total_violations(), 0u);
-  EXPECT_EQ(sunway::check::live_shadow_tiles(), 0);
-  EXPECT_EQ(sunway::check::live_transfers(), 0);
+  EXPECT_EQ(check::total_violations(), 0u);
+  EXPECT_EQ(sunway::swcheck::live_shadow_tiles(), 0);
+  EXPECT_EQ(sunway::swcheck::live_transfers(), 0);
 }
 
 TEST(CheckCollectives, AbandonedIallreduceIsReported) {
-  sunway::check::ScopedChecking checking;
+  check::ScopedChecking checking;
   run_spmd(2, [](Communicator& comm) {
     AllreduceRequest req =
         comm.iallreduce({static_cast<double>(comm.rank())},
@@ -66,13 +68,13 @@ TEST(CheckCollectives, AbandonedIallreduceIsReported) {
     // Dropped without wait(): the destructor still completes the exchange
     // (the peer must not deadlock) and files the violation.
   });
-  const auto counts = sunway::check::violation_counts();
-  ASSERT_TRUE(counts.count(sunway::check::kRuleCollAbandoned));
-  EXPECT_EQ(counts.at(sunway::check::kRuleCollAbandoned), 2u);  // both ranks
+  const auto counts = check::violation_counts();
+  ASSERT_TRUE(counts.count(commcheck::kRuleCollAbandoned));
+  EXPECT_EQ(counts.at(commcheck::kRuleCollAbandoned), 2u);  // both ranks
 }
 
 TEST(CheckCollectives, WaitedRequestIsNotAViolation) {
-  sunway::check::ScopedChecking checking;
+  check::ScopedChecking checking;
   run_spmd(2, [](Communicator& comm) {
     AllreduceRequest req =
         comm.iallreduce({1.0, 2.0}, AllreduceAlgorithm::Hierarchical);
@@ -81,18 +83,18 @@ TEST(CheckCollectives, WaitedRequestIsNotAViolation) {
     EXPECT_DOUBLE_EQ(out[0], 2.0);
     EXPECT_DOUBLE_EQ(out[1], 4.0);
   });
-  EXPECT_EQ(sunway::check::total_violations(), 0u);
+  EXPECT_EQ(check::total_violations(), 0u);
 }
 
 TEST(CheckCollectives, AbandonmentIsSilentWhenCheckingDisabled) {
   // Production runs (checking off) only count the event; no tally entry.
-  sunway::check::ScopedChecking checking(false);
+  check::ScopedChecking checking(false);
   run_spmd(2, [](Communicator& comm) {
     AllreduceRequest req = comm.iallreduce(
         {static_cast<double>(comm.rank())}, AllreduceAlgorithm::Linear);
     (void)req;
   });
-  EXPECT_EQ(sunway::check::total_violations(), 0u);
+  EXPECT_EQ(check::total_violations(), 0u);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "common/error.hpp"
-#include "sunway/check/check.hpp"
+#include "sunway/check/shadow.hpp"
 #include "sunway/double_buffer.hpp"
 
 // Seeded-violation tests for the deferred-DMA protocol rules. Each test
@@ -28,10 +29,10 @@ TEST_F(Checked, DeferredCopyMaterializesAtWait) {
   ReplyWord reply;
   dma_get_async(ctx, tile, host.data(), kN, reply);
   EXPECT_EQ(reply.value, 0);             // not complete yet
-  EXPECT_EQ(check::live_transfers(), 1);  // but registered in flight
+  EXPECT_EQ(swcheck::live_transfers(), 1);  // but registered in flight
   dma_wait(reply, 1);
   EXPECT_EQ(reply.value, 1);
-  EXPECT_EQ(check::live_transfers(), 0);
+  EXPECT_EQ(swcheck::live_transfers(), 0);
   EXPECT_EQ(tile[kN - 1], 1.5);  // the copy happened at the wait
 }
 
@@ -46,7 +47,7 @@ TEST_F(Checked, ReadOfUnwaitedTransferIsCaught) {
     ctx.check_ldm_read(tile, kN * sizeof(double), "combine src");
     FAIL() << "un-waited read not caught";
   } catch (const CheckViolation& e) {
-    EXPECT_EQ(e.rule(), check::kRuleDmaInFlight);
+    EXPECT_EQ(e.rule(), swcheck::kRuleDmaInFlight);
     EXPECT_NE(std::string(e.what()).find("missing dma_wait"),
               std::string::npos);
     EXPECT_NE(std::string(e.what()).find("cpe=5"), std::string::npos);
@@ -70,7 +71,7 @@ TEST_F(Checked, MissingWaitInPipelineIsCaught) {
     sum_op(tile, tile + kN, kN);
   };
   EXPECT_THROW(broken_combine(), CheckViolation);
-  EXPECT_EQ(check::violation_counts()[check::kRuleDmaInFlight], 1u);
+  EXPECT_EQ(check::violation_counts()[swcheck::kRuleDmaInFlight], 1u);
   // Recover so the fixture teardown sees a quiesced context.
   dma_wait(reply, 2);
 }
@@ -85,7 +86,7 @@ TEST_F(Checked, OverlappingGetsAreCaught) {
     dma_get_async(ctx, tile + kN / 2, host.data() + kN, kN, reply);
     FAIL() << "overlap not caught";
   } catch (const CheckViolation& e) {
-    EXPECT_EQ(e.rule(), check::kRuleDmaOverlap);
+    EXPECT_EQ(e.rule(), swcheck::kRuleDmaOverlap);
   }
   dma_wait(reply, 1);
 }
@@ -123,7 +124,7 @@ TEST_F(Checked, SyncDmaOverlappingInFlightIsCaught) {
     ctx.dma_get(tile, host.data() + kN, kN);  // races the pending get
     FAIL() << "sync/async overlap not caught";
   } catch (const CheckViolation& e) {
-    EXPECT_EQ(e.rule(), check::kRuleDmaOverlap);
+    EXPECT_EQ(e.rule(), swcheck::kRuleDmaOverlap);
   }
   dma_wait(reply, 1);
 }
@@ -136,7 +137,7 @@ TEST_F(Checked, UnreachableWaitIsCaught) {
     dma_wait(reply, 2);  // only one transfer was ever issued
     FAIL() << "unreachable wait not caught";
   } catch (const CheckViolation& e) {
-    EXPECT_EQ(e.rule(), check::kRuleDmaWaitUnreachable);
+    EXPECT_EQ(e.rule(), swcheck::kRuleDmaWaitUnreachable);
     // Diagnostics carry actual and expected values.
     EXPECT_NE(std::string(e.what()).find("expected reply value 2"),
               std::string::npos);
@@ -157,7 +158,7 @@ TEST_F(Checked, OverIncrementedReplyWordIsCaught) {
     dma_wait(reply, 1);  // stale: the word is already past 1
     FAIL() << "reply overrun not caught";
   } catch (const CheckViolation& e) {
-    EXPECT_EQ(e.rule(), check::kRuleDmaReplyOverrun);
+    EXPECT_EQ(e.rule(), swcheck::kRuleDmaReplyOverrun);
     EXPECT_NE(std::string(e.what()).find("already at 2"),
               std::string::npos);
   }
@@ -171,12 +172,12 @@ TEST_F(Checked, TransferLeakedPastFinishIsCaught) {
     ctx.finish();  // kernel "returns" with the transfer still in flight
     FAIL() << "leaked transfer not caught";
   } catch (const CheckViolation& e) {
-    EXPECT_EQ(e.rule(), check::kRuleDmaUnwaited);
+    EXPECT_EQ(e.rule(), swcheck::kRuleDmaUnwaited);
     EXPECT_NE(std::string(e.what()).find("dma_wait never ran"),
               std::string::npos);
   }
   // The violation drained the shadow queue: nothing stays live.
-  EXPECT_EQ(check::live_transfers(), 0);
+  EXPECT_EQ(swcheck::live_transfers(), 0);
 }
 
 // In unchecked mode dma_wait must keep its eager semantics but now

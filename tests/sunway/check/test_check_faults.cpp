@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "common/error.hpp"
 #include "robustness/fault.hpp"
-#include "sunway/check/check.hpp"
+#include "sunway/check/shadow.hpp"
 #include "sunway/double_buffer.hpp"
 
 // Checked-mode interplay with the fault-injection framework: retries and
@@ -29,13 +30,13 @@ TEST(CheckFaults, DmaFailRetryRegistersTransferOnce) {
   ReplyWord reply;
   dma_get_async(ctx, tile, host.data(), 16, reply);
   // Exactly one in-flight record despite the retried issue...
-  EXPECT_EQ(check::live_transfers(), 1);
+  EXPECT_EQ(swcheck::live_transfers(), 1);
   // ...while the engine was charged for both attempts.
   EXPECT_EQ(ctx.counters().dma_transfers, 2.0);
   dma_wait(reply, 1);
   EXPECT_EQ(reply.value, 1);
   EXPECT_EQ(tile[7], 4.0);
-  EXPECT_EQ(check::live_transfers(), 0);
+  EXPECT_EQ(swcheck::live_transfers(), 0);
   ctx.finish();  // quiesced: the retry left nothing behind
   EXPECT_EQ(check::total_violations(), 0u);
 }
@@ -55,7 +56,7 @@ TEST(CheckFaults, ExhaustedDmaRetriesLeaveNoShadowRecord) {
   ReplyWord reply;
   EXPECT_THROW(dma_get_async(ctx, tile, host.data(), 16, reply),
                TimeoutError);
-  EXPECT_EQ(check::live_transfers(), 0);
+  EXPECT_EQ(swcheck::live_transfers(), 0);
   EXPECT_NO_THROW(ctx.finish());
 }
 
@@ -91,8 +92,8 @@ TEST(CheckFaults, CpeDeathAdoptionLeaksNoShadowState) {
     ASSERT_EQ(out[i], 6.0) << i;
   }
   // All shadow state — including the dead CPE's — was released.
-  EXPECT_EQ(check::live_shadow_tiles(), 0);
-  EXPECT_EQ(check::live_transfers(), 0);
+  EXPECT_EQ(swcheck::live_shadow_tiles(), 0);
+  EXPECT_EQ(swcheck::live_transfers(), 0);
   EXPECT_EQ(check::total_violations(), 0u);
 }
 

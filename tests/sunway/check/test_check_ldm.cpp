@@ -3,8 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "common/error.hpp"
-#include "sunway/check/check.hpp"
+#include "sunway/check/shadow.hpp"
 #include "sunway/cpe_cluster.hpp"
 
 // Seeded-violation tests for the LDM tile rules: every rule is triggered
@@ -42,12 +43,12 @@ TEST(CheckLdm, DmaGetOverrunningTileIsCaught) {
     ctx.dma_get(tile, host.data(), 16);  // 16 > the 8 allocated
     FAIL() << "overrun not caught";
   } catch (const CheckViolation& e) {
-    EXPECT_EQ(e.rule(), check::kRuleLdmBounds);
+    EXPECT_EQ(e.rule(), swcheck::kRuleLdmBounds);
     EXPECT_NE(std::string(e.what()).find("cpe=3"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("kernel=seeded"),
               std::string::npos);
   }
-  EXPECT_EQ(check::violation_counts()[check::kRuleLdmBounds], 1u);
+  EXPECT_EQ(check::violation_counts()[swcheck::kRuleLdmBounds], 1u);
 }
 
 TEST(CheckLdm, DmaPutFromForeignPointerIsCaught) {
@@ -59,7 +60,7 @@ TEST(CheckLdm, DmaPutFromForeignPointerIsCaught) {
     ctx.dma_put(not_a_tile.data(), host.data(), 8);
     FAIL() << "foreign pointer not caught";
   } catch (const CheckViolation& e) {
-    EXPECT_EQ(e.rule(), check::kRuleLdmBounds);
+    EXPECT_EQ(e.rule(), swcheck::kRuleLdmBounds);
   }
 }
 
@@ -74,11 +75,11 @@ TEST(CheckLdm, UseAfterResetIsCaughtByGeneration) {
     ctx.dma_get(tile, host.data(), 32);  // stale pointer, old generation
     FAIL() << "use-after-reset not caught";
   } catch (const CheckViolation& e) {
-    EXPECT_EQ(e.rule(), check::kRuleLdmUseAfterReset);
+    EXPECT_EQ(e.rule(), swcheck::kRuleLdmUseAfterReset);
     EXPECT_NE(std::string(e.what()).find("retired by reset()"),
               std::string::npos);
   }
-  EXPECT_EQ(check::violation_counts()[check::kRuleLdmUseAfterReset], 1u);
+  EXPECT_EQ(check::violation_counts()[swcheck::kRuleLdmUseAfterReset], 1u);
 }
 
 TEST(CheckLdm, FreshAllocationAfterResetIsClean) {

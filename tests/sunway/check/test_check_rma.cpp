@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "common/error.hpp"
-#include "sunway/check/check.hpp"
 #include "sunway/check/shadow.hpp"
 #include "sunway/rma_reduce.hpp"
 
@@ -18,7 +18,7 @@ namespace {
 
 TEST(CheckRma, UnconsumedMessageIsCaught) {
   check::ScopedChecking checking;
-  check::RmaMeshChecker mesh(8);
+  swcheck::RmaMeshChecker mesh(8);
   mesh.record_send(2, 5, 512);
   mesh.record_send(2, 5, 512);
   mesh.record_send(3, 5, 256);
@@ -29,17 +29,17 @@ TEST(CheckRma, UnconsumedMessageIsCaught) {
     mesh.verify("seeded");
     FAIL() << "unconsumed message not caught";
   } catch (const CheckViolation& e) {
-    EXPECT_EQ(e.rule(), check::kRuleRmaUnconsumed);
+    EXPECT_EQ(e.rule(), swcheck::kRuleRmaUnconsumed);
     EXPECT_NE(std::string(e.what()).find("1->4"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("silently lost"),
               std::string::npos);
   }
-  EXPECT_EQ(check::violation_counts()[check::kRuleRmaUnconsumed], 1u);
+  EXPECT_EQ(check::violation_counts()[swcheck::kRuleRmaUnconsumed], 1u);
 }
 
 TEST(CheckRma, BalancedMailboxesVerifyClean) {
   check::ScopedChecking checking;
-  check::RmaMeshChecker mesh(64);
+  swcheck::RmaMeshChecker mesh(64);
   for (std::size_t src = 0; src < 64; ++src) {
     mesh.record_send(src, (src * 7 + 3) % 64, 64);
   }
@@ -50,7 +50,7 @@ TEST(CheckRma, BalancedMailboxesVerifyClean) {
 
 TEST(CheckRma, WaitForCycleIsReportedAsDeadlock) {
   check::ScopedChecking checking;
-  check::RmaMeshChecker mesh(64);
+  swcheck::RmaMeshChecker mesh(64);
   // CPE 9 waits on 17, 17 on 42, 42 back on 9: a cycle across mesh rows
   // that stalls both buses forever on hardware.
   mesh.add_wait(9, 17);
@@ -60,7 +60,7 @@ TEST(CheckRma, WaitForCycleIsReportedAsDeadlock) {
     mesh.check_deadlock();
     FAIL() << "deadlock cycle not caught";
   } catch (const CheckViolation& e) {
-    EXPECT_EQ(e.rule(), check::kRuleRmaDeadlock);
+    EXPECT_EQ(e.rule(), swcheck::kRuleRmaDeadlock);
     const std::string what = e.what();
     EXPECT_NE(what.find("CPE 9 (row 1, col 1)"), std::string::npos);
     EXPECT_NE(what.find("CPE 42 (row 5, col 2)"), std::string::npos);
@@ -69,7 +69,7 @@ TEST(CheckRma, WaitForCycleIsReportedAsDeadlock) {
 
 TEST(CheckRma, AcyclicWaitsAreNotDeadlock) {
   check::ScopedChecking checking;
-  check::RmaMeshChecker mesh(64);
+  swcheck::RmaMeshChecker mesh(64);
   mesh.add_wait(0, 1);
   mesh.add_wait(1, 2);
   mesh.add_wait(0, 2);  // diamond, no cycle

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "common/error.hpp"
-#include "sunway/check/check.hpp"
 
 namespace swraman::sunway {
 namespace {
