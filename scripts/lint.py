@@ -21,8 +21,10 @@ Refresh the baseline with --update-tidy-baseline after triaging.
   4. No detached or ad-hoc threads in src/. Calling .detach() on a
      thread orphans work the serve shutdown path and the sanitizer
      runs cannot see; constructing std::thread directly is reserved
-     for the sanctioned homes (the serve worker pool and the SPMD comm
-     runtime), everything else must submit to the serve pool.
+     for the sanctioned homes (the serve worker pool and the common
+     thread helpers in src/common/threads.*, whose one fork-join runs
+     the SPMD ranks and the logical CPEs); everything else goes through
+     them.
   5. No unflushed durability writes in src/serve/. The write-ahead job
      log's log-before-ack contract only holds if every byte it promises
      is fsync'd before the acknowledgment, so file *output* in the
@@ -175,18 +177,20 @@ def check_std_endl() -> list[str]:
 
 
 # The only files allowed to construct std::thread directly: the serve
-# worker pool (owns lifecycle, joins in stop()) and the SPMD comm
-# runtime (rank threads joined by the harness).
+# worker pool (owns lifecycle, joins in stop()) and the common thread
+# helpers (one fork-join behind run_spmd and CpeCluster::run, plus the
+# joined iallreduce thread).
 THREAD_HOMES = {
     SRC / "serve" / "pool.cpp",
     SRC / "serve" / "pool.hpp",
-    SRC / "parallel" / "comm.cpp",
+    SRC / "common" / "threads.cpp",
+    SRC / "common" / "threads.hpp",
 }
 
 
 def check_threads() -> list[str]:
     """Rule 4: no .detach(), and std::thread construction only in the
-    sanctioned homes (serve pool, SPMD comm runtime)."""
+    sanctioned homes (serve pool, common thread helpers)."""
     violations: list[str] = []
     detach = re.compile(r"\.\s*detach\s*\(")
     ctor = re.compile(r"\bstd::(?:jthread|thread)\b(?!\s*(?:&|\*|>|::))")
@@ -205,8 +209,8 @@ def check_threads() -> list[str]:
             line = text.count("\n", 0, m.start()) + 1
             violations.append(
                 f"{rel}:{line}: raw std::thread outside the sanctioned "
-                "homes (src/serve/pool.*, src/parallel/comm.cpp) — submit "
-                "work to the serve worker pool instead")
+                "homes (src/serve/pool.*, src/common/threads.*) — submit "
+                "work to the serve worker pool or use threads::fork_join")
     return violations
 
 

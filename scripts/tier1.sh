@@ -7,10 +7,11 @@
 # FIFO with dedup hits), the serve chaos gate (shard kills + WAL
 # replay, zero lost jobs, bitwise spectra, lockcheck-clean), then
 # instrumented passes — the robustness/fault-injection suite under
-# ASan/UBSan, the obs + parallel + serve + fmm + hartree suites under
-# TSan (the metrics registry claims lock-free counters, the serve pool
-# race-free work stealing, the Hartree context race-free shared solves;
-# this is where we prove them; plus the concurrent SCF grid-pass test),
+# ASan/UBSan, the obs + parallel + serve + sunway + fmm + hartree suites
+# under TSan (the metrics registry claims lock-free counters, the serve
+# pool race-free work stealing, the CPE dispatch race-free kernel bodies,
+# the Hartree context race-free shared solves; this is where we prove
+# them; plus the concurrent SCF grid-pass test),
 # and the serve, obs, hartree and grid suites plus the SCF grid-pass
 # reference tests under UBSan.
 # Set SWRAMAN_SANITIZE=undefined to swap the robustness pass to UBSan,
@@ -51,15 +52,20 @@ echo "== tier-1: repo lint gate (scripts/lint.py) =="
 python3 scripts/lint.py build
 
 echo "== tier-1: checked execution (SWRAMAN_CHECK=1) =="
-# test_sunway_check plants swcheck violations on purpose, so this stage
-# asserts only that the checkers ran.
+# test_sunway_check plants swcheck violations on purpose, so its run
+# asserts only that the checkers ran. test_sunway (the paper kernels and
+# the parallel logical-CPE dispatch) takes its one planted violation back
+# out of the tally, so its run must read clean.
 CHECK_DIR="build/check-smoke"
 mkdir -p "${CHECK_DIR}"
 SWRAMAN_CHECK=1 \
   SWRAMAN_CHECK_FILE="${CHECK_DIR}/swraman_check.json" \
   ./build/tests/test_sunway_check
-SWRAMAN_CHECK=1 ./build/tests/test_sunway >/dev/null
 check_summary "${CHECK_DIR}/swraman_check.json" "checked run" seeded
+SWRAMAN_CHECK=1 \
+  SWRAMAN_CHECK_FILE="${CHECK_DIR}/test_sunway_check.json" \
+  ./build/tests/test_sunway >/dev/null
+check_summary "${CHECK_DIR}/test_sunway_check.json" "test_sunway" clean
 
 echo "== tier-1: fmm suite + golden Fmm water under the checkers =="
 # The octree Hartree backend's CPE offload (M2L / P2P staging) runs with
@@ -186,19 +192,25 @@ if [ "${SANITIZER}" != "none" ]; then
         test_robustness
   "./build-${SANITIZER}/tests/test_robustness"
 
-  echo "== tier-1: obs + parallel + serve + fmm + hartree (+ scf grid passes) under -fsanitize=thread =="
+  echo "== tier-1: obs + parallel + serve + sunway + fmm + hartree (+ scf grid passes) under -fsanitize=thread =="
   # Bench stays ON here (only the chaos target is built): the sharded
   # tier's kill/replay interleavings are exactly what TSan must see.
   cmake -B build-thread -S . \
         -DSWRAMAN_SANITIZE=thread \
         -DSWRAMAN_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-thread -j "${JOBS}" --target test_obs test_parallel \
-        test_serve test_fmm test_hartree test_scf bench_serve_chaos
+        test_serve test_sunway test_fmm test_hartree test_scf \
+        bench_serve_chaos
   ./build-thread/tests/test_obs
   ./build-thread/tests/test_parallel
+  # CpeCluster::run spreads the logical CPEs over host threads: every
+  # kernel body (kernel1, kernel2, n1, H1 and the test kernels) must write
+  # only its own slice.
+  ./build-thread/tests/test_sunway
   # The FMM backend claims its CPE model fan-out is race-free; the
-  # backend suite (M2L/P2P offload vs host path) runs under TSan, as do
-  # concurrent Direct solves on one shared context.
+  # backend suite (M2L/P2P offload vs host path, dispatched over host
+  # threads) runs under TSan, as do concurrent Direct solves on one
+  # shared context.
   ./build-thread/tests/test_fmm
   # The Direct evaluation plan is built lazily under std::call_once while
   # threads race the first evaluation of a shared solver.

@@ -26,6 +26,10 @@ void build_constants(int lmax, YlmWorkspace& ws) {
   ws.sub.assign(nl, 0.0);
   ws.ra.assign(tri(lmax + 1, 0), 0.0);
   ws.rb.assign(tri(lmax + 1, 0), 0.0);
+  // Scratch sized once here, so evaluation never resizes it.
+  ws.q.assign(tri(lmax + 1, 0), 0.0);
+  ws.cm.assign(nl, 0.0);
+  ws.sm.assign(nl, 0.0);
   for (int m = 1; m <= lmax; ++m) {
     ws.diag[m] = std::sqrt((2.0 * m + 1.0) / (2.0 * m));
   }
@@ -44,13 +48,11 @@ void build_constants(int lmax, YlmWorkspace& ws) {
 
 }  // namespace
 
-void real_ylm(const Vec3& u, int lmax, std::vector<double>& out,
-              YlmWorkspace& ws) {
+void real_ylm(const Vec3& u, int lmax, double* out, YlmWorkspace& ws) {
   SWRAMAN_REQUIRE(lmax >= 0, "real_ylm: lmax >= 0");
   if (ws.const_lmax < lmax) build_constants(lmax, ws);
   // Every entry of out (and every q entry the recurrences read) is written
-  // below, so resizing without clearing is enough.
-  out.resize(n_lm(lmax));
+  // below, so the scratch is never cleared.
 
   const double r = u.norm();
   double c = 1.0;  // cos(theta)
@@ -72,8 +74,7 @@ void real_ylm(const Vec3& u, int lmax, std::vector<double>& out,
   // Recurrences are stable upward in l for fixed m. Each entry is computed
   // by the same operations for any lmax >= l, so lower-lmax results are
   // bitwise prefixes of higher ones.
-  std::vector<double>& q = ws.q;
-  q.resize(tri(lmax + 1, 0));
+  double* q = ws.q.data();
 
   q[tri(0, 0)] = std::sqrt(1.0 / kFourPi);
   for (int m = 1; m <= lmax; ++m) {
@@ -91,10 +92,10 @@ void real_ylm(const Vec3& u, int lmax, std::vector<double>& out,
   }
 
   // Azimuthal factors cos(m phi), sin(m phi) by the angle-addition recurrence.
-  std::vector<double>& cm = ws.cm;
-  std::vector<double>& sm = ws.sm;
-  cm.assign(static_cast<std::size_t>(lmax) + 1, 1.0);
-  sm.assign(static_cast<std::size_t>(lmax) + 1, 0.0);
+  double* cm = ws.cm.data();
+  double* sm = ws.sm.data();
+  cm[0] = 1.0;
+  sm[0] = 0.0;
   for (int m = 1; m <= lmax; ++m) {
     cm[m] = cm[m - 1] * cphi - sm[m - 1] * sphi;
     sm[m] = sm[m - 1] * cphi + cm[m - 1] * sphi;
@@ -109,6 +110,12 @@ void real_ylm(const Vec3& u, int lmax, std::vector<double>& out,
       out[lm_index(l, -m)] = sqrt2 * qlm * sm[m];
     }
   }
+}
+
+void real_ylm(const Vec3& u, int lmax, std::vector<double>& out,
+              YlmWorkspace& ws) {
+  out.resize(n_lm(lmax));
+  real_ylm(u, lmax, out.data(), ws);
 }
 
 void real_ylm(const Vec3& u, int lmax, std::vector<double>& out) {

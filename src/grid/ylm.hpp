@@ -36,17 +36,21 @@ struct YlmWorkspace {
   std::vector<double> cm;  // cos(m phi)
   std::vector<double> sm;  // sin(m phi)
 
-  int const_lmax = -1;       // lmax the constants below cover
+  int const_lmax = -1;       // lmax q, cm, sm and the constants cover
   std::vector<double> diag;  // Q_mm from Q_(m-1)(m-1): sqrt((2m+1)/(2m))
   std::vector<double> sub;   // Q_(m+1)m from Q_mm: sqrt(2m+3)
   std::vector<double> ra;    // upward-in-l recurrence a_lm, [l(l+1)/2 + m]
   std::vector<double> rb;    // upward-in-l recurrence b_lm, [l(l+1)/2 + m]
 };
 
-// Evaluates all real Y_lm for l = 0..lmax at unit direction u into out
-// (resized to n_lm(lmax)). u does not need to be normalized; the zero vector
+// Evaluates all real Y_lm for l = 0..lmax at unit direction u into
+// out[0, n_lm(lmax)). u does not need to be normalized; the zero vector
 // maps to the north pole. real_ylm(u, l) is bitwise the first n_lm(l)
-// entries of real_ylm(u, L) for every L >= l.
+// entries of real_ylm(u, L) for every L >= l. Once ws covers lmax it
+// touches no allocator: this is the form for per-point hot loops.
+void real_ylm(const Vec3& u, int lmax, double* out, YlmWorkspace& ws);
+
+// Same, into out resized to n_lm(lmax); bitwise the pointer form.
 void real_ylm(const Vec3& u, int lmax, std::vector<double>& out,
               YlmWorkspace& ws);
 

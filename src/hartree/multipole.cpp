@@ -379,8 +379,9 @@ void MultipolePotential::accumulate_atom(std::size_t atom, const Vec3& point,
   const std::size_t n_live = grid::n_lm(l_res);
   const Vec3 d = point - centers_[atom];
   const double r = std::max(d.norm(), 1e-8);
-  grid::real_ylm(d, l_res, ws.ylm, ws.ylm_scratch);
-  const double* y = ws.ylm.data();
+  if (ws.ylm.size() < n_live) ws.ylm.resize(n_live);
+  double* y = ws.ylm.data();
+  grid::real_ylm(d, l_res, y, ws.ylm_scratch);
   if (r <= outer_radius_[atom]) {
     // One interval search and one set of interval weights for all
     // channels, then per channel the CubicSpline::value expression: each

@@ -5,7 +5,6 @@
 #include <bit>
 #include <chrono>
 #include <exception>
-#include <thread>
 #include <utility>
 
 #include "common/backoff.hpp"
@@ -13,6 +12,7 @@
 #include "common/error.hpp"
 #include "common/lockcheck.hpp"
 #include "common/logging.hpp"
+#include "common/threads.hpp"
 #include "obs/obs.hpp"
 #include "parallel/allreduce_select.hpp"
 #include "parallel/commcheck.hpp"
@@ -688,20 +688,17 @@ void Communicator::allreduce_hierarchical(std::vector<double>& data,
 struct AllreduceRequest::State {
   std::vector<double> data;
   AllreduceAlgorithm algorithm = AllreduceAlgorithm::Linear;
-  std::thread worker;
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> comm_done_ns{0};
   std::uint64_t start_ns = 0;
   std::exception_ptr error;
   bool waited = false;
-
-  ~State() {
-    // The owning handle joins before releasing its reference (wait() or
-    // abandon()), so this is a backstop only — and it can never run on the
-    // worker thread, because the worker's own captured reference is
-    // released before join() returns.
-    if (worker.joinable()) worker.join();
-  }
+  // Last, so it is joined before the members the thread writes go away.
+  // The owning handle joins before releasing its reference (wait() or
+  // abandon()), so this join is a backstop only — and it can never run on
+  // the worker thread, because the worker's own captured reference is
+  // released before join() returns.
+  threads::Joinable worker;
 };
 
 void AllreduceRequest::abandon() noexcept {
@@ -710,7 +707,7 @@ void AllreduceRequest::abandon() noexcept {
   // the protocol violation: a request that was never waited on threw its
   // reduced data away. This runs on the owner thread so the violation is
   // visible as soon as the handle is gone.
-  if (state_->worker.joinable()) state_->worker.join();
+  state_->worker.join();
   state_->waited = true;
   obs::count("comm.iallreduce.abandoned");
   if (state_->error != nullptr) {
@@ -747,7 +744,7 @@ std::vector<double> AllreduceRequest::wait() {
   const std::shared_ptr<State> st = std::move(state_);
   st->waited = true;
   const std::uint64_t wait_begin_ns = obs::now_ns();
-  if (st->worker.joinable()) st->worker.join();
+  st->worker.join();
   if (st->error != nullptr) std::rethrow_exception(st->error);
   if (obs::enabled()) {
     // Overlap = communication time that ran while the caller was doing
@@ -786,7 +783,7 @@ AllreduceRequest Communicator::iallreduce(std::vector<double> data,
   // base is drawn. The communication thread only moves messages.
   if (st->algorithm == AllreduceAlgorithm::Hierarchical) ensure_hierarchy();
   const int tag_base = next_tag_base();
-  st->worker = std::thread([st, self = *this, tag_base]() mutable {
+  st->worker = threads::Joinable([st, self = *this, tag_base]() mutable {
     try {
       self.allreduce_with_base(st->data, st->algorithm, tag_base);
     } catch (...) {
@@ -808,23 +805,10 @@ void run_spmd(std::size_t n_ranks,
               const CommConfig& config) {
   SWRAMAN_REQUIRE(n_ranks >= 1, "run_spmd: need at least one rank");
   auto ctx = std::make_shared<CommContext>(n_ranks, config);
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(n_ranks);
-  threads.reserve(n_ranks);
-  for (std::size_t r = 0; r < n_ranks; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        Communicator comm(ctx, r);
-        fn(comm);
-      } catch (...) {
-        errors[r] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  threads::fork_join(n_ranks, [&](std::size_t r) {
+    Communicator comm(ctx, r);
+    fn(comm);
+  });
 }
 
 }  // namespace swraman::parallel

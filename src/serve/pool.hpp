@@ -22,7 +22,7 @@
 // short timed wait.
 //
 // This file is the repo's only sanctioned home for raw std::thread
-// construction outside the SPMD runtime (scripts/lint.py enforces it):
+// construction outside common/threads.* (scripts/lint.py enforces it):
 // every thread is joined in the destructor, and a simulated worker death
 // (fault site serve.worker.death) exits the loop only after handing the
 // worker's entire deque back through the orphan callback — the adoption

@@ -53,12 +53,16 @@ RamanService::RamanService(ServiceOptions options)
   // scheduler/cache call must hold mutex_ (lock.guard_unheld otherwise).
   scheduler_.set_guard(&mutex_);
   cache_.set_guard(&mutex_);
-  const std::string suffix =
-      options_.shard_id >= 0 ? "." + std::to_string(options_.shard_id) : "";
+  // Appended piecewise: `"." + std::to_string(...)` trips a GCC 12
+  // -Wrestrict false positive.
+  std::string suffix;
+  if (options_.shard_id >= 0) {
+    const std::string id = std::to_string(options_.shard_id);
+    suffix.append(".").append(id);
+    log_prefix_.append("s").append(id);
+  }
   queue_gauge_name_ = "serve.queue.depth" + suffix;
   ratio_gauge_name_ = "serve.cache.hit_ratio" + suffix;
-  log_prefix_ =
-      options_.shard_id >= 0 ? "s" + std::to_string(options_.shard_id) : "";
   WorkerPool::Options pool_opts;
   pool_opts.n_workers = std::max<std::size_t>(1, options_.n_workers);
   pool_opts.steal = options_.work_stealing;

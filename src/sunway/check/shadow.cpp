@@ -34,7 +34,8 @@ void transfers_add(std::int64_t n) {
 }
 
 // The thread's innermost checked CpeContext (contexts nest LIFO within a
-// thread; CpeCluster::run creates and destroys them sequentially).
+// thread; each CpeCluster::run dispatch thread creates and destroys its
+// logical CPEs' contexts one after another).
 thread_local CpeShadow* t_current_shadow = nullptr;
 
 }  // namespace

@@ -1,8 +1,12 @@
 #include "sunway/cpe_cluster.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
 #include <numeric>
 
 #include "common/error.hpp"
+#include "common/threads.hpp"
 #include "grid/loadbalance.hpp"
 
 namespace swraman::sunway {
@@ -34,7 +38,8 @@ void CpeCluster::run(const char* name,
   // Adopt every dead CPE's logical run through the Algorithm-1 greedy
   // balancer: each survivor already carries one slice, each dead slice
   // goes to whichever survivor carries the least.
-  std::vector<std::size_t> adopter_of(n, n);
+  std::vector<std::size_t> charge_to(n);
+  std::iota(charge_to.begin(), charge_to.end(), std::size_t{0});
   std::vector<std::size_t> dead_ids;
   for (std::size_t id = 0; id < n; ++id) {
     if (dead_[id]) dead_ids.push_back(id);
@@ -45,25 +50,67 @@ void CpeCluster::run(const char* name,
     const std::vector<std::size_t> owner =
         grid::assign_greedy(weights, alive.size(), &own_load);
     for (std::size_t k = 0; k < dead_ids.size(); ++k) {
-      adopter_of[dead_ids[k]] = alive[owner[k]];
+      charge_to[dead_ids[k]] = alive[owner[k]];
     }
     for (const std::size_t id : newly_dead) {
       log::warn("fault ", fault::kCpeDeath, ": CPE ", id,
-                " died; slice adopted by CPE ", adopter_of[id],
+                " died; slice adopted by CPE ", charge_to[id],
                 " (modeled cluster slowdown x",
                 static_cast<double>(n) / static_cast<double>(alive.size()),
                 ", ", alive.size(), "/", n, " CPEs alive)");
     }
   }
 
-  const auto execute = [&](std::size_t logical_id, std::size_t charge_to) {
-    CpeContext ctx(static_cast<int>(logical_id), arch_.n_pes, arch_, name);
+  // Logical runs in merge order: alive ids, then adopted dead ids.
+  std::vector<std::size_t> logical = alive;
+  logical.insert(logical.end(), dead_ids.begin(), dead_ids.end());
+  const auto execute = [&](std::size_t id) {
+    CpeContext ctx(static_cast<int>(id), arch_.n_pes, arch_, name);
     kernel(ctx);
     ctx.finish();
-    counters_[charge_to] += ctx.counters();
+    return ctx.counters();
   };
-  for (const std::size_t id : alive) execute(id, id);
-  for (const std::size_t id : dead_ids) execute(id, adopter_of[id]);
+
+  // Claim-next dispatch: each host thread takes the next unrun logical
+  // CPE, so uneven slices (P2P leaves hold 1 to 63 points) balance out.
+  // Counters merge after the join in the order above, so totals are
+  // bitwise those of a serial launch. A throw stops further claims; the
+  // CPEs that finished are charged, then it is rethrown. While the
+  // injector is armed, which CPE sees the next sunway.dma.fail visit is
+  // part of its replay contract, so the launch runs serially here.
+  std::vector<CpeCounters> ran(logical.size());
+  std::vector<char> done(logical.size(), 0);
+  std::atomic<std::size_t> next{0};
+  const auto claim = [&](std::size_t) {
+    for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+         k < logical.size(); k = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        ran[k] = execute(logical[k]);
+        done[k] = 1;
+      } catch (...) {
+        next.store(logical.size(), std::memory_order_relaxed);
+        throw;
+      }
+    }
+  };
+  const std::size_t n_threads =
+      fault::FaultInjector::instance().armed()
+          ? 1
+          : std::min(threads::hardware_threads(), logical.size());
+  std::exception_ptr error;
+  try {
+    if (n_threads <= 1) {
+      claim(0);
+    } else {
+      threads::fork_join(n_threads, claim);
+    }
+  } catch (...) {
+    error = std::current_exception();
+  }
+  for (std::size_t k = 0; k < logical.size(); ++k) {
+    if (done[k]) counters_[charge_to[logical[k]]] += ran[k];
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void CpeCluster::reset() {

@@ -16,9 +16,10 @@
 // Functional execution model of one core group's CPE cluster. Kernels are
 // written against CpeContext — LDM allocation with the real 256 KB limit,
 // DMA get/put with operation counting, explicit flop charging — and run for
-// every logical CPE. The numerics are produced on the host; the counters
-// feed the cost model, which converts them into modeled Sunway time per
-// optimization variant.
+// every logical CPE. The numerics are produced on the host, with the
+// logical CPEs spread over the host's cores; the counters feed the cost
+// model, which converts them into modeled Sunway time per optimization
+// variant.
 //
 // Fault tolerance: DMA transfers retry on injected engine failures
 // (sunway.dma.fail, bounded, each failed attempt still charged), and a CPE
@@ -178,6 +179,14 @@ class CpeCluster {
   // run() calls until reset(). A CPE the injector kills (sunway.cpe.death)
   // is skipped permanently; its logical runs are adopted by survivors and
   // charged to the adopter's counters.
+  //
+  // The logical CPEs run on up to hardware_threads() host threads, each
+  // claiming the next unrun one, so a body must write only its own slice
+  // of shared output. Counters merge after the join in a fixed order
+  // (alive ids, then adopted dead ids), so per-CPE counters and totals are
+  // bitwise those of a serial launch. While the fault injector is armed a
+  // launch runs serially on the calling thread. A throw on any CPE is
+  // rethrown here once every thread has joined.
   // The named overload attributes checker violations to `name` (kernel1,
   // kernel2, n1, H1, ...).
   void run(const std::function<void(CpeContext&)>& kernel);

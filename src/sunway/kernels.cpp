@@ -355,7 +355,6 @@ KernelWorkload run_hamiltonian_batches(CpeCluster& cluster,
       ctx.charge_rma(static_cast<double>(sh.n_fns * sh.n_fns) *
                      1.5 * sizeof(double));
       ctx.charge_flops(static_cast<double>(sh.n_fns * sh.n_fns));
-      elements += 0.0;
     }
   });
   for (const BatchShape& sh : batches) {

@@ -1,6 +1,8 @@
 #include "grid/ylm.hpp"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -43,7 +45,9 @@ TEST(Ylm, NorthPoleIsFinite) {
   // Only m = 0 components survive at the pole.
   for (int l = 1; l <= 8; ++l) {
     for (int m = -l; m <= l; ++m) {
-      if (m != 0) EXPECT_NEAR(y[lm_index(l, m)], 0.0, 1e-12);
+      if (m != 0) {
+        EXPECT_NEAR(y[lm_index(l, m)], 0.0, 1e-12);
+      }
     }
   }
 }
@@ -149,6 +153,35 @@ TEST(RealYlm, LowerLmaxIsBitwisePrefix) {
           EXPECT_EQ(lo[i], hi[i])
               << "l=" << l << " L=" << big << " u=" << u << " i=" << i;
         }
+      }
+    }
+  }
+}
+
+TEST(RealYlm, PointerFormIsBitwiseTheVectorForm) {
+  // The per-point hot loops write into caller storage through the pointer
+  // form. It must give the vector form's bits and write exactly n_lm(l)
+  // entries, on one workspace reused across rising and falling lmax.
+  const std::vector<Vec3> dirs = {{0.3, -0.4, 0.87},  {0.0, 0.0, 1.0},
+                                  {0.0, 0.0, -2.5},   {-1.2, 0.5, -0.1},
+                                  {0.0, 2.0, 0.0},    {1e-9, -3e-9, 0.2},
+                                  {0.0, 0.0, 0.0}};
+  const double sentinel = std::numeric_limits<double>::quiet_NaN();
+  YlmWorkspace ws;
+  for (const Vec3& u : dirs) {
+    for (int l : {0, 3, 8, 1, 5, 2, 7, 4, 6}) {
+      std::vector<double> out(n_lm(8) + 1, sentinel);
+      real_ylm(u, l, out.data(), ws);
+      YlmWorkspace fresh;
+      std::vector<double> ref;
+      real_ylm(u, l, ref, fresh);
+      ASSERT_EQ(ref.size(), n_lm(l));
+      EXPECT_EQ(std::memcmp(out.data(), ref.data(),
+                            ref.size() * sizeof(double)),
+                0)
+          << "l=" << l << " u=" << u;
+      for (std::size_t i = ref.size(); i < out.size(); ++i) {
+        EXPECT_TRUE(std::isnan(out[i])) << "wrote past n_lm(" << l << ")";
       }
     }
   }

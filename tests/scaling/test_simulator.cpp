@@ -102,7 +102,7 @@ TEST(Simulator, MoreGroupsRaiseContention) {
 TEST(Simulator, RejectsBadInput) {
   EXPECT_THROW(ScalabilitySimulator(rbd_job(), sunway_machine(), 0), Error);
   const ScalabilitySimulator sim(rbd_job(), sunway_machine());
-  EXPECT_THROW(sim.simulate(0), Error);
+  EXPECT_THROW(static_cast<void>(sim.simulate(0)), Error);
   EXPECT_THROW(sim.strong_scaling({}), Error);
 }
 

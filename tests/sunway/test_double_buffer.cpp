@@ -86,11 +86,14 @@ TEST(Pipeline, ReplyWordProtocol) {
   if (check::enabled()) {
     // Checked mode (SWRAMAN_CHECK=1) genuinely defers: the reply word
     // advances when dma_wait materializes the transfer, and a wait that
-    // exceeds the issued count is an unreachable-wait violation.
+    // exceeds the issued count is an unreachable-wait violation. The scope
+    // takes that planted violation out of the tally again on exit.
+    const check::ScopedChecking planted;
     EXPECT_EQ(reply.value, 0);
     EXPECT_NO_THROW(dma_wait(reply, 1));
     EXPECT_EQ(reply.value, 1);
     EXPECT_THROW(dma_wait(reply, 2), Error);
+    EXPECT_EQ(check::violation_counts().count("dma.wait_unreachable"), 1u);
     dma_put_async(ctx, tile, host.data(), 8, reply);
     EXPECT_NO_THROW(dma_wait(reply, 2));
     EXPECT_EQ(reply.value, 2);
