@@ -26,6 +26,11 @@
 // the largest size, and the largest cluster must run >= 1.5x faster
 // under FMM.
 //
+// The FMM's M2L and P2P run on every host core through the CPE model's
+// dispatch, while the Direct evaluation runs on one, so `speedup` and
+// `crossover_atoms` compare an N-core FMM with a 1-core Direct; every
+// record carries that N as `host_threads`.
+//
 // --json writes swraman-bench-v1 records (one per cluster size plus a
 // crossover summary) consumed by scripts/check_perf_json.py.
 
@@ -40,6 +45,7 @@
 
 #include "common/constants.hpp"
 #include "common/logging.hpp"
+#include "common/threads.hpp"
 #include "core/molecules.hpp"
 #include "fmm/backend.hpp"
 
@@ -135,6 +141,7 @@ SizeResult run_size(std::size_t n_molecules, int lmax,
 
 void write_json(const std::string& path, const std::vector<SizeResult>& runs,
                 std::size_t crossover_atoms, double speedup_at_max) {
+  const std::size_t host_threads = threads::hardware_threads();
   std::ofstream out(path);
   out << "{\n  \"schema\": \"swraman-bench-v1\",\n"
       << "  \"bench\": \"fmm_crossover\",\n  \"records\": [\n";
@@ -145,11 +152,13 @@ void write_json(const std::string& path, const std::vector<SizeResult>& runs,
         << ", \"speedup\": " << r.speedup
         << ", \"m2l_pairs\": " << r.m2l_pairs
         << ", \"p2p_pairs\": " << r.p2p_pairs
-        << ", \"max_rel_err\": " << r.max_rel_err << "},\n";
+        << ", \"max_rel_err\": " << r.max_rel_err
+        << ", \"host_threads\": " << host_threads << "},\n";
   }
   out << "    {\"series\": \"crossover\", \"crossover_atoms\": "
       << crossover_atoms << ", \"speedup_at_max\": " << speedup_at_max
-      << ", \"max_atoms\": " << runs.back().atoms << "}\n  ]\n}\n";
+      << ", \"max_atoms\": " << runs.back().atoms
+      << ", \"host_threads\": " << host_threads << "}\n  ]\n}\n";
   std::printf("wrote %s\n", path.c_str());
 }
 

@@ -112,12 +112,23 @@ def check_tiers_record(path: str, i: int, r: dict) -> None:
             _finite_nonneg(path, where, r, key)
 
 
+def _host_threads(path: str, where: str, r: dict) -> None:
+    """bench_fmm_crossover pits an all-core FMM against a one-core
+    Direct, so its ratios mean nothing without the core count."""
+    v = r.get("host_threads")
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        fail(f"{path}: {where} host_threads must be a positive integer "
+             f"(the FMM side runs on that many cores, Direct on one)")
+
+
 def check_fmm_cluster_record(path: str, i: int, r: dict,
                              prev_atoms: int) -> int:
     """One cluster-size row of bench_fmm_crossover: positive sizes that
     strictly grow across the series, finite timings, a speedup consistent
-    with them, a live far field (M2L pairs), and a sane relative error."""
+    with them, a live far field (M2L pairs), a sane relative error, and
+    the host thread count the FMM side ran on."""
     where = f"records[{i}]"
+    _host_threads(path, where, r)
     for key in ("molecules", "atoms", "points", "m2l_pairs", "p2p_pairs"):
         v = r.get(key)
         if isinstance(v, bool) or not isinstance(v, int) or v < 0:
@@ -148,6 +159,7 @@ def check_fmm_crossover_record(path: str, i: int, r: dict,
     exist (the O(N) claim), the largest cluster must win under FMM, and
     the summary must agree with the cluster rows it summarizes."""
     where = f"records[{i}]"
+    _host_threads(path, where, r)
     for key in ("crossover_atoms", "max_atoms"):
         v = r.get(key)
         if isinstance(v, bool) or not isinstance(v, int) or v < 0:

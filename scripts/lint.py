@@ -178,8 +178,8 @@ def check_std_endl() -> list[str]:
 
 # The only files allowed to construct std::thread directly: the serve
 # worker pool (owns lifecycle, joins in stop()) and the common thread
-# helpers (one fork-join behind run_spmd and CpeCluster::run, plus the
-# joined iallreduce thread).
+# helpers (the fork-join behind run_spmd, CpeCluster::run and the Raman
+# geometry loops, plus the joined iallreduce thread).
 THREAD_HOMES = {
     SRC / "serve" / "pool.cpp",
     SRC / "serve" / "pool.hpp",

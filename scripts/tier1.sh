@@ -11,7 +11,8 @@
 # under TSan (the metrics registry claims lock-free counters, the serve
 # pool race-free work stealing, the CPE dispatch race-free kernel bodies,
 # the Hartree context race-free shared solves; this is where we prove
-# them; plus the concurrent SCF grid-pass test),
+# them; plus the concurrent SCF grid-pass test, the nested fork-join
+# tests and the concurrent displaced-geometry Raman loops),
 # and the serve, obs, hartree and grid suites plus the SCF grid-pass
 # reference tests under UBSan.
 # Set SWRAMAN_SANITIZE=undefined to swap the robustness pass to UBSan,
@@ -192,17 +193,29 @@ if [ "${SANITIZER}" != "none" ]; then
         test_robustness
   "./build-${SANITIZER}/tests/test_robustness"
 
-  echo "== tier-1: obs + parallel + serve + sunway + fmm + hartree (+ scf grid passes) under -fsanitize=thread =="
+  echo "== tier-1: obs + parallel + serve + sunway + fmm + hartree (+ scf grid passes, level-1 raman loops) under -fsanitize=thread =="
   # Bench stays ON here (only the chaos target is built): the sharded
   # tier's kill/replay interleavings are exactly what TSan must see.
   cmake -B build-thread -S . \
         -DSWRAMAN_SANITIZE=thread \
         -DSWRAMAN_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-thread -j "${JOBS}" --target test_obs test_parallel \
-        test_serve test_sunway test_fmm test_hartree test_scf \
-        bench_serve_chaos
+        test_serve test_sunway test_fmm test_hartree test_scf test_common \
+        test_raman bench_serve_chaos
   ./build-thread/tests/test_obs
   ./build-thread/tests/test_parallel
+  # The thread budget: a fork_join or claim_each inside a task runs inline
+  # on that thread, run_dedicated keeps one real thread per SPMD rank, and
+  # claim_each hands back the lowest failing index only after every call
+  # has returned.
+  ./build-thread/tests/test_common \
+    --gtest_filter='ForkJoin.*:ClaimEach.*:RunDedicated.*:Joinable.*'
+  # Level 1: energy_hessian, the displaced-geometry d(alpha)/dR loop and
+  # the BEC field stencil solve on every core. Their engines share only
+  # the equilibrium density, the ForceEvaluator's sibling engines and the
+  # checkpoint (written under a lock); the results must stay bitwise those
+  # of the serial loop. H2 in a minimal basis on a coarse grid, for time.
+  ./build-thread/tests/test_raman --gtest_filter='GeometryParallel.*'
   # CpeCluster::run spreads the logical CPEs over host threads: every
   # kernel body (kernel1, kernel2, n1, H1 and the test kernels) must write
   # only its own slice.

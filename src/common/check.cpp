@@ -164,6 +164,15 @@ void reset_for_testing() {
   lockcheck::detail::reset_graph();
 }
 
+void detail::restore_tally(
+    const std::map<std::string, std::uint64_t>& by_rule) {
+  Tally& t = tally();
+  const std::scoped_lock lock(t.mutex);
+  t.by_rule = by_rule;
+  t.total = 0;
+  for (const auto& [rule, n] : by_rule) t.total += n;
+}
+
 void install_obs_sinks(const ObsSinks& sinks) {
   Tally& t = tally();
   const std::scoped_lock lock(t.mutex);

@@ -103,11 +103,19 @@ struct Reentry {
 };
 }  // namespace detail
 
-// RAII enable/disable for tests; restores the previous state and clears
-// tally + lock graph on both ends so violations never leak across cases.
+namespace detail {
+// Replaces the tally with `by_rule` (its total is their sum).
+void restore_tally(const std::map<std::string, std::uint64_t>& by_rule);
+}  // namespace detail
+
+// RAII enable/disable for tests. Clears tally + lock graph on entry, so a
+// case sees only its own violations; on exit restores the previous gate
+// and the tally from before entry, so violations never leak out of a case
+// and one raised before the scope still reaches a binary's exit summary.
 class ScopedChecking {
  public:
-  explicit ScopedChecking(bool on = true) : prev_(enabled()) {
+  explicit ScopedChecking(bool on = true)
+      : prev_(enabled()), outer_(violation_counts()) {
     reset_for_testing();
     set_enabled(on);
   }
@@ -116,10 +124,12 @@ class ScopedChecking {
   ~ScopedChecking() {
     set_enabled(prev_);
     reset_for_testing();
+    detail::restore_tally(outer_);
   }
 
  private:
   bool prev_;
+  std::map<std::string, std::uint64_t> outer_;
 };
 
 }  // namespace swraman::check

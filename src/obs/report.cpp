@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "common/logging.hpp"
@@ -74,7 +75,9 @@ std::string attrs_json(const std::vector<Attr>& attrs) {
 std::vector<PhaseNode> aggregate_phases(
     const std::vector<SpanRecord>& spans) {
   std::map<std::string, PhaseNode> by_path;
+  std::set<std::pair<std::string, std::uint32_t>> path_on_tid;
   for (const SpanRecord& s : spans) {
+    path_on_tid.emplace(s.path, s.tid);
     PhaseNode& node = by_path[s.path];
     if (node.count == 0) {
       node.path = s.path;
@@ -90,13 +93,22 @@ std::vector<PhaseNode> aggregate_phases(
     }
   }
 
-  // Self time: wall minus the wall of direct children.
+  // Self time: wall minus the wall of direct children that ran on the
+  // parent's thread. A child span whose thread never opened its parent's
+  // path was forked off to another thread; it overlaps the parent instead
+  // of nesting inside its time.
+  std::map<std::string, double> nested_wall_s;  // by child path
+  for (const SpanRecord& s : spans) {
+    const std::size_t cut = s.path.rfind('/');
+    if (cut != std::string::npos &&
+        path_on_tid.count({s.path.substr(0, cut), s.tid}) != 0) {
+      nested_wall_s[s.path] += 1e-9 * static_cast<double>(s.dur_ns);
+    }
+  }
   for (auto& [path, node] : by_path) node.self_s = node.wall_s;
-  for (auto& [path, node] : by_path) {
-    const std::size_t cut = path.rfind('/');
-    if (cut == std::string::npos) continue;
-    const auto parent = by_path.find(path.substr(0, cut));
-    if (parent != by_path.end()) parent->second.self_s -= node.wall_s;
+  for (const auto& [path, wall_s] : nested_wall_s) {
+    const auto parent = by_path.find(path.substr(0, path.rfind('/')));
+    if (parent != by_path.end()) parent->second.self_s -= wall_s;
   }
 
   // Depth-first order: children follow their parent, siblings by first

@@ -32,7 +32,11 @@ struct PhaseNode {
   std::uint32_t depth = 0;
   std::uint64_t count = 0;     // spans aggregated (instants included)
   double wall_s = 0.0;         // summed duration
-  double self_s = 0.0;         // wall minus direct children's wall
+  // Wall minus the wall of direct children that ran on the same thread.
+  // A child on another thread (a task forked under this span) runs
+  // alongside it, so it is not subtracted; the nodes below a fork then sum
+  // thread-seconds, which can exceed the wall time of their parent.
+  double self_s = 0.0;
   std::uint64_t first_start_ns = 0;  // earliest occurrence (tree ordering)
   std::map<std::string, double> attr_sums;  // numeric attrs, summed
 };

@@ -6,6 +6,7 @@
 
 #include "common/lockcheck.hpp"
 #include "common/logging.hpp"
+#include "common/threads.hpp"
 #include "obs/flight.hpp"
 #include "obs/report.hpp"
 
@@ -39,12 +40,20 @@ constexpr std::size_t kMaxSpans = std::size_t{1} << 22;
 
 struct Tls {
   std::uint32_t tid = 0;
-  std::vector<SpanRecord> stack;  // active spans, index == depth
+  std::vector<SpanRecord> stack;  // active spans, index == depth - base
+  // Span the forking thread had open when it started this thread (a
+  // threads:: task); spans opened with an empty stack nest under it.
+  std::string parent_path;
+  std::uint32_t base_depth = 0;  // depth of a span opened on an empty stack
 };
 
 Tls& tls() {
   static std::atomic<std::uint32_t> next{0};
-  thread_local Tls t{next.fetch_add(1, std::memory_order_relaxed), {}};
+  thread_local Tls t = [] {
+    Tls fresh;
+    fresh.tid = next.fetch_add(1, std::memory_order_relaxed);
+    return fresh;
+  }();
   return t;
 }
 
@@ -61,20 +70,44 @@ void commit(SpanRecord&& rec) {
 SpanRecord make_record(Tls& t, const char* name, bool is_instant) {
   SpanRecord rec;
   rec.name = name;
-  rec.path = t.stack.empty() ? rec.name : t.stack.back().path + "/" + rec.name;
-  rec.depth = static_cast<std::uint32_t>(t.stack.size());
+  if (!t.stack.empty()) {
+    rec.path = t.stack.back().path + "/" + rec.name;
+  } else if (!t.parent_path.empty()) {
+    rec.path = t.parent_path + "/" + rec.name;
+  } else {
+    rec.path = rec.name;
+  }
+  rec.depth = t.base_depth + static_cast<std::uint32_t>(t.stack.size());
   rec.tid = t.tid;
   rec.start_ns = now_ns();
   rec.instant = is_instant;
   return rec;
 }
 
+// Fork hooks (threads::ForkHooks): the forking thread hands its innermost
+// open span path to each new task thread, so the task's spans nest under
+// it, as jobtrace's TraceContext carries a parent across the serve tier.
+std::string capture_parent() {
+  if (!enabled()) return {};
+  const Tls& t = tls();
+  return t.stack.empty() ? t.parent_path : t.stack.back().path;
+}
+
+void adopt_parent(const std::string& path) {
+  Tls& t = tls();
+  t.parent_path = path;
+  t.base_depth =
+      1 + static_cast<std::uint32_t>(std::count(path.begin(), path.end(), '/'));
+}
+
 // Reads SWRAMAN_TRACE at static-initialization time so any binary —
 // bench, example, test — can be traced without touching its main(); the
-// registered exit hook writes the configured reports.
+// registered exit hook writes the configured reports. Installs the fork
+// hooks too.
 struct EnvInit {
   EnvInit() {
     state();  // force construction before any atexit callback may run
+    threads::install_fork_hooks({capture_parent, adopt_parent});
     if (env_truthy(std::getenv("SWRAMAN_TRACE"))) {
       set_enabled(true);
       std::atexit(write_env_reports);

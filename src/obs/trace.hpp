@@ -14,7 +14,10 @@
 //
 // Spans nest per thread; every record carries its slash-joined ancestry
 // path ("raman.compute/scf.solve/scf.iter"), a stable thread index, and
-// optional key/value attributes (numbers or strings). Sunway kernel spans
+// optional key/value attributes (numbers or strings). A thread started by
+// threads::fork_join / claim_each / run_dedicated inherits the span its
+// forking thread had open: its spans nest under that span's path (and
+// depth) while keeping their own thread index. Sunway kernel spans
 // attach the cost model's modeled cycles and DMA bytes, so the exported
 // reports attribute both wall time and modeled machine time.
 //

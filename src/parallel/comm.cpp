@@ -805,7 +805,9 @@ void run_spmd(std::size_t n_ranks,
               const CommConfig& config) {
   SWRAMAN_REQUIRE(n_ranks >= 1, "run_spmd: need at least one rank");
   auto ctx = std::make_shared<CommContext>(n_ranks, config);
-  threads::fork_join(n_ranks, [&](std::size_t r) {
+  // Ranks block on each other, so each needs a thread of its own even when
+  // run_spmd is called from inside a task.
+  threads::run_dedicated(n_ranks, [&](std::size_t r) {
     Communicator comm(ctx, r);
     fn(comm);
   });

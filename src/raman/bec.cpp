@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/threads.hpp"
 #include "obs/obs.hpp"
 #include "raman/checkpoint.hpp"
 #include "robustness/fault.hpp"
@@ -181,10 +183,6 @@ GeometryRecord BecCalculator::evaluate_field(int idx) {
   scf::ScfOptions opts = options_.vibrations.scf;
   const Vec3 field = field_vector(idx, options_.field_strength);
   opts.electric_field = field;
-  if (!forces_) {
-    forces_ = std::make_unique<scf::ForceEvaluator>(atoms_,
-                                                    options_.vibrations.scf);
-  }
   const int attempts = std::max(1, options_.field_attempts);
   for (int attempt = 1;; ++attempt) {
     try {
@@ -196,7 +194,7 @@ GeometryRecord BecCalculator::evaluate_field(int idx) {
       for (int i = 0; i < 3; ++i) {
         rec.dipole[static_cast<std::size_t>(i)] = gs.dipole[i];
       }
-      ++n_field_forces_;
+      n_field_forces_.fetch_add(1, std::memory_order_relaxed);
       return rec;
     } catch (const FaultInjected&) {
       throw;  // a simulated hard failure (process kill) must propagate
@@ -221,24 +219,45 @@ std::vector<GeometryRecord> BecCalculator::field_records() {
                       options_.field_strength);
   }
   std::vector<GeometryRecord> records(static_cast<std::size_t>(n));
+  std::vector<int> missing;
   for (int idx = 0; idx < n; ++idx) {
     if (const GeometryRecord* stored =
             ckpt.lookup(static_cast<std::size_t>(idx), 0)) {
       records[static_cast<std::size_t>(idx)] = *stored;
       obs::count("checkpoint.hits");
-      continue;
+    } else {
+      missing.push_back(idx);
     }
+  }
+  // The displaced sibling engines are shared by every field point; build
+  // them once, before the fan-out, and only when a point is missing (a
+  // fully checkpointed resume never pays for them).
+  if (!missing.empty() && !forces_) {
+    forces_ = std::make_unique<scf::ForceEvaluator>(atoms_,
+                                                    options_.vibrations.scf);
+  }
+
+  // The field points are independent: they run concurrently, one per
+  // claim, in stencil order, and each record becomes durable as its point
+  // finishes (replay is keyed per stencil index).
+  std::mutex ckpt_mutex;
+  threads::claim_each(missing.size(), geometry_threads(), [&](std::size_t k) {
+    const int idx = missing[k];
     obs::count("checkpoint.misses");
-    records[static_cast<std::size_t>(idx)] = evaluate_field(idx);
-    ckpt.record(static_cast<std::size_t>(idx), 0,
-                records[static_cast<std::size_t>(idx)]);
+    GeometryRecord& rec = records[static_cast<std::size_t>(idx)];
+    rec = evaluate_field(idx);
+    {
+      const std::scoped_lock lock(ckpt_mutex);
+      ckpt.record(static_cast<std::size_t>(idx), 0, rec);
+    }
     // Simulated mid-loop process death: fires only on freshly computed
     // field points, after their checkpoint record is durable — the same
-    // crash window the displacement pipeline's kRamanKill covers.
+    // crash window the displacement pipeline's kRamanKill covers. An armed
+    // injector keeps this loop serial.
     if (fault::should_fire(fault::kBecKill)) {
       fault::FaultInjector::raise(fault::kBecKill);
     }
-  }
+  });
   return records;
 }
 

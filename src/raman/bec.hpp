@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -122,7 +123,10 @@ class BecCalculator {
     return dmu_;
   }
 
-  // Evaluates (or replays from the checkpoint) all 13 field records.
+  // Evaluates (or replays from the checkpoint) all 13 field records. The
+  // missing points run concurrently on geometry_threads() threads; the
+  // records are bitwise those of a serial loop, and a failure rethrows the
+  // error of the lowest failing stencil index once every point finished.
   [[nodiscard]] std::vector<GeometryRecord> field_records();
 
   // Equilibrium polarizability via the finite-field dipole derivative.
@@ -130,7 +134,9 @@ class BecCalculator {
 
   // Finite-field force evaluations actually performed by this calculator
   // (checkpointed field points skipped on resume do not count).
-  [[nodiscard]] int n_field_forces() const { return n_field_forces_; }
+  [[nodiscard]] int n_field_forces() const {
+    return n_field_forces_.load(std::memory_order_relaxed);
+  }
 
  private:
   // One field point, with bounded retry on transient failures.
@@ -139,12 +145,13 @@ class BecCalculator {
   std::vector<grid::AtomSite> atoms_;
   BecOptions options_;
   linalg::Matrix dmu_;
-  // Built lazily on the first fresh field evaluation (a fully
-  // checkpointed resume never pays for the displaced engines) and shared
-  // by all 13 stencil points — the displaced geometries are
-  // field-independent.
+  // Built by field_records() before its fan-out, only when a point is
+  // missing (a fully checkpointed resume never pays for the displaced
+  // engines), and shared read-only by all 13 stencil points — the
+  // displaced geometries are field-independent.
   std::unique_ptr<scf::ForceEvaluator> forces_;
-  int n_field_forces_ = 0;
+  // Bumped by the concurrent field evaluations.
+  std::atomic<int> n_field_forces_{0};
 };
 
 }  // namespace swraman::raman

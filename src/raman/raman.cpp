@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "common/constants.hpp"
 #include "common/elements.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/threads.hpp"
 #include "obs/obs.hpp"
 #include "raman/checkpoint.hpp"
 #include "robustness/fault.hpp"
@@ -73,31 +75,54 @@ linalg::Matrix RamanCalculator::polarizability_derivatives() {
   if (!options_.checkpoint_path.empty()) {
     ckpt = Checkpoint(options_.checkpoint_path, atoms_, d);
   }
-  for (std::size_t coord = 0; coord < n; ++coord) {
-    GeometryRecord rec[2];  // index 0: +d, index 1: -d
-    for (int s = 0; s < 2; ++s) {
-      const int sign = s == 0 ? +1 : -1;
-      if (const GeometryRecord* stored = ckpt.lookup(coord, sign)) {
-        rec[s] = *stored;
-        obs::count("checkpoint.hits");
-        continue;
-      }
-      obs::count("checkpoint.misses");
-      rec[s] = evaluate_geometry(coord, sign);
-      ckpt.record(coord, sign, rec[s]);
-      // Simulated mid-pipeline process death: fires only on freshly
-      // computed geometries, after their checkpoint record is durable —
-      // exactly the crash window restart is designed for.
-      if (fault::should_fire(fault::kRamanKill)) {
-        fault::FaultInjector::raise(fault::kRamanKill);
-      }
+
+  // rec[2 * coord + s]: s = 0 for +d, 1 for -d. Checkpointed geometries
+  // replay; the rest are evaluated below.
+  std::vector<GeometryRecord> rec(2 * n);
+  std::vector<std::size_t> missing;
+  for (std::size_t slot = 0; slot < 2 * n; ++slot) {
+    const int sign = slot % 2 == 0 ? +1 : -1;
+    if (const GeometryRecord* stored = ckpt.lookup(slot / 2, sign)) {
+      rec[slot] = *stored;
+      obs::count("checkpoint.hits");
+    } else {
+      missing.push_back(slot);
     }
+  }
+
+  // Level 1: the missing geometries are independent, so they run
+  // concurrently, one per claim, in the serial order. Each record becomes
+  // durable as its geometry finishes; replay is keyed per (coord, sign),
+  // so the order records reach the file does not matter.
+  std::mutex ckpt_mutex;
+  threads::claim_each(missing.size(), geometry_threads(), [&](std::size_t k) {
+    const std::size_t slot = missing[k];
+    const std::size_t coord = slot / 2;
+    const int sign = slot % 2 == 0 ? +1 : -1;
+    obs::count("checkpoint.misses");
+    rec[slot] = evaluate_geometry(coord, sign);
+    {
+      const std::scoped_lock lock(ckpt_mutex);
+      ckpt.record(coord, sign, rec[slot]);
+    }
+    // Simulated mid-pipeline process death: fires only on freshly
+    // computed geometries, after their checkpoint record is durable —
+    // exactly the crash window restart is designed for. An armed injector
+    // keeps this loop serial, so the kill lands where it would serially.
+    if (fault::should_fire(fault::kRamanKill)) {
+      fault::FaultInjector::raise(fault::kRamanKill);
+    }
+  });
+
+  for (std::size_t coord = 0; coord < n; ++coord) {
+    const GeometryRecord& plus = rec[2 * coord];
+    const GeometryRecord& minus = rec[2 * coord + 1];
     for (std::size_t i = 0; i < 3; ++i) {
       for (std::size_t j = 0; j < 3; ++j) {
         deriv(coord, 3 * i + j) =
-            (rec[0].alpha[3 * i + j] - rec[1].alpha[3 * i + j]) / (2.0 * d);
+            (plus.alpha[3 * i + j] - minus.alpha[3 * i + j]) / (2.0 * d);
       }
-      dmu_(coord, i) = (rec[0].dipole[i] - rec[1].dipole[i]) / (2.0 * d);
+      dmu_(coord, i) = (plus.dipole[i] - minus.dipole[i]) / (2.0 * d);
     }
   }
   return deriv;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -71,7 +72,10 @@ class RamanCalculator {
   // of the flattened 3x3 polarizability (step 2 alone, exposed for tests
   // and for the geometry-parallel scaling model). Also accumulates the
   // dipole derivatives d(mu)/dR from the same displaced SCF solutions,
-  // giving IR intensities for free.
+  // giving IR intensities for free. The 6N geometries run concurrently on
+  // geometry_threads() threads (the paper's level 1); the result is
+  // bitwise that of a serial loop, and a failure rethrows the error of the
+  // first failing geometry in serial order once every solve has finished.
   [[nodiscard]] linalg::Matrix polarizability_derivatives();
 
   // d(mu)/dR (3N x 3), valid after polarizability_derivatives()/compute().
@@ -82,7 +86,7 @@ class RamanCalculator {
   // DFPT polarizability evaluations actually performed by this calculator
   // (checkpointed geometries that were skipped on resume do not count).
   [[nodiscard]] int n_polarizabilities() const {
-    return n_polarizabilities_;
+    return n_polarizabilities_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -96,7 +100,8 @@ class RamanCalculator {
   std::vector<grid::AtomSite> atoms_;
   RamanOptions options_;
   linalg::Matrix dmu_;
-  int n_polarizabilities_ = 0;
+  // Bumped by the concurrent displaced-geometry evaluations.
+  std::atomic<int> n_polarizabilities_{0};
 };
 
 // Steps 3 + 4 of the pipeline as a free function: contract d(alpha)/dR

@@ -5,7 +5,9 @@
 #include "common/constants.hpp"
 #include "common/elements.hpp"
 #include "common/error.hpp"
+#include "common/threads.hpp"
 #include "linalg/eigen.hpp"
+#include "robustness/fault.hpp"
 
 namespace swraman::raman {
 
@@ -29,6 +31,12 @@ std::vector<grid::AtomSite> displaced(const std::vector<grid::AtomSite>& atoms,
 
 }  // namespace
 
+std::size_t geometry_threads() {
+  return fault::FaultInjector::instance().armed()
+             ? 1
+             : threads::hardware_threads();
+}
+
 linalg::Matrix energy_hessian(const std::vector<grid::AtomSite>& atoms,
                               const VibrationOptions& options) {
   const std::size_t n = 3 * atoms.size();
@@ -37,33 +45,60 @@ linalg::Matrix energy_hessian(const std::vector<grid::AtomSite>& atoms,
   linalg::Matrix h(n, n);
 
   // Equilibrium solution; its density matrix seeds every displaced SCF.
-  scf::ScfEngine eq_engine(atoms, options.scf);
-  const scf::GroundState eq = eq_engine.solve();
+  scf::GroundState eq;
+  {
+    scf::ScfEngine eq_engine(atoms, options.scf);
+    eq = eq_engine.solve();
+  }
   SWRAMAN_REQUIRE(eq.converged, "energy_hessian: SCF did not converge");
   const double e0 = eq.total_energy;
   const linalg::Matrix* restart = &eq.density;
 
-  // Diagonal: E(+d) + E(-d) - 2 E0.
-  std::vector<double> e_plus(n);
-  std::vector<double> e_minus(n);
+  // The displaced solves in serial order: per coordinate i the diagonal
+  // pair E(+d e_i), E(-d e_i), then per pair j < i the 4-point set
+  // E(++), E(--), E(+-), E(-+). One solve moves coordinate a by step_a,
+  // then coordinate b by step_b when b < n.
+  struct Solve {
+    std::size_t a;
+    double step_a;
+    std::size_t b;
+    double step_b;
+  };
+  std::vector<Solve> solves;
+  solves.reserve(2 * n * n);
   for (std::size_t i = 0; i < n; ++i) {
-    e_plus[i] = scf_energy(displaced(atoms, i, d), options.scf, restart);
-    e_minus[i] = scf_energy(displaced(atoms, i, -d), options.scf, restart);
-    h(i, i) = (e_plus[i] + e_minus[i] - 2.0 * e0) / (d * d);
+    solves.push_back({i, d, n, 0.0});
+    solves.push_back({i, -d, n, 0.0});
   }
-
-  // Off-diagonal: 4-point formula.
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < i; ++j) {
-      const double epp = scf_energy(
-          displaced(displaced(atoms, i, d), j, d), options.scf, restart);
-      const double emm = scf_energy(
-          displaced(displaced(atoms, i, -d), j, -d), options.scf, restart);
-      const double epm = scf_energy(
-          displaced(displaced(atoms, i, d), j, -d), options.scf, restart);
-      const double emp = scf_energy(
-          displaced(displaced(atoms, i, -d), j, d), options.scf, restart);
-      const double v = (epp + emm - epm - emp) / (4.0 * d * d);
+      solves.push_back({i, d, j, d});
+      solves.push_back({i, -d, j, -d});
+      solves.push_back({i, d, j, -d});
+      solves.push_back({i, -d, j, d});
+    }
+  }
+
+  // Level 1: every solve is seeded from the same equilibrium density, so
+  // its energy does not depend on the schedule; they run concurrently and
+  // the Hessian is assembled below in the serial order, bitwise.
+  std::vector<double> e(solves.size());
+  threads::claim_each(solves.size(), geometry_threads(), [&](std::size_t k) {
+    const Solve& s = solves[k];
+    std::vector<grid::AtomSite> moved = displaced(atoms, s.a, s.step_a);
+    if (s.b < n) moved = displaced(moved, s.b, s.step_b);
+    e[k] = scf_energy(std::move(moved), options.scf, restart);
+  });
+
+  // Diagonal: E(+d) + E(-d) - 2 E0.
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < n; ++i, k += 2) {
+    h(i, i) = (e[k] + e[k + 1] - 2.0 * e0) / (d * d);
+  }
+  // Off-diagonal: 4-point formula.
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j, k += 4) {
+      const double v = (e[k] + e[k + 1] - e[k + 2] - e[k + 3]) / (4.0 * d * d);
       h(i, j) = v;
       h(j, i) = v;
     }

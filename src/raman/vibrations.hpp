@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -19,9 +20,19 @@ struct VibrationOptions {
   bool project_rigid_body = true;
 };
 
+// Threads the displaced-geometry loops run on, which is also how many
+// engines live at once (energy_hessian, RamanCalculator and BecCalculator;
+// the paper's level 1): every host core, or 1 while the fault injector is
+// armed, since its replay contract fixes the order of site visits.
+// threads::claim_each runs them serially anyway inside another task.
+[[nodiscard]] std::size_t geometry_threads();
+
 // 3N x 3N Cartesian Hessian (Hartree / Bohr^2) by central finite
 // differences of the total energy: 1 + 6N + 4*C(3N,2) SCF solutions. Every
-// displaced SCF restarts from the equilibrium density matrix.
+// displaced SCF restarts from the equilibrium density matrix, so after the
+// equilibrium solve the displaced ones run concurrently on
+// geometry_threads() threads; the result is bitwise that of a serial loop,
+// and a failing solve rethrows the error of the first one in serial order.
 linalg::Matrix energy_hessian(const std::vector<grid::AtomSite>& atoms,
                               const VibrationOptions& options);
 

@@ -77,7 +77,9 @@ void CpeCluster::run(const char* name,
   // bitwise those of a serial launch. A throw stops further claims; the
   // CPEs that finished are charged, then it is rethrown. While the
   // injector is armed, which CPE sees the next sunway.dma.fail visit is
-  // part of its replay contract, so the launch runs serially here.
+  // part of its replay contract, so the launch runs serially here. Inside
+  // a task (a displaced-geometry solve, an SPMD rank) the outer level
+  // holds the cores, so the launch runs serially there too.
   std::vector<CpeCounters> ran(logical.size());
   std::vector<char> done(logical.size(), 0);
   std::atomic<std::size_t> next{0};
@@ -94,7 +96,7 @@ void CpeCluster::run(const char* name,
     }
   };
   const std::size_t n_threads =
-      fault::FaultInjector::instance().armed()
+      fault::FaultInjector::instance().armed() || threads::in_task()
           ? 1
           : std::min(threads::hardware_threads(), logical.size());
   std::exception_ptr error;

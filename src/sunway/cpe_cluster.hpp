@@ -184,8 +184,10 @@ class CpeCluster {
   // claiming the next unrun one, so a body must write only its own slice
   // of shared output. Counters merge after the join in a fixed order
   // (alive ids, then adopted dead ids), so per-CPE counters and totals are
-  // bitwise those of a serial launch. While the fault injector is armed a
-  // launch runs serially on the calling thread. A throw on any CPE is
+  // bitwise those of a serial launch. While the fault injector is armed,
+  // or when called from inside a threads:: task (the outer parallel level
+  // already holds the cores), a launch runs serially on the calling
+  // thread. A throw on any CPE is
   // rethrown here once every thread has joined.
   // The named overload attributes checker violations to `name` (kernel1,
   // kernel2, n1, H1, ...).

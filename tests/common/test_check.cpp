@@ -53,6 +53,24 @@ TEST(CheckCore, ScopedCheckingRestoresGateAndClearsTally) {
   EXPECT_TRUE(check::violation_counts().empty());
 }
 
+TEST(CheckCore, ViolationRaisedBeforeAScopeSurvivesIt) {
+  // A checked run's exit summary must still see a violation raised
+  // before a later case opens and closes its own scope.
+  const ScopedChecking outer;
+  check::note("test.planted", "raised before the inner scope");
+  {
+    const ScopedChecking inner;
+    EXPECT_EQ(check::total_violations(), 0u);  // the case sees only its own
+    check::note("test.inner", "scope-local");
+  }
+  EXPECT_EQ(check::total_violations(), 1u);
+  const auto counts = check::violation_counts();
+  EXPECT_EQ(counts.size(), 1u);
+  EXPECT_EQ(counts.count("test.planted"), 1u);
+  EXPECT_NE(check::summary_json().find("\"test.planted\":1"),
+            std::string::npos);
+}
+
 TEST(CheckCore, LocationsAreRepoRelative) {
   EXPECT_EQ(check::trim_path("/home/u/swraman/src/serve/service.hpp"),
             "src/serve/service.hpp");

@@ -60,6 +60,35 @@ TEST_F(ReportTest, SelfTimeExcludesChildren) {
   EXPECT_DOUBLE_EQ(iter.self_s, iter.wall_s);  // leaf: self == wall
 }
 
+TEST_F(ReportTest, SelfTimeSubtractsOnlyChildrenOnTheParentsThread) {
+  // A parent on thread 0 forks: one child ran on its own thread (nested
+  // in its time), two ran on task threads 1 and 2 alongside it.
+  const auto span = [](const char* name, const char* path, std::uint32_t tid,
+                       std::uint64_t start_ms, std::uint64_t dur_ms) {
+    SpanRecord s;
+    s.name = name;
+    s.path = path;
+    s.tid = tid;
+    s.start_ns = start_ms * 1000000;
+    s.dur_ns = dur_ms * 1000000;
+    return s;
+  };
+  const std::vector<SpanRecord> spans = {
+      span("p", "p", 0, 0, 10),      span("c", "p/c", 0, 1, 3),
+      span("c", "p/c", 1, 1, 8),     span("d", "p/d", 2, 1, 9),
+      span("e", "p/d/e", 2, 2, 4),
+  };
+  const std::vector<PhaseNode> phases = aggregate_phases(spans);
+  ASSERT_EQ(phases.size(), 4u);
+  EXPECT_EQ(phases[0].path, "p");
+  EXPECT_NEAR(phases[0].self_s, 0.007, 1e-12);  // 10 - 3 on thread 0
+  EXPECT_EQ(phases[1].path, "p/c");
+  EXPECT_NEAR(phases[1].wall_s, 0.011, 1e-12);  // thread-seconds
+  EXPECT_NEAR(phases[1].self_s, 0.011, 1e-12);
+  EXPECT_EQ(phases[2].path, "p/d");
+  EXPECT_NEAR(phases[2].self_s, 0.005, 1e-12);  // its own child, thread 2
+}
+
 TEST_F(ReportTest, ChromeTraceJsonSchema) {
   record_sample();
   instant("fault.injected", "site", std::string("scf.diverge"));

@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/threads.hpp"
 #include "obs/trace.hpp"
 
 namespace swraman::obs {
@@ -145,6 +146,45 @@ TEST_F(TraceTest, ThreadsGetDistinctIdsAndIndependentStacks) {
   }
   std::sort(tids.begin(), tids.end());
   EXPECT_EQ(std::unique(tids.begin(), tids.end()) - tids.begin(), kThreads);
+}
+
+TEST_F(TraceTest, ForkedTaskSpansNestUnderTheForkingSpan) {
+  const std::uint32_t caller = thread_id();
+  {
+    SWRAMAN_TRACE_SCOPE("raman.hessian");
+    threads::fork_join(3, [](std::size_t) {
+      SWRAMAN_TRACE_SCOPE("scf.solve");
+      { SWRAMAN_TRACE_SCOPE("scf.iter"); }
+    });
+    // The caller's own claims nest as ordinary children.
+    threads::claim_each(4, 2, [](std::size_t) {
+      SWRAMAN_TRACE_SCOPE("raman.geometry");
+    });
+  }
+  // A fork with no span open leaves the task's spans at the root.
+  threads::fork_join(1, [](std::size_t) { SWRAMAN_TRACE_SCOPE("root.task"); });
+
+  const std::vector<SpanRecord> spans = snapshot();
+  ASSERT_EQ(spans.size(), 1u + 3u + 3u + 4u + 1u);
+  for (const SpanRecord& s : spans) {
+    if (s.name == "scf.solve") {
+      EXPECT_EQ(s.path, "raman.hessian/scf.solve");
+      EXPECT_EQ(s.depth, 1u);
+      EXPECT_NE(s.tid, caller);  // keeps the thread it ran on
+    } else if (s.name == "scf.iter") {
+      EXPECT_EQ(s.path, "raman.hessian/scf.solve/scf.iter");
+      EXPECT_EQ(s.depth, 2u);
+    } else if (s.name == "raman.geometry") {
+      EXPECT_EQ(s.path, "raman.hessian/raman.geometry");
+      EXPECT_EQ(s.depth, 1u);
+    } else if (s.name == "root.task") {
+      EXPECT_EQ(s.path, "root.task");
+      EXPECT_EQ(s.depth, 0u);
+    } else {
+      EXPECT_EQ(s.path, "raman.hessian");
+      EXPECT_EQ(s.tid, caller);
+    }
+  }
 }
 
 }  // namespace
