@@ -11,8 +11,9 @@
 # under TSan (the metrics registry claims lock-free counters, the serve
 # pool race-free work stealing, the CPE dispatch race-free kernel bodies,
 # the Hartree context race-free shared solves; this is where we prove
-# them; plus the concurrent SCF grid-pass test, the nested fork-join
-# tests and the concurrent displaced-geometry Raman loops),
+# them; plus the concurrent SCF grid-pass tests, serial and claim-next
+# parallel, the nested fork-join and ordered-commit tests and the
+# concurrent displaced-geometry Raman loops),
 # and the serve, obs, hartree and grid suites plus the SCF grid-pass
 # reference tests under UBSan.
 # Set SWRAMAN_SANITIZE=undefined to swap the robustness pass to UBSan,
@@ -204,12 +205,14 @@ if [ "${SANITIZER}" != "none" ]; then
         test_raman bench_serve_chaos
   ./build-thread/tests/test_obs
   ./build-thread/tests/test_parallel
-  # The thread budget: a fork_join or claim_each inside a task runs inline
+  # The thread budget: a fork_join or claim loop inside a task runs inline
   # on that thread, run_dedicated keeps one real thread per SPMD rank, and
   # claim_each hands back the lowest failing index only after every call
-  # has returned.
+  # has returned. claim_each_ordered commits strictly in index order from
+  # whichever thread completes the prefix, never holds more than its
+  # window uncommitted, and leaves no thread waiting after a throw.
   ./build-thread/tests/test_common \
-    --gtest_filter='ForkJoin.*:ClaimEach.*:RunDedicated.*:Joinable.*'
+    --gtest_filter='ForkJoin.*:ClaimEach.*:ClaimEachOrdered.*:RunDedicated.*:Joinable.*'
   # Level 1: energy_hessian, the displaced-geometry d(alpha)/dR loop and
   # the BEC field stencil solve on every core. Their engines share only
   # the equilibrium density, the ForceEvaluator's sibling engines and the
@@ -229,9 +232,12 @@ if [ "${SANITIZER}" != "none" ]; then
   # threads race the first evaluation of a shared solver.
   ./build-thread/tests/test_hartree
   # One const SCF engine serves concurrent grid passes (the serve workers
-  # share it): their scratch must be per call. Only this test, for time.
+  # share it): their scratch must be per call. On the 12-water cluster
+  # (64 batches) each pass also runs claim-next over its batches on every
+  # core, the integration committed in batch order from a bounded window
+  # of slots. Only these two tests, for time.
   ./build-thread/tests/test_scf \
-    --gtest_filter=ScfEngine.ConcurrentGridPassesOnSharedEngineAreBitwise
+    --gtest_filter='ScfEngine.ConcurrentGridPassesOnSharedEngineAreBitwise:ScfEngine.ConcurrentParallelGridPassesOnSharedClusterAreBitwise'
   # The serve pool/cache/scheduler run their full modeled-engine suite
   # under TSan; the RealEngine end-to-end tests are excluded only for
   # time (SCF under TSan is ~20x slower), not correctness.

@@ -64,10 +64,8 @@ void BasisSet::evaluate(const std::vector<std::size_t>& fn_ids,
                         const Vec3* points, std::size_t n_points,
                         linalg::Matrix& values,
                         linalg::Matrix* laplacians) const {
-  values = linalg::Matrix(fn_ids.size(), n_points);
-  if (laplacians != nullptr) {
-    *laplacians = linalg::Matrix(fn_ids.size(), n_points);
-  }
+  values.assign(fn_ids.size(), n_points);
+  if (laplacians != nullptr) laplacians->assign(fn_ids.size(), n_points);
   if (fn_ids.empty() || n_points == 0) return;
 
   // Group selected functions by atom so Y_lm is computed once per

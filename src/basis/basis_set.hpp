@@ -49,6 +49,7 @@ class BasisSet {
   // Evaluates the selected functions at the given points:
   //   values(k, p) = chi_{fn_ids[k]}(points[p]).
   // If laplacians is non-null it receives nabla^2 chi in the same layout.
+  // Outputs that already hold enough storage are refilled in place.
   void evaluate(const std::vector<std::size_t>& fn_ids, const Vec3* points,
                 std::size_t n_points, linalg::Matrix& values,
                 linalg::Matrix* laplacians) const;

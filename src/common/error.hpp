@@ -19,8 +19,8 @@ class Error : public std::runtime_error {
 
 // Typed-error taxonomy for the fault-tolerance layer: callers catch the
 // specific class they can recover from (a timed-out collective, a diverged
-// SCF cycle, a damaged checkpoint, an injected test fault) and let anything
-// else propagate as a plain Error.
+// SCF cycle, a damaged checkpoint, an unusable geometry, an injected test
+// fault) and let anything else propagate as a plain Error.
 
 // A blocking operation (recv, allreduce, DMA) exhausted its bounded
 // retry/backoff budget without completing.
@@ -41,6 +41,14 @@ class ConvergenceError : public Error {
 class CheckpointError : public Error {
  public:
   explicit CheckpointError(const std::string& what) : Error(what) {}
+};
+
+// An input geometry the engines cannot represent: nuclei so close that
+// their basis functions are linearly dependent and the Coulomb
+// singularities coincide.
+class GeometryError : public Error {
+ public:
+  explicit GeometryError(const std::string& what) : Error(what) {}
 };
 
 // Raised by an armed fault-injection site that models a hard component

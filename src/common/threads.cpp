@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <exception>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -124,6 +126,82 @@ void claim_each(std::size_t n, std::size_t max_threads,
         errors[k] = std::current_exception();
         next.store(n, std::memory_order_relaxed);
       }
+    }
+  };
+  spawn_join(width, claim, true);  // claim itself never throws
+  rethrow_lowest(errors);
+}
+
+void claim_each_ordered(
+    std::size_t n, std::size_t max_threads, std::size_t window,
+    const std::function<void(std::size_t, std::size_t)>& compute,
+    const std::function<void(std::size_t, std::size_t)>& commit) {
+  const std::size_t width = t_in_task ? 1 : std::min(max_threads, n);
+  if (width <= 1) {
+    for (std::size_t i = 0; i < n; ++i) {
+      compute(i, 0);
+      commit(i, 0);
+    }
+    return;
+  }
+  window = std::max<std::size_t>(window, 1);
+  std::mutex mu;
+  // Signalled when `committed` advances or `stop` drops.
+  std::condition_variable room;
+  std::size_t next = 0;       // the next index to claim
+  std::size_t committed = 0;  // [0, committed) are committed
+  std::size_t stop = n;       // the lowest failing index, n while none
+  bool committing = false;    // a thread runs the commit loop
+  std::vector<char> ready(window, 0);  // per slot: computed, not committed
+  std::vector<std::exception_ptr> errors(n);
+  // Under the lock: no index at or above i is claimed or committed.
+  const auto fail = [&](std::size_t i, std::exception_ptr error) {
+    errors[i] = std::move(error);
+    stop = std::min(stop, i);
+    room.notify_all();
+  };
+  const auto claim = [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      room.wait(lock,
+                [&] { return next >= stop || next < committed + window; });
+      if (next >= stop) return;
+      const std::size_t i = next++;
+      lock.unlock();
+      std::exception_ptr error;
+      try {
+        compute(i, i % window);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lock.lock();
+      if (error) {
+        fail(i, std::move(error));
+        continue;
+      }
+      ready[i % window] = 1;
+      // The thread running the commit loop re-checks `ready` under the
+      // lock before it leaves, so it picks up this index if it can.
+      if (committing) continue;
+      committing = true;
+      while (committed < stop && ready[committed % window] != 0) {
+        const std::size_t k = committed;
+        ready[k % window] = 0;
+        lock.unlock();
+        try {
+          commit(k, k % window);
+        } catch (...) {
+          error = std::current_exception();
+        }
+        lock.lock();
+        if (error) {
+          fail(k, std::move(error));
+          break;
+        }
+        ++committed;
+        room.notify_all();
+      }
+      committing = false;
     }
   };
   spawn_join(width, claim, true);  // claim itself never throws

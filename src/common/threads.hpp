@@ -9,16 +9,16 @@
 // short-lived thread that is not a pool worker starts here: the SPMD rank
 // threads of parallel::run_spmd, the logical-CPE dispatch threads of
 // sunway::CpeCluster::run, the displaced-geometry solves of the Raman
-// pipeline (level 1), and the communication thread of one in-flight
-// parallel::iallreduce. Nothing here detaches; every thread is joined
-// before its owner goes away.
+// pipeline (level 1), the batches of the SCF engine's grid passes, and
+// the communication thread of one in-flight parallel::iallreduce. Nothing
+// here detaches; every thread is joined before its owner goes away.
 //
-// One thread budget: a thread started by fork_join, run_dedicated or
-// claim_each (and the caller while it works through claim_each) runs as a
-// task. A fork_join or claim_each called from inside a task runs inline on
-// that thread, so the outermost parallel level takes the cores and the
-// levels below it go serial; nested launches never multiply the thread
-// count.
+// One thread budget: a thread started by fork_join, run_dedicated,
+// claim_each or claim_each_ordered (and the caller while it works through
+// a claim loop) runs as a task. A fork_join or claim loop called from
+// inside a task runs inline on that thread, so the outermost parallel
+// level takes the cores and the levels below it go serial; nested
+// launches never multiply the thread count.
 
 namespace swraman::threads {
 
@@ -26,8 +26,8 @@ namespace swraman::threads {
 // at least 1 (the standard allows 0 for "unknown").
 [[nodiscard]] std::size_t hardware_threads();
 
-// True while the calling thread runs a fork_join, run_dedicated or
-// claim_each task.
+// True while the calling thread runs a fork_join, run_dedicated or claim
+// loop task.
 [[nodiscard]] bool in_task();
 
 // Fork-join: runs body(0), ..., body(n - 1), each on its own new thread,
@@ -54,6 +54,25 @@ void run_dedicated(std::size_t n,
 // caller and stops at the first throw.
 void claim_each(std::size_t n, std::size_t max_threads,
                 const std::function<void(std::size_t)>& body);
+
+// Claim-next compute with an in-order commit, for loops whose results are
+// reduced in index order (the grid passes' scatter-add). compute(i, slot)
+// runs for every i in [0, n) as claim_each runs body(i); commit(i, slot)
+// then runs for each computed i strictly in increasing index order, one
+// at a time, on whichever thread completes the committed prefix. `slot`
+// names the scratch that i owns from its compute until its commit
+// returns: i % window. At most `window` (at least 1) indices are in
+// flight, claimed but not yet committed; a thread that would claim past
+// that waits for the commits to catch up. After a compute (or commit) throws, no further
+// index is claimed and only the indices below the lowest failing one
+// commit; once every thread has returned, that index's exception is
+// rethrown. With max_threads <= 1, or from inside a task, it runs
+// compute(i, 0) then commit(i, 0) for i ascending on the caller, with no
+// lock, and stops at the first throw.
+void claim_each_ordered(
+    std::size_t n, std::size_t max_threads, std::size_t window,
+    const std::function<void(std::size_t, std::size_t)>& compute,
+    const std::function<void(std::size_t, std::size_t)>& commit);
 
 // Trace-context hand-off to new threads. The obs layer installs these from
 // a static registrar (src/obs/trace.cpp) so spans a task opens on a new

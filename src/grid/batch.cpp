@@ -108,30 +108,4 @@ std::vector<Batch> make_batches(const MolecularGrid& grid,
   return batches;
 }
 
-std::vector<BatchSlice> slice_batches(const std::vector<Batch>& batches,
-                                      std::size_t n_slices) {
-  std::vector<BatchSlice> slices;
-  if (batches.empty() || n_slices == 0) return slices;
-  std::size_t remaining = 0;
-  for (const Batch& b : batches) remaining += b.size();
-
-  BatchSlice cur;
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    cur.points += batches[i].size();
-    cur.last = i + 1;
-    const std::size_t slices_left = n_slices - slices.size();
-    // Close the slice once it carries its share of what was left when it
-    // opened — unless it is the last allowed slice, which takes the rest.
-    const std::size_t target =
-        (remaining + slices_left - 1) / std::max<std::size_t>(slices_left, 1);
-    if (slices_left > 1 && cur.points >= target && i + 1 < batches.size()) {
-      remaining -= cur.points;
-      slices.push_back(cur);
-      cur = BatchSlice{i + 1, i + 1, 0};
-    }
-  }
-  if (cur.last > cur.first) slices.push_back(cur);
-  return slices;
-}
-
 }  // namespace swraman::grid

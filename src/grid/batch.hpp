@@ -37,20 +37,4 @@ std::vector<Batch> make_batches(const MolecularGrid& grid,
 Vec3 principal_axis(const std::vector<Vec3>& points,
                     const std::vector<std::size_t>& ids);
 
-// A contiguous run of batches [first, last), used as the work granularity
-// of communication/compute pipelining: a consumer processes one slice of
-// batches while collectives started for earlier slices are in flight.
-struct BatchSlice {
-  std::size_t first = 0;   // index of the first batch in the run
-  std::size_t last = 0;    // one past the last batch
-  std::size_t points = 0;  // total grid points in the run
-};
-
-// Partitions the batch list into at most n_slices contiguous runs balanced
-// by point count (greedy: a slice closes once it reaches its share of the
-// remaining points). Every batch lands in exactly one slice; fewer than
-// n_slices are returned when there are fewer (non-empty) batches.
-std::vector<BatchSlice> slice_batches(const std::vector<Batch>& batches,
-                                      std::size_t n_slices);
-
 }  // namespace swraman::grid

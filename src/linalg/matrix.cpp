@@ -72,6 +72,12 @@ void Matrix::fill(double value) {
   std::fill(data_.begin(), data_.end(), value);
 }
 
+void Matrix::assign(std::size_t rows, std::size_t cols, double value) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, value);
+}
+
 void Matrix::symmetrize() {
   SWRAMAN_REQUIRE(rows_ == cols_, "symmetrize: square matrix required");
   for (std::size_t i = 0; i < rows_; ++i)

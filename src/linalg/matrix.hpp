@@ -55,6 +55,9 @@ class Matrix {
   [[nodiscard]] double max_abs() const;
 
   void fill(double value);
+  // Reshapes to rows x cols with every element `value`, reusing the
+  // storage (no allocation) when it has room for rows * cols elements.
+  void assign(std::size_t rows, std::size_t cols, double value = 0.0);
   // Symmetrizes in place: A <- (A + A^T)/2. Requires square.
   void symmetrize();
 

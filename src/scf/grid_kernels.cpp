@@ -52,8 +52,7 @@ void set_batch_values(BatchData& data, const linalg::Matrix& values,
                       const linalg::Matrix& laplacians) {
   const std::size_t nloc = data.fn_ids.size();
   const std::size_t npts = data.pt_ids.size();
-  data.values = linalg::Matrix(
-      nloc, (npts + kTileCols - 1) / kTileCols * kTileCols);
+  data.values.assign(nloc, tile_padded(npts));
   for (std::size_t a = 0; a < nloc; ++a) {
     std::copy(values.row(a), values.row(a) + npts, data.values.row(a));
   }
@@ -140,7 +139,7 @@ void batch_pair_sums(const BatchData& data, const linalg::Matrix& rows,
     const std::size_t width = strip.end_point - k0;
     // Point-major operand packed[k][j] = chi_j(k) * scale[k], columns
     // zero-padded to a whole number of tiles.
-    const std::size_t ld = (nact + kTileCols - 1) / kTileCols * kTileCols;
+    const std::size_t ld = tile_padded(nact);
     packed.resize(width * ld);
     for (std::size_t k = 0; k < width; ++k) {
       for (std::size_t j = nact; j < ld; ++j) packed[k * ld + j] = 0.0;

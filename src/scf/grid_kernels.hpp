@@ -26,6 +26,11 @@ inline constexpr std::size_t kStripWidth = 8;
 // sized to stay in the 16 SSE2 registers with room for the operands.
 inline constexpr std::size_t kTileRows = 4;
 inline constexpr std::size_t kTileCols = 4;
+// Batch count from which an engine's grid passes run claim-next over the
+// batches on every host core; a smaller engine runs them at width 1 on
+// the calling thread. Golden water and the serve grids (4 batches or
+// fewer) stay serial; the 12-water cluster (64 batches) fans out.
+inline constexpr std::size_t kParallelPassBatches = 16;
 
 // A run of consecutive batch points sharing one list of active functions:
 // local rows whose value or Laplacian is nonzero at one of its points.
@@ -49,9 +54,17 @@ struct BatchData {
   std::vector<std::uint32_t> active;  // each strip's list, ascending
 };
 
+// n rounded up to a whole number of tile columns: the columns of
+// BatchData::values for a batch of n points, and the row length of the
+// pair sums' packed operand for n active functions.
+[[nodiscard]] inline std::size_t tile_padded(std::size_t n) {
+  return (n + kTileCols - 1) / kTileCols * kTileCols;
+}
+
 // Stores the batch's basis values and builds its strip activity lists from
 // the values and Laplacians (both n_fns x n_pts, as BasisSet::evaluate
-// returns them). fn_ids and pt_ids must already be set.
+// returns them). fn_ids and pt_ids must already be set. A data.values
+// already sized n_fns x tile_padded(n_pts) is refilled in place.
 void set_batch_values(BatchData& data, const linalg::Matrix& values,
                       const linalg::Matrix& laplacians);
 
@@ -63,7 +76,8 @@ void batch_density(const BatchData& data, const linalg::Matrix& p,
 // q(i, j) += sum_k rows(i, k) * (chi_j(k) * scale[k]) over the batch's
 // points k ascending, for local functions i, j. rows has one row per local
 // function (the basis values or Laplacians); scale holds one factor per
-// batch point; q is n_fns x n_fns. `packed` is caller-owned scratch.
+// batch point; q is n_fns x n_fns. `packed` is caller-owned scratch; it
+// grows to at most n_pts * tile_padded(n_fns) elements.
 void batch_pair_sums(const BatchData& data, const linalg::Matrix& rows,
                      const std::vector<double>& scale, linalg::Matrix& q,
                      std::vector<double>& packed);

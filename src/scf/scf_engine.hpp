@@ -90,8 +90,15 @@ struct GroundState {
   Vec3 dipole;                  // nuclear + electronic, atomic units
 };
 
+// Closest two nuclei may come, in bohr: far below any chemical bond
+// (~1.4 bohr for H2), far above rounding noise. A closer pair makes the
+// engine constructors throw GeometryError naming both atoms.
+inline constexpr double kMinNuclearSeparation = 1e-3;
+
 class ScfEngine {
  public:
+  // Throws GeometryError when two nuclei lie closer than
+  // kMinNuclearSeparation.
   ScfEngine(std::vector<grid::AtomSite> atoms, ScfOptions options);
 
   // Distributed construction: this rank integrates only its Algorithm-1
@@ -182,6 +189,9 @@ class ScfEngine {
 
  private:
   void build_matrices();  // S, T, v_ext, batch caches and strips
+  // Threads a grid pass runs its batches on: 1 below kParallelPassBatches
+  // batches, every host core from there (DESIGN.md §17).
+  [[nodiscard]] std::size_t pass_threads() const;
   void reduce(double* data, std::size_t n) const;
   void reduce_matrix(linalg::Matrix& m) const;
   // Starts a non-blocking reduction when the partition provides one
@@ -205,6 +215,8 @@ class ScfEngine {
   std::vector<std::size_t> batch_owner_;
   fmm::HartreeContext hartree_;
   std::vector<BatchData> batch_data_;
+  std::size_t max_batch_fns_ = 0;     // largest batch's local functions
+  std::size_t max_batch_points_ = 0;  // and points
   linalg::Matrix s_;
   linalg::Matrix t_;
   std::vector<double> v_ext_;

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -179,6 +182,196 @@ TEST(ClaimEach, SerialLoopStopsAtTheFirstThrow) {
                std::runtime_error);
   EXPECT_EQ(hits, (std::vector<int>{1, 1, 1, 0, 0}));
   claim_each(0, 4, [](std::size_t) { FAIL() << "n == 0 runs nothing"; });
+}
+
+// The indices 0, ..., k - 1.
+std::vector<std::size_t> prefix(std::size_t k) {
+  std::vector<std::size_t> v(k);
+  std::iota(v.begin(), v.end(), std::size_t{0});
+  return v;
+}
+
+// A reduction whose result depends on the order of its terms: each index
+// contributes a few doubles of very different magnitude, added in turn.
+std::vector<double> ordered_terms(std::size_t i) {
+  const double x = static_cast<double>(i);
+  return {1e16 / (1.0 + x), 0.1 * x + 0.3, -1e16 / (2.0 + x), 1.0 / 3.0};
+}
+
+TEST(ClaimEachOrdered, CommitsInIndexOrderBitwiseTheSerialLoop) {
+  const std::size_t n = 200;
+  double serial = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const double t : ordered_terms(i)) serial += t;
+  }
+  const std::size_t width = 4;
+  const std::size_t window = 2 * width;
+  std::vector<std::vector<double>> slots(window);
+  std::vector<std::size_t> order;
+  double sum = 0.0;
+  std::atomic<int> computed_on_caller{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  claim_each_ordered(
+      n, width, window,
+      [&](std::size_t i, std::size_t slot) {
+        EXPECT_TRUE(in_task());
+        EXPECT_EQ(slot, i % window);
+        if (std::this_thread::get_id() == caller) computed_on_caller++;
+        // Later indices finish first now and then.
+        if (i % 7 == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(300));
+        }
+        slots[slot] = ordered_terms(i);
+      },
+      [&](std::size_t i, std::size_t slot) {
+        order.push_back(i);
+        for (const double t : slots[slot]) sum += t;
+      });
+  EXPECT_EQ(order, prefix(n));
+  EXPECT_EQ(std::memcmp(&sum, &serial, sizeof sum), 0)
+      << sum << " vs " << serial;
+  EXPECT_GT(computed_on_caller.load(), 0);
+  EXPECT_FALSE(in_task());
+  claim_each_ordered(
+      0, 4, 8,
+      [](std::size_t, std::size_t) { FAIL() << "n == 0 computes nothing"; },
+      [](std::size_t, std::size_t) { FAIL() << "n == 0 commits nothing"; });
+}
+
+TEST(ClaimEachOrdered, NeverHoldsMoreThanTheWindowUncommitted) {
+  // A window narrower than the thread count, and a slow index that holds
+  // up the committed prefix: the claims must wait for it.
+  const std::size_t n = 64;
+  const std::size_t window = 3;
+  std::mutex mu;
+  std::size_t live = 0;  // claimed (computing or computed), not committed
+  std::size_t peak = 0;
+  std::vector<int> owner(window, -1);  // index holding each slot
+  bool slot_clash = false;
+  claim_each_ordered(
+      n, 4, window,
+      [&](std::size_t i, std::size_t slot) {
+        {
+          const std::lock_guard<std::mutex> lock(mu);
+          peak = std::max(peak, ++live);
+          slot_clash |= owner[slot] != -1;
+          owner[slot] = static_cast<int>(i);
+        }
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(i % 5 == 0 ? 2000 : 100));
+      },
+      [&](std::size_t i, std::size_t slot) {
+        const std::lock_guard<std::mutex> lock(mu);
+        slot_clash |= owner[slot] != static_cast<int>(i);
+        owner[slot] = -1;
+        --live;
+      });
+  EXPECT_EQ(live, 0u);
+  EXPECT_GE(peak, 1u);
+  EXPECT_LE(peak, window);
+  EXPECT_FALSE(slot_clash);
+}
+
+// Runs claim_each_ordered over 32 indices where `failing` throw (their
+// index as the message) after `delay_ms`; returns the committed indices
+// and the message the caller saw.
+struct OrderedFailure {
+  std::vector<std::size_t> committed;
+  std::string what;
+};
+OrderedFailure run_failing(const std::set<std::size_t>& failing,
+                           std::size_t delay_index, std::size_t window) {
+  OrderedFailure out;
+  std::atomic<int> running{0};
+  try {
+    claim_each_ordered(
+        32, 4, window,
+        [&](std::size_t i, std::size_t) {
+          running.fetch_add(1);
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(i == delay_index ? 20 : 1));
+          running.fetch_sub(1);
+          if (failing.count(i) != 0) {
+            throw std::runtime_error(std::to_string(i));
+          }
+        },
+        [&](std::size_t i, std::size_t) { out.committed.push_back(i); });
+    ADD_FAILURE() << "no exception reached the caller";
+  } catch (const std::runtime_error& e) {
+    out.what = e.what();
+  }
+  EXPECT_EQ(running.load(), 0) << "rethrown before every compute returned";
+  return out;
+}
+
+TEST(ClaimEachOrdered, ThrowCommitsExactlyThePrefixAndRethrowsItsError) {
+  // Index 5 fails once threads already wait on a full window (window 2).
+  OrderedFailure f = run_failing({5}, 5, 2);
+  EXPECT_EQ(f.what, "5");
+  EXPECT_EQ(f.committed, prefix(5));
+  // Index 9 fails at once, index 4 only after a delay: the caller sees
+  // index 4's error, and nothing from 4 on is committed.
+  f = run_failing({4, 9}, 4, 8);
+  EXPECT_EQ(f.what, "4");
+  EXPECT_EQ(f.committed, prefix(4));
+  // The very first index: nothing commits.
+  f = run_failing({0}, 0, 4);
+  EXPECT_EQ(f.what, "0");
+  EXPECT_TRUE(f.committed.empty());
+}
+
+TEST(ClaimEachOrdered, ThrowingCommitStopsTheCommits) {
+  std::vector<std::size_t> committed;
+  try {
+    claim_each_ordered(
+        40, 4, 4, [](std::size_t, std::size_t) {},
+        [&](std::size_t i, std::size_t) {
+          if (i == 11) throw std::runtime_error("commit 11");
+          committed.push_back(i);
+        });
+    FAIL() << "no exception reached the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "commit 11");
+  }
+  EXPECT_EQ(committed, prefix(11));
+}
+
+TEST(ClaimEachOrdered, RunsInlineInsideATaskAndSeriallyAtWidthOne) {
+  std::vector<std::string> events;
+  const auto record = [&](std::size_t n, std::size_t max_threads) {
+    events.clear();
+    std::vector<std::size_t> slots;
+    const std::thread::id here = std::this_thread::get_id();
+    claim_each_ordered(
+        n, max_threads, 8,
+        [&](std::size_t i, std::size_t slot) {
+          EXPECT_EQ(std::this_thread::get_id(), here);
+          slots.push_back(slot);
+          events.push_back("compute " + std::to_string(i));
+        },
+        [&](std::size_t i, std::size_t slot) {
+          slots.push_back(slot);
+          events.push_back("commit " + std::to_string(i));
+        });
+    for (const std::size_t s : slots) EXPECT_EQ(s, 0u);
+  };
+  const std::vector<std::string> want = {"compute 0", "commit 0", "compute 1",
+                                         "commit 1",  "compute 2", "commit 2"};
+  fork_join(1, [&](std::size_t) { record(3, 4); });
+  EXPECT_EQ(events, want);
+  record(3, 1);
+  EXPECT_EQ(events, want);
+
+  // Serially, the first throw ends the loop before its commit.
+  std::vector<std::size_t> committed;
+  EXPECT_THROW(claim_each_ordered(
+                   5, 1, 8,
+                   [](std::size_t i, std::size_t) {
+                     if (i == 2) throw std::runtime_error("2");
+                   },
+                   [&](std::size_t i, std::size_t) { committed.push_back(i); }),
+               std::runtime_error);
+  EXPECT_EQ(committed, prefix(2));
 }
 
 TEST(Joinable, JoinWaitsAndIsIdempotent) {

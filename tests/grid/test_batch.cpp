@@ -1,7 +1,6 @@
 #include "grid/batch.hpp"
 
-#include <algorithm>
-#include <numeric>
+#include <cmath>
 #include <random>
 #include <set>
 
@@ -101,86 +100,6 @@ TEST(PrincipalAxis, RecoversDominantDirection) {
 TEST(Batching, EmptyGridYieldsNoBatches) {
   MolecularGrid grid;
   EXPECT_TRUE(make_batches(grid, {}).empty());
-}
-
-// Synthetic batch list with the given per-batch point counts.
-std::vector<Batch> batches_of(const std::vector<std::size_t>& counts) {
-  std::vector<Batch> batches(counts.size());
-  std::size_t next = 0;
-  for (std::size_t b = 0; b < counts.size(); ++b) {
-    batches[b].point_ids.resize(counts[b]);
-    std::iota(batches[b].point_ids.begin(), batches[b].point_ids.end(), next);
-    next += counts[b];
-  }
-  return batches;
-}
-
-TEST(BatchSlices, CoverAllBatchesExactlyOnceInOrder) {
-  const std::vector<Batch> batches =
-      batches_of({200, 180, 220, 50, 300, 10, 190, 205});
-  for (std::size_t n_slices = 1; n_slices <= 10; ++n_slices) {
-    const std::vector<BatchSlice> slices = slice_batches(batches, n_slices);
-    ASSERT_FALSE(slices.empty());
-    EXPECT_LE(slices.size(), n_slices);
-    EXPECT_EQ(slices.front().first, 0u);
-    EXPECT_EQ(slices.back().last, batches.size());
-    for (std::size_t s = 1; s < slices.size(); ++s) {
-      EXPECT_EQ(slices[s].first, slices[s - 1].last) << "gap before " << s;
-    }
-    std::size_t points = 0;
-    for (const BatchSlice& slice : slices) {
-      std::size_t in_slice = 0;
-      for (std::size_t b = slice.first; b < slice.last; ++b) {
-        in_slice += batches[b].size();
-      }
-      EXPECT_EQ(slice.points, in_slice);
-      points += slice.points;
-    }
-    EXPECT_EQ(points, 1355u);
-  }
-}
-
-TEST(BatchSlices, BalancedByPointCount) {
-  // Uniform batches must split into near-equal slices.
-  const std::vector<Batch> batches =
-      batches_of(std::vector<std::size_t>(16, 100));
-  const std::vector<BatchSlice> slices = slice_batches(batches, 4);
-  ASSERT_EQ(slices.size(), 4u);
-  for (const BatchSlice& slice : slices) {
-    EXPECT_EQ(slice.points, 400u);
-  }
-}
-
-TEST(BatchSlices, FewerBatchesThanSlices) {
-  const std::vector<Batch> batches = batches_of({7, 9});
-  const std::vector<BatchSlice> slices = slice_batches(batches, 5);
-  ASSERT_EQ(slices.size(), 2u);
-  EXPECT_EQ(slices[0].points, 7u);
-  EXPECT_EQ(slices[1].points, 9u);
-}
-
-TEST(BatchSlices, DegenerateInputs) {
-  EXPECT_TRUE(slice_batches({}, 4).empty());
-  const std::vector<Batch> batches = batches_of({5});
-  EXPECT_TRUE(slice_batches(batches, 0).empty());
-  const std::vector<BatchSlice> one = slice_batches(batches, 1);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0].points, 5u);
-}
-
-TEST(BatchSlices, RealGridSlicesStayBalanced) {
-  const MolecularGrid grid = water_grid();
-  const std::vector<Batch> batches = make_batches(grid, {});
-  const std::vector<BatchSlice> slices = slice_batches(batches, 4);
-  ASSERT_GE(slices.size(), 2u);
-  std::size_t lo = grid.size();
-  std::size_t hi = 0;
-  for (const BatchSlice& slice : slices) {
-    lo = std::min(lo, slice.points);
-    hi = std::max(hi, slice.points);
-  }
-  // Greedy point balancing: no slice more than ~2x another on a real grid.
-  EXPECT_LE(hi, 2 * lo + 400);
 }
 
 }  // namespace

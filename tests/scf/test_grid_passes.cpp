@@ -5,13 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include "common/threads.hpp"
 #include "core/molecules.hpp"
 #include "scf/scf_engine.hpp"
 
 // The strip-sparse grid passes (DESIGN.md §17) against scalar references
 // written as the dense loops they replaced: the density on the grid, the
 // matrix elements of a potential, and the overlap/kinetic set-up must all
-// match bit for bit.
+// match bit for bit, on the serial path (fewer than kParallelPassBatches
+// batches) and on the parallel one (the 12-water cluster).
 
 namespace swraman::scf {
 namespace {
@@ -209,6 +211,7 @@ TEST(GridPassReference, WaterClusterGrid) {
   o.species.tier = basis::Tier::Minimal;
   o.grid.partition = grid::PartitionScheme::Hirshfeld;
   const ScfEngine engine(molecules::water_cluster(12), o);
+  ASSERT_GE(engine.batches().size(), kParallelPassBatches);  // parallel path
   expect_passes_match_reference(engine);
 }
 
@@ -259,33 +262,56 @@ TEST(GridPassReference, PartitionedEngineSkipsForeignBatches) {
   expect_passes_match_reference(engine, partition);
 }
 
-TEST(ScfEngine, ConcurrentGridPassesOnSharedEngineAreBitwise) {
-  const ScfEngine engine(golden_water(), grid_options(12, 5));
+// Concurrent callers of one const engine (as the serve workers share it)
+// each get the passes' results bit for bit, against a width-1 run: inside
+// a threads:: task the passes run serially on the calling thread.
+void expect_concurrent_passes_bitwise(const ScfEngine& engine, int rounds) {
   const std::size_t nbf = engine.basis().size();
   const linalg::Matrix p = test_density_matrix(nbf);
   const std::vector<double> v = test_potential(engine);
-  const std::vector<double> n_serial = engine.density_on_grid(p);
-  const linalg::Matrix m_serial = engine.integrate_matrix(v);
+  std::vector<double> n_serial;
+  linalg::Matrix m_serial;
+  threads::fork_join(1, [&](std::size_t) {
+    n_serial = engine.density_on_grid(p);
+    m_serial = engine.integrate_matrix(v);
+  });
 
   constexpr int kThreads = 4;
-  constexpr int kRounds = 3;
-  std::vector<std::vector<double>> n(kThreads * kRounds);
-  std::vector<linalg::Matrix> m(kThreads * kRounds);
+  std::vector<std::vector<double>> n(kThreads * rounds);
+  std::vector<linalg::Matrix> m(kThreads * rounds);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      for (int r = 0; r < kRounds; ++r) {
-        n[t * kRounds + r] = engine.density_on_grid(p);
-        m[t * kRounds + r] = engine.integrate_matrix(v);
+      for (int r = 0; r < rounds; ++r) {
+        n[t * rounds + r] = engine.density_on_grid(p);
+        m[t * rounds + r] = engine.integrate_matrix(v);
       }
     });
   }
   for (std::thread& th : threads) th.join();
-  for (int i = 0; i < kThreads * kRounds; ++i) {
+  for (int i = 0; i < kThreads * rounds; ++i) {
     expect_bitwise(n[i].data(), n_serial.data(), n_serial.size(), "density");
     expect_bitwise(m[i].data(), m_serial.data(), nbf * nbf,
                    "integrate_matrix");
   }
+}
+
+TEST(ScfEngine, ConcurrentGridPassesOnSharedEngineAreBitwise) {
+  const ScfEngine engine(golden_water(), grid_options(12, 5));
+  ASSERT_LT(engine.batches().size(), kParallelPassBatches);
+  expect_concurrent_passes_bitwise(engine, 3);
+}
+
+// The 12-water cluster's 64 batches run each pass claim-next on every
+// core, with the integration committed in batch order; each of the
+// concurrent callers fans out on its own.
+TEST(ScfEngine, ConcurrentParallelGridPassesOnSharedClusterAreBitwise) {
+  ScfOptions o = grid_options(14, 7);
+  o.species.tier = basis::Tier::Minimal;
+  o.grid.partition = grid::PartitionScheme::Hirshfeld;
+  const ScfEngine engine(molecules::water_cluster(12), o);
+  ASSERT_GE(engine.batches().size(), kParallelPassBatches);
+  expect_concurrent_passes_bitwise(engine, 2);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 #include "scf/scf_engine.hpp"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/constants.hpp"
+#include "common/error.hpp"
 #include "robustness/fault.hpp"
 #include "scf/forces.hpp"
 
@@ -48,6 +50,28 @@ TEST(ScfEngine, H2GroundState) {
   // Homonuclear: no dipole.
   EXPECT_NEAR(gs.dipole.norm(), 0.0, 1e-3);
   EXPECT_GT(gs.homo_lumo_gap, 0.3);
+}
+
+// Coincident nuclei are rejected before a grid or basis is built on them,
+// with an error naming both atoms (not an eigensolver failure deep in the
+// overlap set-up).
+TEST(ScfEngine, RejectsCoincidentNucleiUpFront) {
+  const auto message = [](const std::vector<grid::AtomSite>& atoms) {
+    try {
+      const ScfEngine eng(atoms, {});
+      ADD_FAILURE() << "the engine accepted coincident nuclei";
+    } catch (const GeometryError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_NE(message(h2(0.0)).find("nuclei 0 and 1"), std::string::npos);
+  std::vector<grid::AtomSite> atoms = water();
+  atoms.push_back(atoms[1]);
+  atoms.back().pos[0] += 0.5 * kMinNuclearSeparation;
+  EXPECT_NE(message(atoms).find("nuclei 1 and 3"), std::string::npos);
+  // Ten times the floor is still an engine (a meaningless one).
+  EXPECT_NO_THROW(ScfEngine(h2(10.0 * kMinNuclearSeparation), {}));
 }
 
 // One NaN in the density matrix on the iteration that would converge: only
