@@ -14,8 +14,8 @@
 # them; plus the concurrent SCF grid-pass tests, serial and claim-next
 # parallel, the nested fork-join and ordered-commit tests and the
 # concurrent displaced-geometry Raman loops),
-# and the serve, obs, hartree and grid suites plus the SCF grid-pass
-# reference tests under UBSan.
+# and the serve, obs, hartree, grid, dfpt and fmm suites plus the SCF
+# grid-pass reference tests under UBSan.
 # Set SWRAMAN_SANITIZE=undefined to swap the robustness pass to UBSan,
 # or SWRAMAN_SANITIZE=none to skip every instrumented pass.
 set -euo pipefail
@@ -244,22 +244,26 @@ if [ "${SANITIZER}" != "none" ]; then
   ./build-thread/tests/test_serve --gtest_filter=-ServeRealEngine.*
   (cd build-thread && ./bench/bench_serve_chaos --short --shards 2)
 
-  echo "== tier-1: serve + obs + hartree + grid (+ scf grid passes) under -fsanitize=undefined =="
+  echo "== tier-1: serve + obs + hartree + grid + dfpt + fmm (+ scf grid passes) under -fsanitize=undefined =="
   # UBSan complements the concurrency checker: lockcheck proves lock
   # discipline, UBSan proves the code under those locks is free of
   # undefined behavior (the WAL record codec, the histogram bucket math,
   # the seqlock ring arithmetic). The hartree and grid suites cover the
-  # strided indexing into the knot-major multipole tables and the
-  # triangular Y_lm recurrence tables.
+  # strided indexing into the knot-major multipole tables, the pair
+  # records and the triangular Y_lm constants table; the dfpt and fmm
+  # suites cover the lockstep per-axis indexing, the packed DIIS history
+  # and the multi-potential M2L / P2P buffers.
   cmake -B build-undefined -S . \
         -DSWRAMAN_SANITIZE=undefined \
         -DSWRAMAN_BUILD_BENCH=OFF -DSWRAMAN_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-undefined -j "${JOBS}" --target test_obs test_serve \
-        test_hartree test_grid test_scf
+        test_hartree test_grid test_scf test_dfpt test_fmm
   ./build-undefined/tests/test_obs
   ./build-undefined/tests/test_serve --gtest_filter=-ServeRealEngine.*
   ./build-undefined/tests/test_hartree
   ./build-undefined/tests/test_grid
+  ./build-undefined/tests/test_dfpt
+  ./build-undefined/tests/test_fmm
   # The strip-sparse grid kernels' tile and strip tails (DESIGN.md §17),
   # checked against the dense reference loops.
   ./build-undefined/tests/test_scf --gtest_filter='GridPassReference.*:ScfEngine.ConcurrentGridPassesOnSharedEngineAreBitwise'

@@ -79,7 +79,6 @@ void BasisSet::evaluate(const std::vector<std::size_t>& fn_ids,
   }
 
   std::vector<double> ylm;
-  grid::YlmWorkspace ylm_ws;
   for (std::size_t p = 0; p < n_points; ++p) {
     const Vec3& x = points[p];
     for (std::size_t a = 0; a < atoms_.size(); ++a) {
@@ -89,7 +88,7 @@ void BasisSet::evaluate(const std::vector<std::size_t>& fn_ids,
       double r = d.norm();
       // Points essentially on the nucleus: clamp into the mesh.
       r = std::max(r, sp.mesh.r_min());
-      grid::real_ylm(d, lmax, ylm, ylm_ws);
+      grid::real_ylm(d, lmax, ylm);
 
       const double t = sp.mesh.fractional_index(r);
       const double alpha = sp.mesh.alpha();

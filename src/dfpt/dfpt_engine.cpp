@@ -5,6 +5,7 @@
 #include <deque>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
@@ -14,6 +15,122 @@
 #include "robustness/fault.hpp"
 
 namespace swraman::dfpt {
+
+namespace {
+
+// DIIS history of one axis. P1 = W C_occ^T + C_occ W^T is exactly
+// symmetric, and so is every mix of such matrices, so the history keeps
+// upper triangles (row-major): half the memory of full matrices, which
+// counts with three axes' histories alive at once. Each residual overlap
+// is computed once, when the residual arrives. Every sum runs over the
+// full index space in row-major order and reads entry (a, b) from the
+// triangle, so each value is bitwise the full-matrix one.
+class DiisHistory {
+ public:
+  explicit DiisHistory(std::size_t n) : n_(n) {}
+
+  // Appends the step p1_new from p1 (residual p1_new - p1), dropping the
+  // oldest entry beyond `depth`.
+  void push(const linalg::Matrix& p1_new, const linalg::Matrix& p1,
+            int depth) {
+    std::vector<double> p(n_ * (n_ + 1) / 2);
+    std::vector<double> r(p.size());
+    std::size_t k = 0;
+    for (std::size_t a = 0; a < n_; ++a) {
+      for (std::size_t b = a; b < n_; ++b, ++k) {
+        p[k] = p1_new(a, b);
+        r[k] = p1_new(a, b) - p1(a, b);
+      }
+    }
+    // <r_i, r_new> = Tr(r_i r_new^T); the products commute, so the one
+    // value serves both (i, new) and (new, i).
+    std::vector<double> row;
+    for (std::size_t i = 0; i < r_.size(); ++i) {
+      overlap_[i].push_back(dot(r_[i], r));
+      row.push_back(overlap_[i].back());
+    }
+    row.push_back(dot(r, r));
+    p_.push_back(std::move(p));
+    r_.push_back(std::move(r));
+    overlap_.push_back(std::move(row));
+    if (static_cast<int>(p_.size()) > depth) {
+      p_.pop_front();
+      r_.pop_front();
+      overlap_.pop_front();
+      for (std::vector<double>& o : overlap_) o.erase(o.begin());
+    }
+  }
+
+  // The DIIS extrapolation sum_i c_i p_i into *out; false (and *out
+  // untouched) with fewer than two entries or a singular system.
+  bool extrapolate(linalg::Matrix* out) const {
+    const std::size_t m = p_.size();
+    if (m < 2) return false;
+    linalg::Matrix sys(m + 1, m + 1);
+    std::vector<double> rhs(m + 1, 0.0);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < m; ++j) sys(i, j) = overlap_[i][j];
+      sys(i, m) = -1.0;
+      sys(m, i) = -1.0;
+    }
+    rhs[m] = -1.0;
+    const linalg::Lu lu(sys);
+    if (lu.singular()) return false;
+    const std::vector<double> coef = lu.solve(rhs);
+    std::vector<double> mix(p_[0].size(), 0.0);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t k = 0; k < mix.size(); ++k) mix[k] += p_[i][k] * coef[i];
+    }
+    linalg::Matrix full(n_, n_);
+    std::size_t k = 0;
+    for (std::size_t a = 0; a < n_; ++a) {
+      for (std::size_t b = a; b < n_; ++b, ++k) {
+        full(a, b) = mix[k];
+        full(b, a) = mix[k];
+      }
+    }
+    *out = std::move(full);
+    return true;
+  }
+
+ private:
+  // Upper-triangle offset of (a, b), a <= b.
+  [[nodiscard]] std::size_t at(std::size_t a, std::size_t b) const {
+    if (a > b) std::swap(a, b);
+    return a * (2 * n_ - a + 1) / 2 + (b - a);
+  }
+  // Tr(x y^T) of the full matrices, summed in row-major order.
+  [[nodiscard]] double dot(const std::vector<double>& x,
+                           const std::vector<double>& y) const {
+    double s = 0.0;
+    for (std::size_t a = 0; a < n_; ++a) {
+      for (std::size_t b = 0; b < n_; ++b) {
+        const std::size_t k = at(a, b);
+        s += x[k] * y[k];
+      }
+    }
+    return s;
+  }
+
+  std::size_t n_;
+  std::deque<std::vector<double>> p_;
+  std::deque<std::vector<double>> r_;
+  std::deque<std::vector<double>> overlap_;  // [i][j] = <r_i, r_j>
+};
+
+// One axis of the lockstep loop: the state of its current recovery
+// attempt.
+struct Axis {
+  int axis = 0;
+  int attempt = 1;
+  double mixing = 0.0;
+  ResponseResult res;
+  linalg::Matrix h1;  // response Hamiltonian of the next iteration
+  DiisHistory diis{0};
+  bool done = false;
+};
+
+}  // namespace
 
 DfptEngine::DfptEngine(const scf::ScfEngine& scf,
                        const scf::GroundState& ground_state,
@@ -42,40 +159,16 @@ DfptEngine::DfptEngine(const scf::ScfEngine& scf,
 
 ResponseResult DfptEngine::solve_response(int axis) {
   SWRAMAN_REQUIRE(axis >= 0 && axis < 3, "solve_response: axis in [0,3)");
-  SWRAMAN_TRACE_SPAN(span, "dfpt.response");
-  obs::count("dfpt.response.solves");
-  if (span.active()) span.attr("axis", static_cast<double>(axis));
-  const int attempts = std::max(1, options_.recovery_attempts);
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
-    bool diverged = false;
-    ResponseResult res = solve_response_attempt(axis, attempt, &diverged);
-    if (!diverged) {
-      if (span.active()) {
-        span.attr("iterations", static_cast<double>(res.iterations));
-        span.attr("converged", res.converged ? 1.0 : 0.0);
-      }
-      return res;
-    }
-    obs::count("dfpt.recoveries");
-    if (attempt < attempts) {
-      log::warn("dfpt.recovery: axis ", axis, " response diverged (attempt ",
-                attempt, "/", attempts, ") — halving mixing to ",
-                options_.mixing / static_cast<double>(1 << attempt),
-                ", flushing DIIS history, restarting cycle");
-    }
-  }
-  throw ConvergenceError("DfptEngine::solve_response: axis " +
-                         std::to_string(axis) + " diverged in all " +
-                         std::to_string(attempts) + " recovery attempts");
+  return solve_lockstep({axis}, options_.frequency)[0];
 }
 
-ResponseResult DfptEngine::solve_response_attempt(int axis, int attempt,
-                                                  bool* diverged) {
-  *diverged = false;
-  const double mixing =
-      options_.mixing / static_cast<double>(1 << (attempt - 1));
+std::vector<ResponseResult> DfptEngine::solve_lockstep(
+    const std::vector<int>& axes, double omega) {
+  SWRAMAN_TRACE_SPAN(span, "dfpt.response");
+  obs::count("dfpt.response.solves", static_cast<double>(axes.size()));
+  if (span.active()) span.attr("axes", static_cast<double>(axes.size()));
+  const int attempts = std::max(1, options_.recovery_attempts);
   const std::size_t nbf = scf_.basis().size();
-  const linalg::Matrix& d = dipole_[static_cast<std::size_t>(axis)];
   const linalg::Matrix& c = gs_.coefficients;
   const std::size_t nmo = gs_.eigenvalues.size();
 
@@ -94,10 +187,6 @@ ResponseResult DfptEngine::solve_response_attempt(int axis, int attempt,
   SWRAMAN_REQUIRE(!occ.empty(), "solve_response: no occupied states");
   SWRAMAN_REQUIRE(!vir.empty(), "solve_response: no virtual states");
 
-  ResponseResult res;
-  res.p1 = linalg::Matrix(nbf, nbf);
-  linalg::Matrix h1 = d;  // first cycle: bare perturbation
-
   // Occupied/virtual coefficient blocks are iteration-invariant.
   linalg::Matrix c_vir(nbf, vir.size());
   for (std::size_t a = 0; a < vir.size(); ++a) {
@@ -112,180 +201,216 @@ ResponseResult DfptEngine::solve_response_attempt(int axis, int attempt,
     }
   }
 
-  std::deque<linalg::Matrix> hist_p;
-  std::deque<linalg::Matrix> hist_r;
+  // (Re)starts an axis at iteration 0 of its current attempt: zero P1,
+  // bare perturbation, empty DIIS history.
+  auto start = [&](Axis& ax) {
+    ax.mixing = options_.mixing / static_cast<double>(1 << (ax.attempt - 1));
+    ax.res = ResponseResult{};
+    ax.res.p1 = linalg::Matrix(nbf, nbf);
+    ax.h1 = dipole_[static_cast<std::size_t>(ax.axis)];
+    ax.diis = DiisHistory(nbf);
+  };
+  std::vector<Axis> state(axes.size());
+  for (std::size_t k = 0; k < axes.size(); ++k) {
+    SWRAMAN_REQUIRE(axes[k] >= 0 && axes[k] < 3,
+                    "solve_response: axis in [0,3)");
+    state[k].axis = axes[k];
+    start(state[k]);
+  }
+
   Timer timer;
-
-  for (int iter = 1; iter <= options_.max_iterations; ++iter) {
+  std::vector<Axis*> field;  // axes that need a new response Hamiltonian
+  std::vector<std::vector<double>> n1;
+  auto running = [&state] {
+    return std::any_of(state.begin(), state.end(),
+                       [](const Axis& ax) { return !ax.done; });
+  };
+  while (running()) {
     SWRAMAN_TRACE_SPAN(iter_span, "dfpt.iter");
-    res.iterations = iter;
-    ++times_.cycles;
-    obs::count("dfpt.iterations");
+    double dp_max = 0.0;
+    field.clear();
+    for (Axis& ax : state) {
+      if (ax.done) continue;
+      ResponseResult& res = ax.res;
+      const int iter = ++res.iterations;
+      ++times_.cycles;
+      obs::count("dfpt.iterations");
 
-    // --- Sternheimer / CPKS update in matrix form:
-    //   U_ai = f_i G_ai / (eps_i - eps_a),  W = C_vir U,
-    //   P1 = W C_occ^T + C_occ W^T.
-    timer.reset();
-    linalg::Matrix p1_new;
-    {
-      SWRAMAN_TRACE_SCOPE("dfpt.sternheimer");
-      const linalg::Matrix g = linalg::at_b(c, h1 * c);
-      const double omega = options_.frequency;
-      linalg::Matrix u(vir.size(), occ.size());
-      for (std::size_t a = 0; a < vir.size(); ++a) {
-        for (std::size_t i = 0; i < occ.size(); ++i) {
-          const double delta =
-              gs_.eigenvalues[occ[i]] - gs_.eigenvalues[vir[a]];
-          // Static: 1/delta. Dynamic: delta/(delta^2 - omega^2), the
-          // symmetric (cos wt) response amplitude of real orbitals.
-          const double denom2 = delta * delta - omega * omega;
-          if (std::abs(delta) < 1e-8 || std::abs(denom2) < 1e-10) continue;
-          u(a, i) =
-              g(vir[a], occ[i]) * delta / denom2 * gs_.occupations[occ[i]];
+      // --- Sternheimer / CPKS update in matrix form:
+      //   U_ai = f_i G_ai / (eps_i - eps_a),  W = C_vir U,
+      //   P1 = W C_occ^T + C_occ W^T.
+      timer.reset();
+      linalg::Matrix p1_new;
+      {
+        SWRAMAN_TRACE_SCOPE("dfpt.sternheimer");
+        const linalg::Matrix g = linalg::at_b(c, ax.h1 * c);
+        linalg::Matrix u(vir.size(), occ.size());
+        for (std::size_t a = 0; a < vir.size(); ++a) {
+          for (std::size_t i = 0; i < occ.size(); ++i) {
+            const double delta =
+                gs_.eigenvalues[occ[i]] - gs_.eigenvalues[vir[a]];
+            // Static: 1/delta. Dynamic: delta/(delta^2 - omega^2), the
+            // symmetric (cos wt) response amplitude of real orbitals.
+            const double denom2 = delta * delta - omega * omega;
+            if (std::abs(delta) < 1e-8 || std::abs(denom2) < 1e-10) continue;
+            u(a, i) =
+                g(vir[a], occ[i]) * delta / denom2 * gs_.occupations[occ[i]];
+          }
         }
+        const linalg::Matrix w = c_vir * u;
+        p1_new = linalg::a_bt(w, c_occ);
+        p1_new += p1_new.transposed();
       }
-      const linalg::Matrix w = c_vir * u;
-      p1_new = linalg::a_bt(w, c_occ);
-      p1_new += p1_new.transposed();
-    }
-    times_.sternheimer += timer.seconds();
+      times_.sternheimer += timer.seconds();
 
-    if (fault::should_fire(fault::kDfptDiverge)) {
-      log::warn("fault ", fault::kDfptDiverge,
-                ": poisoning response density at axis ", axis, " iter ",
-                iter);
-      p1_new(0, 0) = std::numeric_limits<double>::quiet_NaN();
-    }
-
-    const double dp = (p1_new - res.p1).max_abs();
-    if (iter_span.active()) {
-      iter_span.attr("dp", dp);
-      obs::observe("dfpt.sternheimer.residual", dp);
-    }
-    if (!std::isfinite(dp)) {
-      log::warn("dfpt: non-finite response step at axis ", axis, " iter ",
-                iter, " — aborting cycle for recovery");
-      *diverged = true;
-      return res;
-    }
-
-    // DIIS on the response density matrix.
-    hist_p.push_back(p1_new);
-    {
-      linalg::Matrix r = p1_new - res.p1;
-      hist_r.push_back(std::move(r));
-    }
-    if (static_cast<int>(hist_p.size()) > options_.diis_depth) {
-      hist_p.pop_front();
-      hist_r.pop_front();
-    }
-    const std::size_t m = hist_p.size();
-    bool extrapolated = false;
-    if (m >= 2) {
-      linalg::Matrix b(m + 1, m + 1);
-      std::vector<double> rhs(m + 1, 0.0);
-      for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < m; ++j) {
-          b(i, j) = linalg::trace_product(hist_r[i], hist_r[j].transposed());
-        }
-        b(i, m) = -1.0;
-        b(m, i) = -1.0;
+      if (fault::should_fire(fault::kDfptDiverge)) {
+        log::warn("fault ", fault::kDfptDiverge,
+                  ": poisoning response density at axis ", ax.axis, " iter ",
+                  iter);
+        p1_new(0, 0) = std::numeric_limits<double>::quiet_NaN();
       }
-      rhs[m] = -1.0;
-      const linalg::Lu lu(b);
-      if (!lu.singular()) {
-        linalg::Matrix mix(nbf, nbf);
-        const std::vector<double> coef = lu.solve(rhs);
-        for (std::size_t i = 0; i < m; ++i) {
-          linalg::Matrix term = hist_p[i];
-          term *= coef[i];
-          mix += term;
+
+      const double dp = (p1_new - res.p1).max_abs();
+      if (iter_span.active()) {
+        dp_max = std::max(dp_max, dp);
+        obs::observe("dfpt.sternheimer.residual", dp);
+      }
+      if (!std::isfinite(dp)) {
+        log::warn("dfpt: non-finite response step at axis ", ax.axis,
+                  " iter ", iter, " — aborting cycle for recovery");
+        obs::count("dfpt.recoveries");
+        if (ax.attempt >= attempts) {
+          throw ConvergenceError("DfptEngine::solve_response: axis " +
+                                 std::to_string(ax.axis) + " diverged in all " +
+                                 std::to_string(attempts) +
+                                 " recovery attempts");
         }
+        log::warn("dfpt.recovery: axis ", ax.axis,
+                  " response diverged (attempt ", ax.attempt, "/", attempts,
+                  ") — halving mixing to ",
+                  options_.mixing / static_cast<double>(1 << ax.attempt),
+                  ", flushing DIIS history, restarting cycle");
+        ++ax.attempt;
+        start(ax);
+        continue;
+      }
+
+      // DIIS on the response density matrix, linear mixing until it has
+      // two entries.
+      ax.diis.push(p1_new, res.p1, options_.diis_depth);
+      if (!ax.diis.extrapolate(&res.p1)) {
+        linalg::Matrix mix = res.p1;
+        mix *= (1.0 - ax.mixing);
+        linalg::Matrix add = p1_new;
+        add *= ax.mixing;
+        mix += add;
         res.p1 = std::move(mix);
-        extrapolated = true;
+      }
+
+      log::debug("DFPT axis ", ax.axis, " iter ", iter, ": dP1 = ", dp);
+      if (dp < options_.tol) {
+        res.converged = true;
+        ax.done = true;
+      } else if (iter >= options_.max_iterations) {
+        ax.done = true;  // out of iterations: no response Hamiltonian needed
+      } else {
+        field.push_back(&ax);
       }
     }
-    if (!extrapolated) {
-      linalg::Matrix mix = res.p1;
-      mix *= (1.0 - mixing);
-      linalg::Matrix add = p1_new;
-      add *= mixing;
-      mix += add;
-      res.p1 = std::move(mix);
+    if (iter_span.active()) {
+      iter_span.attr("dp", dp_max);
+      iter_span.attr("axes", static_cast<double>(field.size()));
     }
+    if (field.empty()) continue;
 
-    if (dp < options_.tol) {
-      res.converged = true;
-      break;
-    }
-
-    // --- Kernel n1: response density on the grid.
+    // --- Kernel n1: response densities on the grid.
     timer.reset();
-    std::vector<double> n1;
+    n1.resize(field.size());
     {
       SWRAMAN_TRACE_SCOPE("dfpt.n1");
-      n1 = scf_.density_on_grid(res.p1);
+      for (std::size_t k = 0; k < field.size(); ++k) {
+        n1[k] = scf_.density_on_grid(field[k]->res.p1);
+      }
     }
     times_.n1 += timer.seconds();
 
-    // --- Kernel V1: response potential (multipole Poisson + fxc n1).
+    // --- Kernel V1: response potentials (multipole Poisson + fxc n1), one
+    // Hartree pass for every axis.
     timer.reset();
-    std::vector<double> v1;
+    std::vector<std::vector<double>> v1;
     {
       SWRAMAN_TRACE_SCOPE("dfpt.v1");
       v1 = scf_.hartree().solve_on_grid(n1);
-      for (std::size_t p = 0; p < v1.size(); ++p) {
-        v1[p] += fxc_[p] * n1[p];
+      for (std::size_t k = 0; k < field.size(); ++k) {
+        for (std::size_t p = 0; p < v1[k].size(); ++p) {
+          v1[k][p] += fxc_[p] * n1[k][p];
+        }
       }
     }
     times_.v1 += timer.seconds();
 
-    // --- Kernel H1: response Hamiltonian. The matrix-element reduction is
-    // started first; rebuilding h1 from the bare perturbation overlaps it.
+    // --- Kernel H1: response Hamiltonians. The matrix-element reductions
+    // are started first; rebuilding each h1 from the bare perturbation
+    // overlaps them.
     timer.reset();
     {
       SWRAMAN_TRACE_SCOPE("dfpt.h1");
-      linalg::Matrix m1;
-      const std::function<void()> wait_m1 =
-          scf_.integrate_matrix_async(v1, &m1);
-      h1 = d;
-      wait_m1();
-      h1 += m1;
+      std::vector<linalg::Matrix> m1(field.size());
+      std::vector<std::function<void()>> wait_m1(field.size());
+      for (std::size_t k = 0; k < field.size(); ++k) {
+        wait_m1[k] = scf_.integrate_matrix_async(v1[k], &m1[k]);
+      }
+      for (std::size_t k = 0; k < field.size(); ++k) {
+        Axis& ax = *field[k];
+        ax.h1 = dipole_[static_cast<std::size_t>(ax.axis)];
+        wait_m1[k]();
+        ax.h1 += m1[k];
+      }
     }
     times_.h1 += timer.seconds();
-
-    log::debug("DFPT axis ", axis, " iter ", iter, ": dP1 = ", dp);
   }
-  return res;
+
+  std::vector<ResponseResult> out;
+  out.reserve(state.size());
+  int iterations = 0;
+  bool converged = true;
+  for (Axis& ax : state) {
+    iterations += ax.res.iterations;
+    converged = converged && ax.res.converged;
+    out.push_back(std::move(ax.res));
+  }
+  if (span.active()) {
+    span.attr("iterations", static_cast<double>(iterations));
+    span.attr("converged", converged ? 1.0 : 0.0);
+  }
+  return out;
 }
 
-linalg::Matrix DfptEngine::polarizability() {
+linalg::Matrix DfptEngine::polarizability_tensor(double omega) {
   SWRAMAN_TRACE_SCOPE("dfpt.polarizability");
+  const std::vector<ResponseResult> res = solve_lockstep({0, 1, 2}, omega);
   linalg::Matrix alpha(3, 3);
-  for (int j = 0; j < 3; ++j) {
-    const ResponseResult res = solve_response(j);
-    if (!res.converged) {
+  for (std::size_t j = 0; j < 3; ++j) {
+    if (!res[j].converged) {
       throw ConvergenceError(
           "polarizability: DFPT did not converge for axis " +
           std::to_string(j));
     }
-    for (int i = 0; i < 3; ++i) {
-      alpha(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) =
-          -linalg::trace_product(res.p1,
-                                 dipole_[static_cast<std::size_t>(i)]);
+    for (std::size_t i = 0; i < 3; ++i) {
+      alpha(i, j) = -linalg::trace_product(res[j].p1, dipole_[i]);
     }
   }
   alpha.symmetrize();
   return alpha;
 }
 
+linalg::Matrix DfptEngine::polarizability() {
+  return polarizability_tensor(options_.frequency);
+}
+
 linalg::Matrix DfptEngine::polarizability_at_frequency(double omega) {
   SWRAMAN_REQUIRE(omega >= 0.0, "polarizability_at_frequency: omega >= 0");
-  const double saved = options_.frequency;
-  options_.frequency = omega;
-  linalg::Matrix alpha = polarizability();
-  options_.frequency = saved;
-  return alpha;
+  return polarizability_tensor(omega);
 }
 
 double DfptEngine::isotropic(const linalg::Matrix& alpha) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 #include "scf/scf_engine.hpp"
@@ -17,6 +18,14 @@
 // (n1), response potential (V1), response Hamiltonian (H1) — are exactly
 // the hotspots the paper ports to the Sunway CPEs; their per-cycle times
 // are tracked for the Fig. 13/14 benchmarks.
+//
+// Lockstep: polarizability() advances the three field axes together. Each
+// axis keeps its own P(1), DIIS history, recovery attempt and mixing; per
+// iteration the unconverged axes share one Hartree pass over their k
+// response densities (fmm::HartreeContext::solve_on_grid), which pays each
+// grid pair's geometry once for all k potentials. Every axis's arithmetic
+// is that of solving it alone, so the tensor is bitwise that of three
+// serial solve_response calls. solve_response(axis) is the one-axis case.
 
 namespace swraman::dfpt {
 
@@ -25,9 +34,10 @@ struct DfptOptions {
   int max_iterations = 50;
   int diis_depth = 8;
   double mixing = 0.6;      // linear mixing before DIIS history builds
-  // Perturbation frequency (Hartree). 0 = static response; omega > 0 gives
-  // the dynamic polarizability alpha(omega) of adiabatic-LDA linear
-  // response (denominators (eps_i - eps_a) / ((eps_i - eps_a)^2 - omega^2)).
+  // Perturbation frequency (Hartree) of solve_response and
+  // polarizability(). 0 = static response; omega > 0 gives the dynamic
+  // polarizability alpha(omega) of adiabatic-LDA linear response
+  // (denominators (eps_i - eps_a) / ((eps_i - eps_a)^2 - omega^2)).
   double frequency = 0.0;
   // Automatic divergence recovery, mirroring ScfOptions: a non-finite
   // response-density step aborts the cycle, the mixing is halved, the DIIS
@@ -41,7 +51,7 @@ struct KernelTimes {
   double v1 = 0.0;           // response potential (multipole Poisson + fxc)
   double h1 = 0.0;           // response Hamiltonian integration
   double sternheimer = 0.0;  // MO-space update (U matrix, P1 assembly)
-  int cycles = 0;            // accumulated DFPT iterations
+  int cycles = 0;            // accumulated DFPT iterations, summed over axes
 
   [[nodiscard]] double total() const { return n1 + v1 + h1 + sternheimer; }
 };
@@ -64,11 +74,14 @@ class DfptEngine {
   // attempt diverged. Plain non-convergence still returns converged=false.
   ResponseResult solve_response(int axis);
 
-  // Full polarizability tensor (3 response calculations, symmetrized).
+  // Full polarizability tensor (3 response calculations in lockstep,
+  // symmetrized). Throws ConvergenceError when an axis does not converge
+  // or exhausts its recovery attempts.
   [[nodiscard]] linalg::Matrix polarizability();
 
   // Dynamic polarizability at the given frequency (Hartree); must stay
-  // below the first KS excitation gap for the response to converge.
+  // below the first KS excitation gap for the response to converge. Leaves
+  // the engine's options untouched, also when it throws.
   [[nodiscard]] linalg::Matrix polarizability_at_frequency(double omega);
 
   // Isotropic polarizability 1/3 tr(alpha).
@@ -81,11 +94,14 @@ class DfptEngine {
   [[nodiscard]] const KernelTimes& kernel_times() const { return times_; }
 
  private:
-  // One full response cycle. `attempt` (1-based) halves the linear mixing
-  // per retry; the DIIS history is local to the attempt, so a restart
-  // flushes it. Sets *diverged when non-finite numbers aborted the cycle.
-  ResponseResult solve_response_attempt(int axis, int attempt,
-                                        bool* diverged);
+  // The self-consistent responses to unit fields along `axes` at frequency
+  // omega, advanced in lockstep; one result per axis, in order. An axis
+  // whose step turns non-finite restarts alone (attempt k halves the
+  // mixing k-1 times and flushes its DIIS history) while the others go on;
+  // throws ConvergenceError when one diverged in every attempt.
+  std::vector<ResponseResult> solve_lockstep(const std::vector<int>& axes,
+                                             double omega);
+  [[nodiscard]] linalg::Matrix polarizability_tensor(double omega);
 
   const scf::ScfEngine& scf_;
   const scf::GroundState& gs_;

@@ -179,34 +179,51 @@ void HartreeContext::request_plan() {
   if (resolve_backend() == HartreeBackend::Direct) solver_.request_plan();
 }
 
-std::vector<double> HartreeContext::solve_on_grid(
-    const std::vector<double>& density) const {
+std::vector<std::vector<double>> HartreeContext::solve_on_grid(
+    std::span<const std::vector<double>> densities) const {
   if (resolve_backend() == HartreeBackend::Direct) {
     // Verbatim dense path: bitwise identical to the pre-FMM solver. It
     // writes no context state, so concurrent Direct solves are race-free.
-    return solver_.solve_on_grid(density);
+    return solver_.solve_on_grid(densities);
   }
   SWRAMAN_TRACE_SCOPE("hartree.poisson");
-  const hartree::MultipolePotential pot = solver_.solve(density);
-  return fmm_on_grid(pot);
+  std::vector<hartree::MultipolePotential> pots;
+  pots.reserve(densities.size());
+  for (const std::vector<double>& n : densities) pots.push_back(solver_.solve(n));
+  return fmm_on_grid(pots);
+}
+
+std::vector<double> HartreeContext::solve_on_grid(
+    const std::vector<double>& density) const {
+  return std::move(solve_on_grid(std::span(&density, 1))[0]);
 }
 
 std::vector<double> HartreeContext::fmm_on_grid(
-    const hartree::MultipolePotential& pot) const {
+    const hartree::MultipolePotential& potential) const {
+  return std::move(fmm_on_grid(std::span(&potential, 1))[0]);
+}
+
+std::vector<std::vector<double>> HartreeContext::fmm_on_grid(
+    std::span<const hartree::MultipolePotential> pots) const {
   // The CPE cluster model and the stats are per context: one tree
   // evaluation at a time.
   const lockcheck::CheckedLock lock(mutex_);
   const Geometry& g = geometry();
   const FmmKernel& K = g.kernel;
   const int p = options_.order;
-  const int lmax = pot.lmax();
+  const std::size_t n_pots = pots.size();
+  SWRAMAN_REQUIRE(n_pots >= 1, "fmm_on_grid: no potential");
+  const int lmax = pots[0].lmax();
   const std::size_t nm = nm_count(p);
   const std::size_t n_lm = grid::n_lm(lmax);
   const auto& scells = g.sources->cells();
   const auto& tcells = g.targets->cells();
-  const std::size_t n_atoms = pot.n_atoms();
-  SWRAMAN_REQUIRE(n_atoms == grid_.atoms.size(),
-                  "fmm_on_grid: potential/grid atom count mismatch");
+  const std::size_t n_atoms = pots[0].n_atoms();
+  const std::size_t n_points = grid_.points.size();
+  for (const hartree::MultipolePotential& pot : pots) {
+    SWRAMAN_REQUIRE(pot.n_atoms() == grid_.atoms.size() && pot.lmax() == lmax,
+                    "fmm_on_grid: foreign potential");
+  }
 
   stats_ = FmmStats{};
   stats_.resolved = HartreeBackend::Fmm;
@@ -221,31 +238,38 @@ std::vector<double> HartreeContext::fmm_on_grid(
     cluster_ = std::make_unique<sunway::CpeCluster>(sunway::sw26010pro());
   }
 
+  // Expansions are potential-major: potential j's block of a per-cell
+  // array starts at j * cells * nm, laid out as in a one-potential pass.
   // --- upward: atom moments -> leaf multipoles -> cell multipoles ---
-  std::vector<Cplx> multipoles(scells.size() * nm, Cplx{});
-  std::vector<Cplx> atom_m(n_atoms * nm, Cplx{});
+  std::vector<Cplx> multipoles(n_pots * scells.size() * nm, Cplx{});
+  std::vector<Cplx> atom_m(n_pots * n_atoms * nm, Cplx{});
   {
     SWRAMAN_TRACE_SPAN(span, "hartree.fmm.upward");
     FmmKernel::Workspace ws;
     std::vector<double> qlm(n_lm);
-    for (std::size_t a = 0; a < n_atoms; ++a) {
-      for (std::size_t lm = 0; lm < n_lm; ++lm) qlm[lm] = pot.moment(a, lm);
-      K.atom_moments_to_multipole(qlm.data(), lmax, &atom_m[a * nm]);
-    }
     const std::vector<std::size_t>& order = g.sources->body_order();
-    for (std::size_t ci = scells.size(); ci-- > 0;) {
-      const Cell& c = scells[ci];
-      Cplx* M = &multipoles[ci * nm];
-      if (c.is_leaf()) {
-        for (std::size_t i = c.first_body; i < c.first_body + c.n_bodies;
-             ++i) {
-          const std::size_t a = order[i];
-          K.m2m(&atom_m[a * nm], pot.centers()[a] - c.center, M, ws);
-        }
-      } else {
-        for (int k = 0; k < c.n_children; ++k) {
-          const std::size_t ch = c.first_child + static_cast<std::size_t>(k);
-          K.m2m(&multipoles[ch * nm], scells[ch].center - c.center, M, ws);
+    for (std::size_t j = 0; j < n_pots; ++j) {
+      const hartree::MultipolePotential& pot = pots[j];
+      Cplx* am = &atom_m[j * n_atoms * nm];
+      Cplx* mp = &multipoles[j * scells.size() * nm];
+      for (std::size_t a = 0; a < n_atoms; ++a) {
+        for (std::size_t lm = 0; lm < n_lm; ++lm) qlm[lm] = pot.moment(a, lm);
+        K.atom_moments_to_multipole(qlm.data(), lmax, &am[a * nm]);
+      }
+      for (std::size_t ci = scells.size(); ci-- > 0;) {
+        const Cell& c = scells[ci];
+        Cplx* M = &mp[ci * nm];
+        if (c.is_leaf()) {
+          for (std::size_t i = c.first_body; i < c.first_body + c.n_bodies;
+               ++i) {
+            const std::size_t a = order[i];
+            K.m2m(&am[a * nm], pot.centers()[a] - c.center, M, ws);
+          }
+        } else {
+          for (int k = 0; k < c.n_children; ++k) {
+            const std::size_t ch = c.first_child + static_cast<std::size_t>(k);
+            K.m2m(&mp[ch * nm], scells[ch].center - c.center, M, ws);
+          }
         }
       }
     }
@@ -253,39 +277,50 @@ std::vector<double> HartreeContext::fmm_on_grid(
   }
 
   // --- traversal: M2L over the precomputed well-separated pair lists ---
-  std::vector<Cplx> locals(tcells.size() * nm, Cplx{});
+  // One launch for every potential: each pair's irregular harmonics are
+  // computed once, then each potential's multipole is fetched and combined
+  // exactly as in a one-potential pass.
+  std::vector<Cplx> locals(n_pots * tcells.size() * nm, Cplx{});
   {
     SWRAMAN_TRACE_SPAN(span, "hartree.fmm.traversal");
     const double pair_flops = K.m2l_flops();
     auto m2l_body = [&](sunway::CpeContext* ctx, std::size_t lo,
                         std::size_t hi) {
       FmmKernel::Workspace ws;
+      std::vector<Cplx*> acc(n_pots);
       for (std::size_t gi = lo; gi < hi; ++gi) {
         const std::size_t t = g.m2l_targets[gi];
-        Cplx* acc = nullptr;
         Cplx* lbuf = nullptr;
         Cplx* sbuf = nullptr;
         if (ctx) {
           ctx->ldm().reset();
-          lbuf = ctx->ldm().allocate<Cplx>(nm);
+          lbuf = ctx->ldm().allocate<Cplx>(n_pots * nm);
           sbuf = ctx->ldm().allocate<Cplx>(nm);
-          std::fill(lbuf, lbuf + nm, Cplx{});
-          acc = lbuf;
-        } else {
-          acc = &locals[t * nm];
+          std::fill(lbuf, lbuf + n_pots * nm, Cplx{});
+        }
+        for (std::size_t j = 0; j < n_pots; ++j) {
+          acc[j] = ctx ? lbuf + j * nm
+                       : &locals[(j * tcells.size() + t) * nm];
         }
         for (std::size_t k = g.m2l_begin[gi]; k < g.m2l_begin[gi + 1]; ++k) {
           const std::size_t s = g.m2l_sources[k];
-          const Cplx* M = &multipoles[s * nm];
-          if (ctx) {
-            ctx->dma_get(sbuf, M, nm);
-            M = sbuf;
+          K.irregular(scells[s].center - tcells[t].center, 2 * p, ws.harm,
+                      ws.leg);
+          for (std::size_t j = 0; j < n_pots; ++j) {
+            const Cplx* M = &multipoles[(j * scells.size() + s) * nm];
+            if (ctx) {
+              ctx->dma_get(sbuf, M, nm);
+              M = sbuf;
+            }
+            K.m2l_combine(M, ws.harm.data(), acc[j]);
+            if (ctx) ctx->charge_flops(pair_flops);
           }
-          const Vec3 d = scells[s].center - tcells[t].center;
-          K.m2l(M, d, acc, ws);
-          if (ctx) ctx->charge_flops(pair_flops);
         }
-        if (ctx) ctx->dma_put(lbuf, &locals[t * nm], nm);
+        if (ctx) {
+          for (std::size_t j = 0; j < n_pots; ++j) {
+            ctx->dma_put(acc[j], &locals[(j * tcells.size() + t) * nm], nm);
+          }
+        }
       }
     };
     if (cluster_) {
@@ -296,7 +331,7 @@ std::vector<double> HartreeContext::fmm_on_grid(
       });
       sunway::attach_kernel_span_attrs(
           span, *cluster_, before,
-          static_cast<double>(g.m2l_sources.size()), 0.85);
+          static_cast<double>(n_pots * g.m2l_sources.size()), 0.85);
     } else {
       m2l_body(nullptr, 0, g.m2l_targets.size());
     }
@@ -304,64 +339,99 @@ std::vector<double> HartreeContext::fmm_on_grid(
 
   // --- downward: locals to children (L2L), then L2P + exact near field ---
   const std::vector<std::size_t>& torder = g.targets->body_order();
-  std::vector<double> v_sorted(grid_.points.size(), 0.0);
+  std::vector<double> v_sorted(n_pots * n_points, 0.0);
   {
     SWRAMAN_TRACE_SPAN(span, "hartree.fmm.downward");
     {
       FmmKernel::Workspace ws;
-      for (std::size_t ci = 1; ci < tcells.size(); ++ci) {
-        const Cell& c = tcells[ci];
-        K.l2l(&locals[c.parent * nm], c.center - tcells[c.parent].center,
-              &locals[ci * nm], ws);
+      for (std::size_t j = 0; j < n_pots; ++j) {
+        Cplx* loc = &locals[j * tcells.size() * nm];
+        for (std::size_t ci = 1; ci < tcells.size(); ++ci) {
+          const Cell& c = tcells[ci];
+          K.l2l(&loc[c.parent * nm], c.center - tcells[c.parent].center,
+                &loc[ci * nm], ws);
+        }
       }
     }
 
+    // One launch for every potential. Per point the regular harmonics of
+    // L2P, and per near (point, atom) pair the record of pair_geometry,
+    // are computed once; each potential then adds its own L2P value and
+    // its own per-atom channel sums in the order of a one-potential pass.
+    // The model charges every potential as its own kernel1 pass: the
+    // coordinate tile, the coefficient blocks and the channel math.
     const double pa_flops = point_atom_flops(n_lm);
     const double lp_flops = K.l2p_flops();
     const std::vector<std::size_t>& sorder = g.sources->body_order();
     auto p2p_body = [&](sunway::CpeContext* ctx, std::size_t lo,
                         std::size_t hi) {
       FmmKernel::Workspace ws;
-      hartree::MultipolePotential::Workspace mws;
+      double rec[hartree::kPairRecordMax];
+      std::vector<double> v(n_pots);
+      std::vector<const Cplx*> L(n_pots);
+      std::vector<double*> vout(n_pots);
       for (std::size_t li = lo; li < hi; ++li) {
         const std::size_t t = g.target_leaves[li];
         const Cell& tc = tcells[t];
+        const std::size_t nb = tc.n_bodies;
         const Vec3* coords = &g.points_sorted[tc.first_body];
-        double* vout = &v_sorted[tc.first_body];
-        Cplx* lbuf = nullptr;
+        for (std::size_t j = 0; j < n_pots; ++j) {
+          L[j] = &locals[(j * tcells.size() + t) * nm];
+          vout[j] = &v_sorted[j * n_points + tc.first_body];
+        }
         if (ctx) {
           ctx->ldm().reset();
-          Vec3* cb = ctx->ldm().allocate<Vec3>(tc.n_bodies);
-          double* vb = ctx->ldm().allocate<double>(tc.n_bodies);
-          lbuf = ctx->ldm().allocate<Cplx>(nm);
-          ctx->dma_get(cb, coords, tc.n_bodies);
-          ctx->dma_get(lbuf, &locals[t * nm], nm);
+          Vec3* cb = ctx->ldm().allocate<Vec3>(nb);
+          double* vb = ctx->ldm().allocate<double>(n_pots * nb);
+          Cplx* lbuf = ctx->ldm().allocate<Cplx>(n_pots * nm);
+          ctx->dma_get(cb, coords, nb);
+          ctx->counters().dma_bytes +=
+              static_cast<double>((n_pots - 1) * nb * sizeof(Vec3));
+          ctx->counters().dma_transfers += static_cast<double>(n_pots - 1);
           coords = cb;
-          vout = vb;
+          for (std::size_t j = 0; j < n_pots; ++j) {
+            ctx->dma_get(lbuf + j * nm, L[j], nm);
+            L[j] = lbuf + j * nm;
+            vout[j] = vb + j * nb;
+          }
         }
-        const Cplx* L = ctx ? lbuf : &locals[t * nm];
-        for (std::size_t k = 0; k < tc.n_bodies; ++k) {
-          double v = K.l2p(L, coords[k] - tc.center, ws);
-          if (ctx) ctx->charge_flops(lp_flops);
+        for (std::size_t k = 0; k < nb; ++k) {
+          K.regular(coords[k] - tc.center, p, ws.harm, ws.leg);
+          for (std::size_t j = 0; j < n_pots; ++j) {
+            v[j] = K.l2p_combine(L[j], ws.harm.data());
+            if (ctx) ctx->charge_flops(lp_flops);
+          }
           for (std::size_t si = g.p2p_begin[li]; si < g.p2p_begin[li + 1];
                ++si) {
             const Cell& sc = scells[g.p2p_sources[si]];
             for (std::size_t bi = sc.first_body;
                  bi < sc.first_body + sc.n_bodies; ++bi) {
-              v += pot.value_atom(sorder[bi], coords[k], mws);
-              if (ctx) {
-                // Coefficient-block traffic + channel math per near atom,
-                // modeled as in kernel1.
-                ctx->counters().dma_bytes +=
-                    static_cast<double>(4 * n_lm * sizeof(double));
-                ctx->counters().dma_transfers += 1.0 / 16.0;
-                ctx->charge_flops(pa_flops);
+              const std::size_t atom = sorder[bi];
+              const bool live = pots[0].l_res(atom) >= 0;
+              const std::uint32_t interval =
+                  live ? pots[0].geometry(atom, coords[k], rec) : 0;
+              for (std::size_t j = 0; j < n_pots; ++j) {
+                // value_atom's per-atom sum, started from 0.0.
+                v[j] += live ? pots[j].accumulate_pair(atom, interval, rec, 0.0)
+                             : 0.0;
+                if (ctx) {
+                  // Coefficient-block traffic + channel math per near atom,
+                  // modeled as in kernel1.
+                  ctx->counters().dma_bytes +=
+                      static_cast<double>(4 * n_lm * sizeof(double));
+                  ctx->counters().dma_transfers += 1.0 / 16.0;
+                  ctx->charge_flops(pa_flops);
+                }
               }
             }
           }
-          vout[k] = v;
+          for (std::size_t j = 0; j < n_pots; ++j) vout[j][k] = v[j];
         }
-        if (ctx) ctx->dma_put(vout, &v_sorted[tc.first_body], tc.n_bodies);
+        if (ctx) {
+          for (std::size_t j = 0; j < n_pots; ++j) {
+            ctx->dma_put(vout[j], &v_sorted[j * n_points + tc.first_body], nb);
+          }
+        }
       }
     };
     if (cluster_) {
@@ -373,51 +443,57 @@ std::vector<double> HartreeContext::fmm_on_grid(
       });
       sunway::attach_kernel_span_attrs(
           p2p_span, *cluster_, before,
-          static_cast<double>(grid_.points.size()), 0.85);
+          static_cast<double>(n_pots * n_points), 0.85);
     } else {
       p2p_body(nullptr, 0, g.target_leaves.size());
     }
   }
 
   // Analytic truncation bound, accumulated down the tree so every leaf sees
-  // its own M2L pairs plus every ancestor's.
+  // its own M2L pairs plus every ancestor's; the worst over the potentials.
   if (options_.track_error_bound) {
-    std::vector<std::vector<double>> absmom(
-        scells.size(), std::vector<double>(static_cast<std::size_t>(lmax) + 1,
-                                           0.0));
     const std::vector<std::size_t>& sorder = g.sources->body_order();
-    for (std::size_t ci = 0; ci < scells.size(); ++ci) {
-      const Cell& c = scells[ci];
-      for (std::size_t i = c.first_body; i < c.first_body + c.n_bodies; ++i) {
-        const Cplx* M = &atom_m[sorder[i] * nm];
-        for (int l = 0; l <= lmax; ++l) {
-          for (int m = -l; m <= l; ++m) {
-            absmom[ci][static_cast<std::size_t>(l)] +=
-                std::abs(M[nm_index(l, m)]);
+    double worst = 0.0;
+    for (std::size_t j = 0; j < n_pots; ++j) {
+      std::vector<std::vector<double>> absmom(
+          scells.size(),
+          std::vector<double>(static_cast<std::size_t>(lmax) + 1, 0.0));
+      for (std::size_t ci = 0; ci < scells.size(); ++ci) {
+        const Cell& c = scells[ci];
+        for (std::size_t i = c.first_body; i < c.first_body + c.n_bodies;
+             ++i) {
+          const Cplx* M = &atom_m[(j * n_atoms + sorder[i]) * nm];
+          for (int l = 0; l <= lmax; ++l) {
+            for (int m = -l; m <= l; ++m) {
+              absmom[ci][static_cast<std::size_t>(l)] +=
+                  std::abs(M[nm_index(l, m)]);
+            }
           }
         }
       }
-    }
-    std::vector<double> cell_bound(tcells.size(), 0.0);
-    for (std::size_t gi = 0; gi < g.m2l_targets.size(); ++gi) {
-      const std::size_t t = g.m2l_targets[gi];
-      for (std::size_t k = g.m2l_begin[gi]; k < g.m2l_begin[gi + 1]; ++k) {
-        const std::size_t s = g.m2l_sources[k];
-        cell_bound[t] += m2l_error_bound(
-            absmom[s], scells[s].radius, tcells[t].radius,
-            (scells[s].center - tcells[t].center).norm(), p);
+      std::vector<double> cell_bound(tcells.size(), 0.0);
+      for (std::size_t gi = 0; gi < g.m2l_targets.size(); ++gi) {
+        const std::size_t t = g.m2l_targets[gi];
+        for (std::size_t k = g.m2l_begin[gi]; k < g.m2l_begin[gi + 1]; ++k) {
+          const std::size_t s = g.m2l_sources[k];
+          cell_bound[t] += m2l_error_bound(
+              absmom[s], scells[s].radius, tcells[t].radius,
+              (scells[s].center - tcells[t].center).norm(), p);
+        }
       }
-    }
-    double worst = 0.0;
-    for (std::size_t ci = 0; ci < tcells.size(); ++ci) {
-      if (ci != 0) cell_bound[ci] += cell_bound[tcells[ci].parent];
-      if (tcells[ci].is_leaf()) worst = std::max(worst, cell_bound[ci]);
+      for (std::size_t ci = 0; ci < tcells.size(); ++ci) {
+        if (ci != 0) cell_bound[ci] += cell_bound[tcells[ci].parent];
+        if (tcells[ci].is_leaf()) worst = std::max(worst, cell_bound[ci]);
+      }
     }
     stats_.max_error_bound = worst;
   }
 
-  std::vector<double> v(grid_.points.size());
-  for (std::size_t i = 0; i < v.size(); ++i) v[torder[i]] = v_sorted[i];
+  std::vector<std::vector<double>> v(n_pots, std::vector<double>(n_points));
+  for (std::size_t j = 0; j < n_pots; ++j) {
+    const double* vs = &v_sorted[j * n_points];
+    for (std::size_t i = 0; i < n_points; ++i) v[j][torder[i]] = vs[i];
+  }
   return v;
 }
 

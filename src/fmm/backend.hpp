@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/lockcheck.hpp"
@@ -73,8 +74,14 @@ class HartreeContext {
   HartreeContext(const HartreeContext&) = delete;
   HartreeContext& operator=(const HartreeContext&) = delete;
 
-  // Poisson solve + evaluation on every grid point through the selected
-  // backend. Direct delegates to MultipoleSolver::solve_on_grid verbatim.
+  // Poisson solves + evaluation on every grid point through the selected
+  // backend, one potential per density, under one "hartree.poisson" span.
+  // Direct delegates to MultipoleSolver::solve_on_grid verbatim; Fmm runs
+  // one tree pass for every density. Result j is bitwise that of solving
+  // density j alone.
+  [[nodiscard]] std::vector<std::vector<double>> solve_on_grid(
+      std::span<const std::vector<double>> densities) const;
+  // The one-density case.
   [[nodiscard]] std::vector<double> solve_on_grid(
       const std::vector<double>& density) const;
 
@@ -83,8 +90,16 @@ class HartreeContext {
   // builds one. Called by engines that iterate (ScfEngine::solve).
   void request_plan();
 
-  // Tree evaluation of an already-solved potential (bench / test entry;
-  // ignores the configured backend).
+  // Tree evaluation of already-solved potentials (bench / test entry;
+  // ignores the configured backend). One pass serves every potential: the
+  // geometry of each M2L pair, each L2P point and each P2P (point, atom)
+  // pair is computed once and combined per potential, so result j is
+  // bitwise that of evaluating potential j alone. The CPE model still
+  // charges each potential's flops and DMA bytes; the merged M2L and P2P
+  // launches save only the per-launch start-up.
+  [[nodiscard]] std::vector<std::vector<double>> fmm_on_grid(
+      std::span<const hartree::MultipolePotential> pots) const;
+  // The one-potential case.
   [[nodiscard]] std::vector<double> fmm_on_grid(
       const hartree::MultipolePotential& potential) const;
 

@@ -167,6 +167,10 @@ void FmmKernel::m2m(const Cplx* M_child, const Vec3& d, Cplx* M_parent,
 void FmmKernel::m2l(const Cplx* M, const Vec3& d, Cplx* L,
                     Workspace& ws) const {
   irregular(d, 2 * order_, ws.harm, ws.leg);
+  m2l_combine(M, ws.harm.data(), L);
+}
+
+void FmmKernel::m2l_combine(const Cplx* M, const Cplx* irr, Cplx* L) const {
   const int p = order_;
   for (int j = 0; j <= p; ++j) {
     for (int k = -j; k <= j; ++k) {
@@ -177,7 +181,7 @@ void FmmKernel::m2l(const Cplx* M, const Vec3& d, Cplx* L,
           const int mk = m - k;
           acc += M[nm_index(n, m)] *
                  ipow(std::abs(mk) - std::abs(k) - std::abs(m)) * A(n, m) *
-                 nsgn * ws.harm[nm_index(j + n, mk)] / A(j + n, mk);
+                 nsgn * irr[nm_index(j + n, mk)] / A(j + n, mk);
         }
       }
       L[nm_index(j, k)] += acc * A(j, k);
@@ -212,9 +216,13 @@ void FmmKernel::l2l(const Cplx* L_parent, const Vec3& d, Cplx* L_child,
 
 double FmmKernel::l2p(const Cplx* L, const Vec3& d, Workspace& ws) const {
   regular(d, order_, ws.harm, ws.leg);
+  return l2p_combine(L, ws.harm.data());
+}
+
+double FmmKernel::l2p_combine(const Cplx* L, const Cplx* reg) const {
   Cplx acc{0.0, 0.0};
   for (std::size_t i = 0; i < nm_count(order_); ++i) {
-    acc += L[i] * ws.harm[i];
+    acc += L[i] * reg[i];
   }
   return acc.real();
 }

@@ -77,7 +77,11 @@ class FmmKernel {
 
   // Converts a source multipole into a local expansion about the target
   // center; d = source_center - target_center. Accumulates into L.
+  // m2l is irregular(d, 2 * order) then m2l_combine; a pass that
+  // translates several potentials' multipoles along one d computes the
+  // harmonics once and combines once per potential.
   void m2l(const Cplx* M, const Vec3& d, Cplx* L, Workspace& ws) const;
+  void m2l_combine(const Cplx* M, const Cplx* irr, Cplx* L) const;
 
   // Translates a parent local expansion to a child center;
   // d = child_center - parent_center. Accumulates into L_child.
@@ -85,7 +89,9 @@ class FmmKernel {
            Workspace& ws) const;
 
   // Potential at d = point - center from a local expansion.
+  // l2p is regular(d, order) then l2p_combine, split as m2l is.
   [[nodiscard]] double l2p(const Cplx* L, const Vec3& d, Workspace& ws) const;
+  [[nodiscard]] double l2p_combine(const Cplx* L, const Cplx* reg) const;
 
   // Potential at d = point - center directly from a multipole expansion.
   [[nodiscard]] double m2p(const Cplx* M, const Vec3& d, Workspace& ws) const;

@@ -10,49 +10,55 @@ namespace swraman::grid {
 namespace {
 
 // Flat index of (l, m), 0 <= m <= l, in the lower-triangular Legendre
-// tables. It does not depend on lmax, so tables built for one lmax serve
-// every smaller one.
+// tables. It does not depend on lmax, so one table serves every lmax.
 constexpr std::size_t tri(int l, int m) {
   return static_cast<std::size_t>(l * (l + 1) / 2 + m);
 }
 
-// Fills the recurrence constants of real_ylm up to lmax, each computed by
-// the same expression the recurrence used inline, so cached and uncached
-// evaluation agree bitwise. A constant depends on (l, m) alone, never on
-// the lmax of the call.
-void build_constants(int lmax, YlmWorkspace& ws) {
-  const std::size_t nl = static_cast<std::size_t>(lmax + 1);
-  ws.diag.assign(nl, 0.0);
-  ws.sub.assign(nl, 0.0);
-  ws.ra.assign(tri(lmax + 1, 0), 0.0);
-  ws.rb.assign(tri(lmax + 1, 0), 0.0);
-  // Scratch sized once here, so evaluation never resizes it.
-  ws.q.assign(tri(lmax + 1, 0), 0.0);
-  ws.cm.assign(nl, 0.0);
-  ws.sm.assign(nl, 0.0);
-  for (int m = 1; m <= lmax; ++m) {
-    ws.diag[m] = std::sqrt((2.0 * m + 1.0) / (2.0 * m));
-  }
-  for (int m = 0; m < lmax; ++m) ws.sub[m] = std::sqrt(2.0 * m + 3.0);
-  for (int m = 0; m <= lmax; ++m) {
-    for (int l = m + 2; l <= lmax; ++l) {
-      ws.ra[tri(l, m)] =
-          std::sqrt((4.0 * l * l - 1.0) / (static_cast<double>(l) * l - m * m));
-      ws.rb[tri(l, m)] = std::sqrt(
-          (static_cast<double>(l - 1) * (l - 1) - m * m) /
-          (4.0 * static_cast<double>(l - 1) * (l - 1) - 1.0));
+constexpr std::size_t kTri = tri(kYlmMaxDegree + 1, 0);
+
+// The recurrence constants of real_ylm up to kYlmMaxDegree.
+struct YlmConstants {
+  double q00;                         // Q_00 = sqrt(1/4pi)
+  double sqrt2;                       // real-harmonic factor of m != 0
+  double diag[kYlmMaxDegree + 1];     // Q_mm from Q_(m-1)(m-1)
+  double sub[kYlmMaxDegree + 1];      // Q_(m+1)m from Q_mm
+  double ra[kTri];                    // upward-in-l recurrence a_lm
+  double rb[kTri];                    // upward-in-l recurrence b_lm
+};
+
+// Built once per process; each constant is the expression the recurrence
+// always used, so the table changes no bit of the results.
+const YlmConstants& constants() {
+  static const YlmConstants k = [] {
+    YlmConstants c{};
+    const int lmax = kYlmMaxDegree;
+    c.q00 = std::sqrt(1.0 / kFourPi);
+    c.sqrt2 = std::sqrt(2.0);
+    for (int m = 1; m <= lmax; ++m) {
+      c.diag[m] = std::sqrt((2.0 * m + 1.0) / (2.0 * m));
     }
-  }
-  ws.const_lmax = lmax;
+    for (int m = 0; m < lmax; ++m) c.sub[m] = std::sqrt(2.0 * m + 3.0);
+    for (int m = 0; m <= lmax; ++m) {
+      for (int l = m + 2; l <= lmax; ++l) {
+        c.ra[tri(l, m)] = std::sqrt((4.0 * l * l - 1.0) /
+                                    (static_cast<double>(l) * l - m * m));
+        c.rb[tri(l, m)] = std::sqrt(
+            (static_cast<double>(l - 1) * (l - 1) - m * m) /
+            (4.0 * static_cast<double>(l - 1) * (l - 1) - 1.0));
+      }
+    }
+    return c;
+  }();
+  return k;
 }
 
 }  // namespace
 
-void real_ylm(const Vec3& u, int lmax, double* out, YlmWorkspace& ws) {
-  SWRAMAN_REQUIRE(lmax >= 0, "real_ylm: lmax >= 0");
-  if (ws.const_lmax < lmax) build_constants(lmax, ws);
-  // Every entry of out (and every q entry the recurrences read) is written
-  // below, so the scratch is never cleared.
+void real_ylm(const Vec3& u, int lmax, double* out) {
+  SWRAMAN_REQUIRE(lmax >= 0 && lmax <= kYlmMaxDegree,
+                  "real_ylm: lmax in [0, kYlmMaxDegree]");
+  const YlmConstants& k = constants();
 
   const double r = u.norm();
   double c = 1.0;  // cos(theta)
@@ -71,56 +77,54 @@ void real_ylm(const Vec3& u, int lmax, double* out, YlmWorkspace& ws) {
 
   // Fully normalized associated Legendre Q_l^m (no Condon-Shortley phase):
   //   Y_l0 = Q_l0, Y_l(+-m) = sqrt(2) Q_lm {cos,sin}(m phi).
-  // Recurrences are stable upward in l for fixed m. Each entry is computed
-  // by the same operations for any lmax >= l, so lower-lmax results are
-  // bitwise prefixes of higher ones.
-  double* q = ws.q.data();
-
-  q[tri(0, 0)] = std::sqrt(1.0 / kFourPi);
+  // Per m: Q_mm from Q_(m-1)(m-1), Q_(m+1)m from Q_mm, then upward in l,
+  // which is stable for fixed m; cos(m phi), sin(m phi) by angle addition.
+  // Each entry is computed by the same operations for any lmax >= l, so
+  // lower-lmax results are bitwise prefixes of higher ones. The running
+  // values stay in registers: no scratch.
+  double qmm = k.q00;
+  out[lm_index(0, 0)] = qmm;
+  if (lmax > 0) {
+    double q2 = qmm;
+    double q1 = k.sub[0] * c * qmm;
+    out[lm_index(1, 0)] = q1;
+    for (int l = 2; l <= lmax; ++l) {
+      const double q = k.ra[tri(l, 0)] * (c * q1 - k.rb[tri(l, 0)] * q2);
+      out[lm_index(l, 0)] = q;
+      q2 = q1;
+      q1 = q;
+    }
+  }
+  double cm = 1.0;  // cos(m phi)
+  double sm = 0.0;  // sin(m phi)
   for (int m = 1; m <= lmax; ++m) {
-    q[tri(m, m)] = ws.diag[m] * s * q[tri(m - 1, m - 1)];
-  }
-  for (int m = 0; m < lmax; ++m) {
-    q[tri(m + 1, m)] = ws.sub[m] * c * q[tri(m, m)];
-  }
-  for (int m = 0; m <= lmax; ++m) {
+    qmm = k.diag[m] * s * qmm;
+    const double cn = cm * cphi - sm * sphi;
+    sm = sm * cphi + cm * sphi;
+    cm = cn;
+    double t = k.sqrt2 * qmm;
+    out[lm_index(m, m)] = t * cm;
+    out[lm_index(m, -m)] = t * sm;
+    if (m == lmax) break;
+    double q2 = qmm;
+    double q1 = k.sub[m] * c * qmm;
+    t = k.sqrt2 * q1;
+    out[lm_index(m + 1, m)] = t * cm;
+    out[lm_index(m + 1, -m)] = t * sm;
     for (int l = m + 2; l <= lmax; ++l) {
-      q[tri(l, m)] =
-          ws.ra[tri(l, m)] *
-          (c * q[tri(l - 1, m)] - ws.rb[tri(l, m)] * q[tri(l - 2, m)]);
+      const double q = k.ra[tri(l, m)] * (c * q1 - k.rb[tri(l, m)] * q2);
+      t = k.sqrt2 * q;
+      out[lm_index(l, m)] = t * cm;
+      out[lm_index(l, -m)] = t * sm;
+      q2 = q1;
+      q1 = q;
     }
   }
-
-  // Azimuthal factors cos(m phi), sin(m phi) by the angle-addition recurrence.
-  double* cm = ws.cm.data();
-  double* sm = ws.sm.data();
-  cm[0] = 1.0;
-  sm[0] = 0.0;
-  for (int m = 1; m <= lmax; ++m) {
-    cm[m] = cm[m - 1] * cphi - sm[m - 1] * sphi;
-    sm[m] = sm[m - 1] * cphi + cm[m - 1] * sphi;
-  }
-
-  const double sqrt2 = std::sqrt(2.0);
-  for (int l = 0; l <= lmax; ++l) {
-    out[lm_index(l, 0)] = q[tri(l, 0)];
-    for (int m = 1; m <= l; ++m) {
-      const double qlm = q[tri(l, m)];
-      out[lm_index(l, m)] = sqrt2 * qlm * cm[m];
-      out[lm_index(l, -m)] = sqrt2 * qlm * sm[m];
-    }
-  }
-}
-
-void real_ylm(const Vec3& u, int lmax, std::vector<double>& out,
-              YlmWorkspace& ws) {
-  out.resize(n_lm(lmax));
-  real_ylm(u, lmax, out.data(), ws);
 }
 
 void real_ylm(const Vec3& u, int lmax, std::vector<double>& out) {
-  thread_local YlmWorkspace ws;
-  real_ylm(u, lmax, out, ws);
+  out.resize(n_lm(lmax));
+  real_ylm(u, lmax, out.data());
 }
 
 std::vector<double> real_ylm(const Vec3& u, int lmax) {

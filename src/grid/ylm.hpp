@@ -24,38 +24,19 @@ constexpr std::size_t n_lm(int lmax) {
   return static_cast<std::size_t>((lmax + 1) * (lmax + 1));
 }
 
-// Scratch buffers for real_ylm: hold one per thread and the evaluation
-// never heap-allocates after the first call (the hot Hartree / FMM
-// per-point paths depend on this). The workspace also caches the Legendre
-// recurrence constants, which depend on (l, m) alone; they are built up to
-// the largest lmax asked for so far and serve every smaller lmax, so
-// callers that alternate lmax (per-atom channel counts in the Hartree
-// evaluation) do not rebuild them.
-struct YlmWorkspace {
-  std::vector<double> q;   // associated-Legendre table, [l(l+1)/2 + m]
-  std::vector<double> cm;  // cos(m phi)
-  std::vector<double> sm;  // sin(m phi)
+// Highest degree real_ylm evaluates. The Legendre recurrence constants
+// depend on (l, m) alone; they sit in one process-wide table built once up
+// to this degree, and an evaluation needs no scratch.
+inline constexpr int kYlmMaxDegree = 32;
 
-  int const_lmax = -1;       // lmax q, cm, sm and the constants cover
-  std::vector<double> diag;  // Q_mm from Q_(m-1)(m-1): sqrt((2m+1)/(2m))
-  std::vector<double> sub;   // Q_(m+1)m from Q_mm: sqrt(2m+3)
-  std::vector<double> ra;    // upward-in-l recurrence a_lm, [l(l+1)/2 + m]
-  std::vector<double> rb;    // upward-in-l recurrence b_lm, [l(l+1)/2 + m]
-};
-
-// Evaluates all real Y_lm for l = 0..lmax at unit direction u into
-// out[0, n_lm(lmax)). u does not need to be normalized; the zero vector
-// maps to the north pole. real_ylm(u, l) is bitwise the first n_lm(l)
-// entries of real_ylm(u, L) for every L >= l. Once ws covers lmax it
-// touches no allocator: this is the form for per-point hot loops.
-void real_ylm(const Vec3& u, int lmax, double* out, YlmWorkspace& ws);
+// Evaluates all real Y_lm for l = 0..lmax (0 <= lmax <= kYlmMaxDegree) at
+// unit direction u into out[0, n_lm(lmax)). u does not need to be
+// normalized; the zero vector maps to the north pole. real_ylm(u, l) is
+// bitwise the first n_lm(l) entries of real_ylm(u, L) for every L >= l.
+// Touches no allocator: this is the form for per-point hot loops.
+void real_ylm(const Vec3& u, int lmax, double* out);
 
 // Same, into out resized to n_lm(lmax); bitwise the pointer form.
-void real_ylm(const Vec3& u, int lmax, std::vector<double>& out,
-              YlmWorkspace& ws);
-
-// Convenience overload on a thread-local workspace: allocation-free after
-// warm-up (out keeps its capacity), constants cached as above.
 void real_ylm(const Vec3& u, int lmax, std::vector<double>& out);
 
 // Convenience wrapper returning the vector (allocates the result).

@@ -66,14 +66,10 @@ MultipoleSolver::MultipoleSolver(const grid::MolecularGrid& grid, int lmax)
   // the highest channel any shell projects onto.
   ylm_stride_ = grid::n_lm(l_res_max);
   ylm_.resize(grid_.size() * ylm_stride_);
-  std::vector<double> y;
-  grid::YlmWorkspace ylm_ws;
   for (std::size_t p = 0; p < grid_.size(); ++p) {
     const int a = grid_.owner_atom[p];
     const Vec3 u = grid_.points[p] - grid_.atoms[static_cast<std::size_t>(a)].pos;
-    grid::real_ylm(u, l_res_max, y, ylm_ws);
-    std::copy(y.begin(), y.end(),
-              ylm_.begin() + static_cast<long>(p * ylm_stride_));
+    grid::real_ylm(u, l_res_max, &ylm_[p * ylm_stride_]);
   }
 }
 
@@ -201,20 +197,42 @@ MultipolePotential MultipoleSolver::solve(
   return pot;
 }
 
+std::uint32_t pair_geometry(const Vec3& d, const std::vector<double>& knots,
+                            int l_res, double* rec) {
+  const double r = std::max(d.norm(), 1e-8);
+  std::uint32_t interval = kFarPair;
+  if (r <= knots.back()) {
+    // One interval search and one set of interval weights for all
+    // channels.
+    const std::size_t i = spline_interval(knots, r);
+    const SplineWeights w = spline_weights(knots, i, r);
+    interval = static_cast<std::uint32_t>(i);
+    rec[0] = w.a;
+    rec[1] = w.b;
+    rec[2] = w.a3;
+    rec[3] = w.b3;
+    rec[4] = w.h2;
+  } else {
+    double rpow = r;  // r^{l+1}
+    for (int l = 0; l <= l_res; ++l) {
+      rec[l] = kFourPi / (2.0 * l + 1.0) / rpow;
+      rpow *= r;
+    }
+  }
+  grid::real_ylm(d, l_res, rec + pair_head(interval, l_res));
+  return interval;
+}
+
 void MultipoleSolver::build_plan() const {
   const std::size_t n_atoms = radial_.size();
   // Pair records in evaluation order, sized before filling so the plan
-  // never over-allocates: near pairs carry SplineWeights, far pairs one
-  // prefactor per l, both followed by Y_lm up to l_res.
+  // never over-allocates.
   auto pair_doubles = [&](std::size_t p, std::size_t a) -> std::size_t {
     const AtomRadial& ar = radial_[a];
     if (ar.shells.empty()) return 0;
     const double r = std::max((grid_.points[p] - grid_.atoms[a].pos).norm(),
                               1e-8);
-    const std::size_t head = r <= ar.radii.back()
-                                 ? 5
-                                 : static_cast<std::size_t>(ar.l_res + 1);
-    return head + grid::n_lm(ar.l_res);
+    return pair_record_size(r <= ar.radii.back() ? 0 : kFarPair, ar.l_res);
   };
   const std::size_t point_ints = n_atoms * sizeof(std::uint32_t);
   std::size_t n_points = 0;
@@ -233,34 +251,13 @@ void MultipoleSolver::build_plan() const {
   plan_.coef.resize(n_coef);
   std::uint32_t* iv = plan_.interval.data();
   double* c = plan_.coef.data();
-  std::vector<double> y;
-  grid::YlmWorkspace ylm_ws;
   for (std::size_t p = 0; p < n_points; ++p) {
     for (std::size_t a = 0; a < n_atoms; ++a, ++iv) {
       const AtomRadial& ar = radial_[a];
       if (ar.shells.empty()) continue;
-      // The expressions of MultipolePotential::accumulate_atom.
-      const Vec3 d = grid_.points[p] - grid_.atoms[a].pos;
-      const double r = std::max(d.norm(), 1e-8);
-      if (r <= ar.radii.back()) {
-        const std::size_t i = spline_interval(ar.radii, r);
-        const SplineWeights w = spline_weights(ar.radii, i, r);
-        *iv = static_cast<std::uint32_t>(i);
-        *c++ = w.a;
-        *c++ = w.b;
-        *c++ = w.a3;
-        *c++ = w.b3;
-        *c++ = w.h2;
-      } else {
-        *iv = Plan::kFarPair;
-        double rpow = r;  // r^{l+1}
-        for (int l = 0; l <= ar.l_res; ++l) {
-          *c++ = kFourPi / (2.0 * l + 1.0) / rpow;
-          rpow *= r;
-        }
-      }
-      grid::real_ylm(d, ar.l_res, y, ylm_ws);
-      c = std::copy(y.begin(), y.end(), c);
+      *iv = pair_geometry(grid_.points[p] - grid_.atoms[a].pos, ar.radii,
+                          ar.l_res, c);
+      c += pair_record_size(*iv, ar.l_res);
     }
   }
   plan_built_.store(true, std::memory_order_release);
@@ -276,11 +273,14 @@ std::size_t MultipoleSolver::plan_bytes() const {
          plan_.coef.size() * sizeof(double);
 }
 
-std::vector<double> MultipoleSolver::evaluate_on_grid(
-    const MultipolePotential& pot) const {
+std::vector<std::vector<double>> MultipoleSolver::evaluate_on_grid(
+    std::span<const MultipolePotential> pots) const {
   const std::size_t n_atoms = radial_.size();
-  SWRAMAN_REQUIRE(pot.n_atoms() == n_atoms && pot.lmax() == lmax_,
-                  "MultipoleSolver::evaluate_on_grid: foreign potential");
+  const std::size_t k = pots.size();
+  for (const MultipolePotential& pot : pots) {
+    SWRAMAN_REQUIRE(pot.n_atoms() == n_atoms && pot.lmax() == lmax_,
+                    "MultipoleSolver::evaluate_on_grid: foreign potential");
+  }
   // plan_ is read only after call_once, which orders it after the build.
   std::size_t n_planned = 0;
   const std::uint32_t* iv = nullptr;
@@ -292,121 +292,79 @@ std::vector<double> MultipoleSolver::evaluate_on_grid(
     c = plan_.coef.data();
   }
 
-  // Planned points: accumulate_atom's running sum over the cached values.
-  std::vector<double> v(grid_.size());
+  // Per point, one running sum per potential over the atoms, as value().
+  std::vector<std::vector<double>> v(k, std::vector<double>(grid_.size()));
+  std::vector<double> acc(k);
   for (std::size_t p = 0; p < n_planned; ++p) {
-    double acc = 0.0;
+    std::fill(acc.begin(), acc.end(), 0.0);
     for (std::size_t a = 0; a < n_atoms; ++a, ++iv) {
       const AtomRadial& ar = radial_[a];
       if (ar.shells.empty()) continue;
-      const std::size_t n_live = grid::n_lm(ar.l_res);
-      const bool near = *iv != Plan::kFarPair;
-      const double* y = c + (near ? 5 : ar.l_res + 1);
-      if (near) {
-        const MultipolePotential::RadialTable& t = pot.tables_[a];
-        const SplineWeights w{c[0], c[1], c[2], c[3], c[4]};
-        const double* f0 = &t.values[*iv * n_lm_];
-        const double* f1 = f0 + n_lm_;
-        const double* m0 = &t.second[*iv * n_lm_];
-        const double* m1 = m0 + n_lm_;
-        for (std::size_t lm = 0; lm < n_live; ++lm) {
-          acc += spline_combine(w, f0[lm], f1[lm], m0[lm], m1[lm]) * y[lm];
-        }
-      } else {
-        const double* q = pot.moments_[a].data();
-        std::size_t lm = 0;
-        for (int l = 0; l <= ar.l_res; ++l) {
-          for (int m = -l; m <= l; ++m, ++lm) {
-            acc += c[l] * q[lm] * y[lm];
-          }
-        }
+      for (std::size_t j = 0; j < k; ++j) {
+        acc[j] = pots[j].accumulate_pair(a, *iv, c, acc[j]);
       }
-      c = y + n_live;
+      c += pair_record_size(*iv, ar.l_res);
     }
-    v[p] = acc;
+    for (std::size_t j = 0; j < k; ++j) v[j][p] = acc[j];
   }
+  double rec[kPairRecordMax];
   for (std::size_t p = n_planned; p < grid_.size(); ++p) {
-    v[p] = pot.value(grid_.points[p]);
+    std::fill(acc.begin(), acc.end(), 0.0);
+    for (std::size_t a = 0; a < n_atoms; ++a) {
+      const AtomRadial& ar = radial_[a];
+      if (ar.shells.empty()) continue;
+      const std::uint32_t interval = pair_geometry(
+          grid_.points[p] - grid_.atoms[a].pos, ar.radii, ar.l_res, rec);
+      for (std::size_t j = 0; j < k; ++j) {
+        acc[j] = pots[j].accumulate_pair(a, interval, rec, acc[j]);
+      }
+    }
+    for (std::size_t j = 0; j < k; ++j) v[j][p] = acc[j];
   }
   return v;
 }
 
-std::vector<double> MultipoleSolver::solve_on_grid(
-    const std::vector<double>& density) const {
+std::vector<double> MultipoleSolver::evaluate_on_grid(
+    const MultipolePotential& pot) const {
+  return std::move(evaluate_on_grid(std::span(&pot, 1))[0]);
+}
+
+std::vector<std::vector<double>> MultipoleSolver::solve_on_grid(
+    std::span<const std::vector<double>> densities) const {
   SWRAMAN_TRACE_SPAN(span, "hartree.poisson");
-  std::vector<double> v = evaluate_on_grid(solve(density));
+  std::vector<MultipolePotential> pots;
+  pots.reserve(densities.size());
+  for (const std::vector<double>& n : densities) pots.push_back(solve(n));
+  std::vector<std::vector<double>> v = evaluate_on_grid(pots);
   if (span.active()) {
+    span.attr("densities", static_cast<double>(densities.size()));
     span.attr("planned_points", static_cast<double>(planned_points()));
     span.attr("plan_bytes", static_cast<double>(plan_bytes()));
   }
   return v;
 }
 
-double MultipolePotential::value(const Vec3& point) const {
-  // Thread-local scratch: the Y_lm basis buffer survives across calls, so
-  // the per-grid-point evaluation loop performs no heap allocation (pinned
-  // by Multipole.ValueDoesNotAllocatePerPoint).
-  thread_local Workspace ws;
-  return value(point, ws);
+std::vector<double> MultipoleSolver::solve_on_grid(
+    const std::vector<double>& density) const {
+  return std::move(solve_on_grid(std::span(&density, 1))[0]);
 }
 
-double MultipolePotential::value(const Vec3& point, Workspace& ws) const {
-  // Terms accumulate into one running sum in atom order — the exact
-  // floating-point chain of the original implementation, so Direct-backend
-  // results are bitwise stable across the workspace refactor.
+double MultipolePotential::value(const Vec3& point) const {
+  // Terms accumulate into one running sum in atom order.
+  double rec[kPairRecordMax];
   double v = 0.0;
   for (std::size_t a = 0; a < centers_.size(); ++a) {
-    accumulate_atom(a, point, ws, v);
+    if (l_res_[a] < 0) continue;
+    v = accumulate_pair(a, geometry(a, point, rec), rec, v);
   }
   return v;
 }
 
-double MultipolePotential::value_atom(std::size_t atom, const Vec3& point,
-                                      Workspace& ws) const {
-  double v = 0.0;
-  accumulate_atom(atom, point, ws, v);
-  return v;
-}
-
-void MultipolePotential::accumulate_atom(std::size_t atom, const Vec3& point,
-                                         Workspace& ws, double& v) const {
-  const RadialTable& t = tables_[atom];
-  if (t.knots.empty()) return;
-  // Channels above l_res are zero (see the header comment): stopping there
-  // drops only +-0.0 terms.
-  const int l_res = l_res_[atom];
-  const std::size_t n_lm = grid::n_lm(lmax_);  // table row stride
-  const std::size_t n_live = grid::n_lm(l_res);
-  const Vec3 d = point - centers_[atom];
-  const double r = std::max(d.norm(), 1e-8);
-  if (ws.ylm.size() < n_live) ws.ylm.resize(n_live);
-  double* y = ws.ylm.data();
-  grid::real_ylm(d, l_res, y, ws.ylm_scratch);
-  if (r <= outer_radius_[atom]) {
-    // One interval search and one set of interval weights for all
-    // channels, then per channel the CubicSpline::value expression: each
-    // channel value is bitwise that of a per-channel spline.
-    const std::size_t i = spline_interval(t.knots, r);
-    const SplineWeights w = spline_weights(t.knots, i, r);
-    const double* f0 = &t.values[i * n_lm];
-    const double* f1 = &t.values[(i + 1) * n_lm];
-    const double* m0 = &t.second[i * n_lm];
-    const double* m1 = &t.second[(i + 1) * n_lm];
-    for (std::size_t lm = 0; lm < n_live; ++lm) {
-      v += spline_combine(w, f0[lm], f1[lm], m0[lm], m1[lm]) * y[lm];
-    }
-  } else {
-    // Analytic multipole far field.
-    double rpow = r;  // r^{l+1}
-    std::size_t lm = 0;
-    for (int l = 0; l <= l_res; ++l) {
-      const double pref = kFourPi / (2.0 * l + 1.0) / rpow;
-      for (int m = -l; m <= l; ++m, ++lm) {
-        v += pref * moments_[atom][lm] * y[lm];
-      }
-      rpow *= r;
-    }
-  }
+double MultipolePotential::value_atom(std::size_t atom,
+                                      const Vec3& point) const {
+  if (l_res_[atom] < 0) return 0.0;
+  double rec[kPairRecordMax];
+  return accumulate_pair(atom, geometry(atom, point, rec), rec, 0.0);
 }
 
 double MultipolePotential::total_charge() const {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/spline.hpp"
@@ -45,19 +46,51 @@
 // would add +-0.0 to the sum, and real_ylm(u, l_res) is a bitwise prefix of
 // real_ylm(u, lmax), so results are bitwise those of running every channel.
 //
-// Evaluation plan: everything the evaluation computes per (grid point,
-// atom) pair besides the table reads depends on geometry alone: Y_lm up to
-// l_res(a), the radial interval and its SplineWeights inside the atom's
-// outer radius, the far-field prefactors 4pi/(2l+1)/r^(l+1) beyond it. An
-// engine that iterates (ScfEngine::solve) asks for the plan with
-// request_plan(); the first evaluate_on_grid after that tabulates those
-// values once, under std::call_once, and every later evaluation only
-// gathers them. The cached doubles come from the same expressions and are
-// combined in the same order, so planned and unplanned results are bitwise
-// equal. The plan stops at kPlanByteCap; points past the cap are evaluated
-// by MultipolePotential::value as before.
+// Pair geometry and per-potential combine: everything the evaluation
+// computes per (grid point, atom) pair besides the table reads depends on
+// geometry alone: Y_lm up to l_res(a), the radial interval and its
+// SplineWeights inside the atom's outer radius, the far-field prefactors
+// 4pi/(2l+1)/r^(l+1) beyond it. pair_geometry writes them into one record;
+// MultipolePotential::accumulate_pair adds one potential's channel sum from
+// a record. Every evaluation path is these two steps: value(), the Direct
+// evaluation (planned or not) and the FMM near field (P2P). A path that
+// evaluates several potentials of one grid (the DFPT field axes) computes
+// each record once and combines it once per potential, in the order a
+// single evaluation uses, so each result is bitwise that of evaluating its
+// potential alone.
+//
+// Evaluation plan: an engine that iterates (ScfEngine::solve) asks for the
+// plan with request_plan(); the first evaluate_on_grid after that
+// tabulates every pair's record once, under std::call_once, and every
+// later evaluation only reads them. The plan stops at kPlanByteCap; points
+// past the cap compute their records as they go.
 
 namespace swraman::hartree {
+
+// Radial interval of a pair beyond the atom's outer radius.
+inline constexpr std::uint32_t kFarPair = UINT32_MAX;
+
+// Doubles of a pair record before its Y_lm: the SplineWeights (a, b, a3,
+// b3, h2) of a near pair, the l_res + 1 far-field prefactors of a far one.
+constexpr std::size_t pair_head(std::uint32_t interval, int l_res) {
+  return interval == kFarPair ? static_cast<std::size_t>(l_res + 1) : 5;
+}
+
+// Doubles of a pair record: its head, then the n_lm(l_res) Y_lm.
+constexpr std::size_t pair_record_size(std::uint32_t interval, int l_res) {
+  return pair_head(interval, l_res) + grid::n_lm(l_res);
+}
+
+// Largest pair record, for stack buffers.
+inline constexpr std::size_t kPairRecordMax =
+    static_cast<std::size_t>(grid::kYlmMaxDegree + 1) +
+    grid::n_lm(grid::kYlmMaxDegree);
+
+// Writes the geometry record of the pair d = point - atom center for an
+// atom with shell radii `knots` (non-empty, ascending) and resolved channel
+// l_res into rec; returns the radial interval of a near pair, or kFarPair.
+std::uint32_t pair_geometry(const Vec3& d, const std::vector<double>& knots,
+                            int l_res, double* rec);
 
 // The solved potential: per-atom knot-major radial spline tables plus
 // far-field multipole moments.
@@ -73,29 +106,59 @@ class MultipolePotential {
     std::vector<double> second;  // d2 V_lm / dr2 at knots[k]
   };
 
-  // Reusable per-thread scratch for point evaluation: the real-Y_lm basis
-  // buffer and real_ylm's scratch (recurrence tables, cached constants)
-  // that value() would otherwise heap-allocate per call. Callers on hot
-  // loops (the FMM P2P kernel) hold one per thread.
-  struct Workspace {
-    std::vector<double> ylm;
-    grid::YlmWorkspace ylm_scratch;
-  };
-
-  // Potential value at an arbitrary point. Uses a thread-local Workspace;
-  // allocation-free after the first call on each thread.
+  // Potential value at an arbitrary point: every atom's terms added to one
+  // running sum in atom order. Allocation-free.
   [[nodiscard]] double value(const Vec3& point) const;
-
-  // Same, with a caller-provided workspace (no thread-local lookup).
-  [[nodiscard]] double value(const Vec3& point, Workspace& ws) const;
 
   // Contribution of a single atom to the potential at `point`: the radial
   // spline channels inside the atom's outer radius, the analytic multipole
-  // far field beyond it. value() is exactly the atom-ordered sum of these
-  // terms; the FMM near field (P2P) evaluates the same expression so that
-  // near-pair arithmetic is identical between backends.
-  [[nodiscard]] double value_atom(std::size_t atom, const Vec3& point,
-                                  Workspace& ws) const;
+  // far field beyond it, summed from 0.0. The FMM near field (P2P) adds
+  // these per-atom sums; value() adds the same terms to its running sum.
+  [[nodiscard]] double value_atom(std::size_t atom, const Vec3& point) const;
+
+  // The geometry record of (point, atom) (pair_geometry on this atom's
+  // center, knots and l_res). The atom must have shells (l_res >= 0).
+  std::uint32_t geometry(std::size_t atom, const Vec3& point,
+                         double* rec) const {
+    return pair_geometry(point - centers_[atom], tables_[atom].knots,
+                         l_res_[atom], rec);
+  }
+
+  // The per-potential half of an evaluation: returns acc plus the atom's
+  // channel terms at a pair with geometry (interval, rec), added one term
+  // at a time in lm order. Channels above l_res are zero (see the header
+  // comment): stopping there drops only +-0.0 terms. Each near channel is
+  // the CubicSpline::value expression, so it is bitwise a per-channel
+  // spline.
+  [[nodiscard]] double accumulate_pair(std::size_t atom,
+                                       std::uint32_t interval,
+                                       const double* rec, double acc) const {
+    const int l_res = l_res_[atom];
+    const double* y = rec + pair_head(interval, l_res);
+    if (interval != kFarPair) {
+      const RadialTable& t = tables_[atom];
+      const std::size_t n_lm = grid::n_lm(lmax_);  // table row stride
+      const std::size_t n_live = grid::n_lm(l_res);
+      const SplineWeights w{rec[0], rec[1], rec[2], rec[3], rec[4]};
+      const double* f0 = &t.values[interval * n_lm];
+      const double* f1 = f0 + n_lm;
+      const double* m0 = &t.second[interval * n_lm];
+      const double* m1 = m0 + n_lm;
+      for (std::size_t lm = 0; lm < n_live; ++lm) {
+        acc += spline_combine(w, f0[lm], f1[lm], m0[lm], m1[lm]) * y[lm];
+      }
+    } else {
+      // Analytic multipole far field.
+      const double* q = moments_[atom].data();
+      std::size_t lm = 0;
+      for (int l = 0; l <= l_res; ++l) {
+        for (int m = -l; m <= l; ++m, ++lm) {
+          acc += rec[l] * q[lm] * y[lm];
+        }
+      }
+    }
+    return acc;
+  }
 
   [[nodiscard]] std::size_t n_atoms() const { return centers_.size(); }
 
@@ -126,8 +189,6 @@ class MultipolePotential {
 
  private:
   friend class MultipoleSolver;
-  void accumulate_atom(std::size_t atom, const Vec3& point, Workspace& ws,
-                       double& v) const;
   int lmax_ = 0;
   std::vector<int> l_res_;                       // per atom
   std::vector<Vec3> centers_;
@@ -145,13 +206,23 @@ class MultipoleSolver {
   [[nodiscard]] MultipolePotential solve(
       const std::vector<double>& density) const;
 
-  // Potential of a solve of this solver evaluated on every grid point:
-  // through the evaluation plan when one was requested, pointwise value()
-  // otherwise (bitwise the same). Safe to call from several threads.
+  // Potentials of solves of this solver evaluated on every grid point, one
+  // result per potential: each pair record comes from the evaluation plan
+  // when one was requested and is computed once otherwise, then combined
+  // per potential. Result j is bitwise value() of potential j at every
+  // point, whatever the number of potentials. Safe to call from several
+  // threads.
+  [[nodiscard]] std::vector<std::vector<double>> evaluate_on_grid(
+      std::span<const MultipolePotential> pots) const;
+  // The one-potential case.
   [[nodiscard]] std::vector<double> evaluate_on_grid(
       const MultipolePotential& pot) const;
 
-  // evaluate_on_grid(solve(density)) under one "hartree.poisson" span.
+  // evaluate_on_grid of the solves of every density, under one
+  // "hartree.poisson" span (each solve is a "hartree.multipole" span).
+  [[nodiscard]] std::vector<std::vector<double>> solve_on_grid(
+      std::span<const std::vector<double>> densities) const;
+  // The one-density case.
   [[nodiscard]] std::vector<double> solve_on_grid(
       const std::vector<double>& density) const;
 
@@ -173,11 +244,9 @@ class MultipoleSolver {
 
  private:
   // Per (point, atom) pair, in point-major, atom order. interval holds the
-  // radial interval of a near pair or kFarPair; coef holds, per pair of an
-  // atom with shells, either the SplineWeights (a, b, a3, b3, h2) or the
-  // l_res + 1 far-field prefactors, followed by the n_lm(l_res) Y_lm.
+  // radial interval of a near pair or kFarPair; coef holds the pair record
+  // (pair_geometry) of every pair of an atom with shells.
   struct Plan {
-    static constexpr std::uint32_t kFarPair = UINT32_MAX;
     std::size_t n_points = 0;
     std::vector<std::uint32_t> interval;  // [point * n_atoms + atom]
     std::vector<double> coef;

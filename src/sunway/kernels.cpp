@@ -94,15 +94,15 @@ CsiTables build_csi_tables(const hartree::MultipolePotential& potential) {
 namespace {
 
 // Evaluates the potential contribution of one atom at one point given its
-// coefficient table. comps is scratch of size n_lm; ylm and ylm_ws are the
-// caller's per-loop Y_lm buffers.
+// coefficient table. comps is scratch of size n_lm; ylm is the caller's
+// per-loop Y_lm buffer.
 double csi_point_atom(const CsiTables& t, const CsiAtomTable& at,
                       const Vec3& p, ExecMode mode, std::vector<double>& ylm,
-                      grid::YlmWorkspace& ylm_ws, std::vector<double>& comps) {
+                      std::vector<double>& comps) {
   if (at.knots.empty()) return 0.0;
   const Vec3 d = p - at.center;
   const double r = std::max(d.norm(), 1e-8);
-  grid::real_ylm(d, t.lmax, ylm, ylm_ws);
+  grid::real_ylm(d, t.lmax, ylm);
 
   if (r > at.outer_radius) {
     // Analytic multipole far field.
@@ -146,12 +146,11 @@ double csi_point_atom(const CsiTables& t, const CsiAtomTable& at,
 void real_space_potential(const CsiTables& tables, const Vec3* points,
                           std::size_t n, double* out, ExecMode mode) {
   std::vector<double> ylm;
-  grid::YlmWorkspace ylm_ws;
   std::vector<double> comps(tables.n_lm);
   for (std::size_t p = 0; p < n; ++p) {
     double v = 0.0;
     for (const CsiAtomTable& at : tables.atoms) {
-      v += csi_point_atom(tables, at, points[p], mode, ylm, ylm_ws, comps);
+      v += csi_point_atom(tables, at, points[p], mode, ylm, comps);
     }
     out[p] = v;
   }
@@ -169,7 +168,6 @@ void real_space_potential_cpe(CpeCluster& cluster, const CsiTables& tables,
     const std::size_t tile =
         std::max<std::size_t>(1, ctx.ldm().capacity() / 4 / sizeof(Vec3));
     std::vector<double> ylm;
-    grid::YlmWorkspace ylm_ws;
     std::vector<double> comps(tables.n_lm);
     for (std::size_t base = lo; base < hi; base += tile) {
       ctx.ldm().reset();
@@ -181,8 +179,7 @@ void real_space_potential_cpe(CpeCluster& cluster, const CsiTables& tables,
       for (std::size_t k = 0; k < count; ++k) {
         double v = 0.0;
         for (const CsiAtomTable& at : tables.atoms) {
-          v += csi_point_atom(tables, at, coords[k], mode, ylm, ylm_ws,
-                              comps);
+          v += csi_point_atom(tables, at, coords[k], mode, ylm, comps);
           // Coefficient block fetch for the interval (4 rows x n_lm) plus
           // Y_lm work: charged as DMA traffic and flops.
           ctx.counters().dma_bytes +=

@@ -1,11 +1,16 @@
 #include "dfpt/dfpt_engine.hpp"
 
 #include <cmath>
+#include <cstring>
+#include <deque>
 
 #include <gtest/gtest.h>
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
+#include "core/molecules.hpp"
+#include "linalg/lu.hpp"
+#include "xc/lda.hpp"
 
 namespace swraman::dfpt {
 namespace {
@@ -164,6 +169,193 @@ TEST(DynamicPolarizability, RejectsNegativeFrequency) {
   const scf::GroundState gs = eng.solve();
   DfptEngine dfpt(eng, gs);
   EXPECT_THROW(dfpt.polarizability_at_frequency(-0.1), Error);
+}
+
+}  // namespace
+}  // namespace swraman::dfpt
+// -- lockstep axes: bitwise the serial response cycles.
+
+namespace swraman::dfpt {
+namespace {
+
+// The response cycle of one axis as solve_response ran it before the axes
+// moved into lockstep: its own single-density Hartree solve every
+// iteration, no fault rolls (the engine's recovery is not exercised here).
+linalg::Matrix serial_response(const scf::ScfEngine& eng,
+                               const scf::GroundState& gs, int axis,
+                               double omega, const DfptOptions& opt) {
+  const std::size_t nbf = eng.basis().size();
+  const linalg::Matrix d = eng.dipole_matrix(axis);
+  const std::vector<double> n0 = eng.density_on_grid(gs.density);
+  std::vector<double> fxc(n0.size());
+  for (std::size_t p = 0; p < n0.size(); ++p) {
+    fxc[p] = xc::evaluate(eng.options().functional, n0[p]).f;
+  }
+  const linalg::Matrix& c = gs.coefficients;
+  std::vector<std::size_t> occ;
+  std::vector<std::size_t> vir;
+  for (std::size_t j = 0; j < gs.eigenvalues.size(); ++j) {
+    if (gs.occupations[j] > 1.0) {
+      occ.push_back(j);
+    } else if (gs.occupations[j] < 1e-6) {
+      vir.push_back(j);
+    }
+  }
+  linalg::Matrix c_vir(nbf, vir.size());
+  for (std::size_t a = 0; a < vir.size(); ++a) {
+    for (std::size_t mu = 0; mu < nbf; ++mu) c_vir(mu, a) = c(mu, vir[a]);
+  }
+  linalg::Matrix c_occ(nbf, occ.size());
+  for (std::size_t i = 0; i < occ.size(); ++i) {
+    for (std::size_t mu = 0; mu < nbf; ++mu) c_occ(mu, i) = c(mu, occ[i]);
+  }
+
+  linalg::Matrix p1(nbf, nbf);
+  linalg::Matrix h1 = d;
+  std::deque<linalg::Matrix> hist_p;
+  std::deque<linalg::Matrix> hist_r;
+  for (int iter = 1; iter <= opt.max_iterations; ++iter) {
+    const linalg::Matrix g = linalg::at_b(c, h1 * c);
+    linalg::Matrix u(vir.size(), occ.size());
+    for (std::size_t a = 0; a < vir.size(); ++a) {
+      for (std::size_t i = 0; i < occ.size(); ++i) {
+        const double delta = gs.eigenvalues[occ[i]] - gs.eigenvalues[vir[a]];
+        const double denom2 = delta * delta - omega * omega;
+        if (std::abs(delta) < 1e-8 || std::abs(denom2) < 1e-10) continue;
+        u(a, i) = g(vir[a], occ[i]) * delta / denom2 * gs.occupations[occ[i]];
+      }
+    }
+    const linalg::Matrix w = c_vir * u;
+    linalg::Matrix p1_new = linalg::a_bt(w, c_occ);
+    p1_new += p1_new.transposed();
+    const double dp = (p1_new - p1).max_abs();
+
+    hist_p.push_back(p1_new);
+    hist_r.push_back(p1_new - p1);
+    if (static_cast<int>(hist_p.size()) > opt.diis_depth) {
+      hist_p.pop_front();
+      hist_r.pop_front();
+    }
+    const std::size_t m = hist_p.size();
+    bool extrapolated = false;
+    if (m >= 2) {
+      linalg::Matrix b(m + 1, m + 1);
+      std::vector<double> rhs(m + 1, 0.0);
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < m; ++j) {
+          b(i, j) = linalg::trace_product(hist_r[i], hist_r[j].transposed());
+        }
+        b(i, m) = -1.0;
+        b(m, i) = -1.0;
+      }
+      rhs[m] = -1.0;
+      const linalg::Lu lu(b);
+      if (!lu.singular()) {
+        linalg::Matrix mix(nbf, nbf);
+        const std::vector<double> coef = lu.solve(rhs);
+        for (std::size_t i = 0; i < m; ++i) {
+          linalg::Matrix term = hist_p[i];
+          term *= coef[i];
+          mix += term;
+        }
+        p1 = std::move(mix);
+        extrapolated = true;
+      }
+    }
+    if (!extrapolated) {
+      linalg::Matrix mix = p1;
+      mix *= (1.0 - opt.mixing);
+      linalg::Matrix add = p1_new;
+      add *= opt.mixing;
+      mix += add;
+      p1 = std::move(mix);
+    }
+    if (dp < opt.tol) return p1;
+
+    const std::vector<double> n1 = eng.density_on_grid(p1);
+    std::vector<double> v1 = eng.hartree().solve_on_grid(n1);
+    for (std::size_t p = 0; p < v1.size(); ++p) v1[p] += fxc[p] * n1[p];
+    h1 = d;
+    h1 += eng.integrate_matrix(v1);
+  }
+  ADD_FAILURE() << "serial reference did not converge on axis " << axis;
+  return p1;
+}
+
+// polarizability() assembled from three serial responses.
+linalg::Matrix serial_alpha(const scf::ScfEngine& eng,
+                            const scf::GroundState& gs, double omega,
+                            const DfptOptions& opt) {
+  linalg::Matrix alpha(3, 3);
+  for (int j = 0; j < 3; ++j) {
+    const linalg::Matrix p1 = serial_response(eng, gs, j, omega, opt);
+    for (int i = 0; i < 3; ++i) {
+      alpha(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) =
+          -linalg::trace_product(p1, eng.dipole_matrix(i));
+    }
+  }
+  alpha.symmetrize();
+  return alpha;
+}
+
+bool bitwise_equal(const linalg::Matrix& a, const linalg::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+void expect_lockstep_is_serial(const std::vector<grid::AtomSite>& atoms,
+                               const scf::ScfOptions& so) {
+  scf::ScfEngine eng(atoms, so);
+  const scf::GroundState gs = eng.solve();
+  ASSERT_TRUE(gs.converged);
+  if (so.hartree_backend == fmm::HartreeBackend::Fmm) {
+    // The tree pass has both a far field (M2L) and a near field (P2P).
+    EXPECT_GT(eng.hartree().stats().n_m2l_pairs, 0u);
+    EXPECT_GT(eng.hartree().stats().n_p2p_pairs, 0u);
+  }
+  const DfptOptions opt;
+  for (double omega : {0.0, 0.05}) {
+    DfptEngine dfpt(eng, gs, opt);
+    const linalg::Matrix alpha =
+        omega == 0.0 ? dfpt.polarizability()
+                     : dfpt.polarizability_at_frequency(omega);
+    const linalg::Matrix ref = serial_alpha(eng, gs, omega, opt);
+    EXPECT_TRUE(bitwise_equal(alpha, ref)) << "omega = " << omega;
+  }
+}
+
+TEST(DfptLockstep, H2DirectIsBitwiseTheSerialAxes) {
+  expect_lockstep_is_serial(h2(), {});
+}
+
+TEST(DfptLockstep, WaterDirectIsBitwiseTheSerialAxes) {
+  expect_lockstep_is_serial(water(), {});
+}
+
+TEST(DfptLockstep, WaterClusterFmmIsBitwiseTheSerialAxes) {
+  // The cluster benchmark's settings, on a smaller cluster.
+  scf::ScfOptions so;
+  so.species.tier = basis::Tier::Minimal;
+  so.grid.n_radial = 14;
+  so.grid.angular_order = 7;
+  so.grid.partition = grid::PartitionScheme::Hirshfeld;
+  so.multipole_lmax = 4;
+  so.hartree_backend = fmm::HartreeBackend::Fmm;
+  so.fmm.order = 4;
+  so.fmm.theta = 0.6;
+  expect_lockstep_is_serial(molecules::water_cluster(4), so);
+}
+
+TEST(DfptLockstep, SingleAxisIsTheSerialResponse) {
+  scf::ScfEngine eng(water(), {});
+  const scf::GroundState gs = eng.solve();
+  DfptOptions opt;
+  opt.frequency = 0.05;
+  DfptEngine dfpt(eng, gs, opt);
+  const ResponseResult res = dfpt.solve_response(1);
+  ASSERT_TRUE(res.converged);
+  EXPECT_TRUE(bitwise_equal(res.p1, serial_response(eng, gs, 1, 0.05, opt)));
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -10,6 +13,7 @@
 #include "common/constants.hpp"
 #include "core/molecules.hpp"
 #include "grid/atom_grid.hpp"
+#include "obs/obs.hpp"
 
 // The drop-in contract of the FMM Hartree backend, on a real molecular
 // grid: Direct is bitwise the plain solver, Fmm agrees with Direct within
@@ -188,6 +192,66 @@ TEST(HartreeBackendDispatch, CpeOffloadMatchesHostPathBitwise) {
   const std::vector<double> vb = b.solve_on_grid(cluster_density());
   ASSERT_EQ(va.size(), vb.size());
   EXPECT_EQ(std::memcmp(va.data(), vb.data(), va.size() * sizeof(double)), 0);
+}
+
+TEST(HartreeBackendDispatch, MultiDensityPassIsBitwiseSinglePasses) {
+  // One tree pass for k densities gives each potential the bits of its own
+  // pass, and charges the CPE model the flops and DMA bytes of the k
+  // single passes; the host path agrees with the CPE path.
+  const grid::MolecularGrid& g = cluster_grid();
+  std::vector<std::vector<double>> dens(3, cluster_density());
+  for (std::size_t p = 0; p < g.size(); ++p) {
+    const Vec3& x = g.points[p];
+    dens[1][p] *= 0.5 + 0.3 * std::tanh(0.2 * (x.x - x.z));
+    dens[2][p] *= -0.7 * std::cos(0.3 * x.y) + 0.1;
+  }
+  FmmOptions host;
+  host.use_cpe = false;
+  const HartreeContext ctx(g, 6, HartreeBackend::Fmm, FmmOptions{});
+  const HartreeContext host_ctx(g, 6, HartreeBackend::Fmm, host);
+  auto counter = [](const char* name) {
+    const std::map<std::string, double> c =
+        obs::Registry::instance().counter_values();
+    const auto it = c.find(name);
+    return it == c.end() ? 0.0 : it->second;
+  };
+  obs::reset_for_testing();
+  obs::set_enabled(true);
+  const double flops_before = counter("sunway.kernel.flops");
+  const double bytes_before = counter("sunway.dma.bytes");
+  std::vector<std::vector<double>> single;
+  for (const std::vector<double>& n : dens) single.push_back(ctx.solve_on_grid(n));
+  const double flops_single = counter("sunway.kernel.flops") - flops_before;
+  const double bytes_single = counter("sunway.dma.bytes") - bytes_before;
+  EXPECT_GT(flops_single, 0.0);
+  for (std::size_t k = 1; k <= dens.size(); ++k) {
+    const double flops0 = counter("sunway.kernel.flops");
+    const double bytes0 = counter("sunway.dma.bytes");
+    const std::vector<std::vector<double>> multi =
+        ctx.solve_on_grid(std::span(dens.data(), k));
+    const double flops = counter("sunway.kernel.flops") - flops0;
+    const double bytes = counter("sunway.dma.bytes") - bytes0;
+    ASSERT_EQ(multi.size(), k);
+    for (std::size_t j = 0; j < k; ++j) {
+      EXPECT_EQ(std::memcmp(multi[j].data(), single[j].data(),
+                            single[j].size() * sizeof(double)),
+                0)
+          << "k=" << k << " j=" << j;
+    }
+    if (k == dens.size()) {
+      EXPECT_EQ(flops, flops_single);
+      EXPECT_EQ(bytes, bytes_single);
+    }
+  }
+  obs::set_enabled(false);
+  obs::reset_for_testing();
+  const std::vector<std::vector<double>> on_host = host_ctx.solve_on_grid(dens);
+  for (std::size_t j = 0; j < dens.size(); ++j) {
+    EXPECT_EQ(std::memcmp(on_host[j].data(), single[j].data(),
+                          single[j].size() * sizeof(double)),
+              0)
+        << "host j=" << j;
+  }
 }
 
 TEST(HartreeBackendDispatch, AutoFollowsTheCostModel) {

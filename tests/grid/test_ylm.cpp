@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/constants.hpp"
+#include "common/error.hpp"
 #include "grid/angular.hpp"
 
 namespace swraman::grid {
@@ -99,55 +100,124 @@ TEST(Ylm, AdditionTheorem) {
   }
 }
 
-TEST(RealYlm, CachedConstantsAreBitwise) {
-  // One workspace reused across changing lmax (the recurrence constants are
-  // built up to the largest lmax seen and must serve every smaller one)
-  // against a fresh workspace per call.
-  const std::vector<Vec3> dirs = {{0.3, -0.4, 0.87},
-                                  {0.0, 0.0, 1.0},
-                                  {-1.2, 0.5, -0.1},
-                                  {0.0, 2.0, 0.0},
-                                  {0.0, 0.0, 0.0}};
-  YlmWorkspace reused;
-  std::vector<double> y_reused;
-  for (int lmax : {6, 2, 8, 6}) {
-    for (const Vec3& u : dirs) {
-      real_ylm(u, lmax, y_reused, reused);
-      YlmWorkspace fresh;
-      std::vector<double> y_fresh;
-      real_ylm(u, lmax, y_fresh, fresh);
-      ASSERT_EQ(y_reused.size(), n_lm(lmax));
-      for (std::size_t i = 0; i < y_fresh.size(); ++i) {
-        EXPECT_EQ(y_reused[i], y_fresh[i])
-            << "lmax=" << lmax << " u=" << u << " i=" << i;
-      }
-      // The convenience overloads share one thread-local workspace.
-      const std::vector<double> y_conv = real_ylm(u, lmax);
-      for (std::size_t i = 0; i < y_fresh.size(); ++i) {
-        EXPECT_EQ(y_conv[i], y_fresh[i])
-            << "lmax=" << lmax << " u=" << u << " i=" << i;
-      }
+// The recurrence as written before its constants moved into the
+// process-wide table: scratch and constants built per call, each constant
+// by its original expression. real_ylm must reproduce it bit for bit.
+std::vector<double> reference_ylm(const Vec3& u, int lmax) {
+  auto tri = [](int l, int m) {
+    return static_cast<std::size_t>(l * (l + 1) / 2 + m);
+  };
+  const std::size_t nl = static_cast<std::size_t>(lmax + 1);
+  std::vector<double> diag(nl, 0.0), sub(nl, 0.0);
+  std::vector<double> ra(tri(lmax + 1, 0), 0.0), rb(tri(lmax + 1, 0), 0.0);
+  std::vector<double> q(tri(lmax + 1, 0), 0.0), cm(nl, 0.0), sm(nl, 0.0);
+  for (int m = 1; m <= lmax; ++m) {
+    diag[m] = std::sqrt((2.0 * m + 1.0) / (2.0 * m));
+  }
+  for (int m = 0; m < lmax; ++m) sub[m] = std::sqrt(2.0 * m + 3.0);
+  for (int m = 0; m <= lmax; ++m) {
+    for (int l = m + 2; l <= lmax; ++l) {
+      ra[tri(l, m)] =
+          std::sqrt((4.0 * l * l - 1.0) / (static_cast<double>(l) * l - m * m));
+      rb[tri(l, m)] = std::sqrt(
+          (static_cast<double>(l - 1) * (l - 1) - m * m) /
+          (4.0 * static_cast<double>(l - 1) * (l - 1) - 1.0));
     }
   }
+
+  const double r = u.norm();
+  double c = 1.0;
+  double s = 0.0;
+  double cphi = 1.0;
+  double sphi = 0.0;
+  if (r > 0.0) {
+    c = u.z / r;
+    const double rho = std::hypot(u.x, u.y);
+    s = rho / r;
+    if (rho > 0.0) {
+      cphi = u.x / rho;
+      sphi = u.y / rho;
+    }
+  }
+  q[tri(0, 0)] = std::sqrt(1.0 / kFourPi);
+  for (int m = 1; m <= lmax; ++m) {
+    q[tri(m, m)] = diag[m] * s * q[tri(m - 1, m - 1)];
+  }
+  for (int m = 0; m < lmax; ++m) {
+    q[tri(m + 1, m)] = sub[m] * c * q[tri(m, m)];
+  }
+  for (int m = 0; m <= lmax; ++m) {
+    for (int l = m + 2; l <= lmax; ++l) {
+      q[tri(l, m)] = ra[tri(l, m)] *
+                     (c * q[tri(l - 1, m)] - rb[tri(l, m)] * q[tri(l - 2, m)]);
+    }
+  }
+  cm[0] = 1.0;
+  sm[0] = 0.0;
+  for (int m = 1; m <= lmax; ++m) {
+    cm[m] = cm[m - 1] * cphi - sm[m - 1] * sphi;
+    sm[m] = sm[m - 1] * cphi + cm[m - 1] * sphi;
+  }
+  std::vector<double> out(n_lm(lmax));
+  const double sqrt2 = std::sqrt(2.0);
+  for (int l = 0; l <= lmax; ++l) {
+    out[lm_index(l, 0)] = q[tri(l, 0)];
+    for (int m = 1; m <= l; ++m) {
+      const double qlm = q[tri(l, m)];
+      out[lm_index(l, m)] = sqrt2 * qlm * cm[m];
+      out[lm_index(l, -m)] = sqrt2 * qlm * sm[m];
+    }
+  }
+  return out;
+}
+
+TEST(RealYlm, ConstantsTableMatchesReferenceRecurrenceBitwise) {
+  std::vector<Vec3> dirs = {{0.0, 0.0, 0.0},      {0.0, 0.0, 1.0},
+                            {0.0, 0.0, -1.0},     {1.0, 0.0, 0.0},
+                            {-1.0, 0.0, 0.0},     {0.0, 1.0, 0.0},
+                            {0.0, -1.0, 0.0},     {3e-13, -7e-13, 1e-12},
+                            {1e-12, 0.0, 0.0},    {0.0, 0.0, -1e-12},
+                            {4e5, -7e5, 1e6},     {0.0, 1e6, 0.0},
+                            {1e6, 1e6, -1e6}};
+  std::mt19937 rng(2024);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (int i = 0; i < 512; ++i) {
+    dirs.push_back({dist(rng), dist(rng), dist(rng)});
+  }
+  for (int lmax = 0; lmax <= kYlmMaxDegree; ++lmax) {
+    for (const Vec3& u : dirs) {
+      const std::vector<double> ref = reference_ylm(u, lmax);
+      const std::vector<double> got = real_ylm(u, lmax);
+      ASSERT_EQ(got.size(), ref.size());
+      EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                            ref.size() * sizeof(double)),
+                0)
+          << "lmax=" << lmax << " u=" << u;
+    }
+  }
+}
+
+TEST(RealYlm, DegreeAboveTheTableIsRejected) {
+  std::vector<double> y;
+  EXPECT_THROW(real_ylm({0.3, -0.4, 0.87}, kYlmMaxDegree + 1, y), Error);
+  EXPECT_THROW(real_ylm({0.3, -0.4, 0.87}, -1, y), Error);
 }
 
 TEST(RealYlm, LowerLmaxIsBitwisePrefix) {
   // The Hartree evaluation stops each atom at its resolved channel l and
   // relies on real_ylm(u, l) being exactly the head of real_ylm(u, L).
-  // One workspace serves every call, so lmax moves both up and down
-  // between calls on the same cached constants.
+  // lmax moves both up and down between calls on the shared constants.
   const std::vector<Vec3> dirs = {{0.3, -0.4, 0.87},  {0.0, 0.0, 1.0},
                                   {0.0, 0.0, -2.5},   {-1.2, 0.5, -0.1},
                                   {0.0, 2.0, 0.0},    {1e-9, -3e-9, 0.2},
                                   {0.0, 0.0, 0.0}};
-  YlmWorkspace ws;
   std::vector<double> lo;
   std::vector<double> hi;
   for (const Vec3& u : dirs) {
     for (int big = 0; big <= 8; ++big) {
-      real_ylm(u, big, hi, ws);
+      real_ylm(u, big, hi);
       for (int l = big; l >= 0; --l) {
-        real_ylm(u, l, lo, ws);
+        real_ylm(u, l, lo);
         ASSERT_EQ(lo.size(), n_lm(l));
         for (std::size_t i = 0; i < lo.size(); ++i) {
           EXPECT_EQ(lo[i], hi[i])
@@ -161,20 +231,18 @@ TEST(RealYlm, LowerLmaxIsBitwisePrefix) {
 TEST(RealYlm, PointerFormIsBitwiseTheVectorForm) {
   // The per-point hot loops write into caller storage through the pointer
   // form. It must give the vector form's bits and write exactly n_lm(l)
-  // entries, on one workspace reused across rising and falling lmax.
+  // entries, across rising and falling lmax.
   const std::vector<Vec3> dirs = {{0.3, -0.4, 0.87},  {0.0, 0.0, 1.0},
                                   {0.0, 0.0, -2.5},   {-1.2, 0.5, -0.1},
                                   {0.0, 2.0, 0.0},    {1e-9, -3e-9, 0.2},
                                   {0.0, 0.0, 0.0}};
   const double sentinel = std::numeric_limits<double>::quiet_NaN();
-  YlmWorkspace ws;
   for (const Vec3& u : dirs) {
     for (int l : {0, 3, 8, 1, 5, 2, 7, 4, 6}) {
       std::vector<double> out(n_lm(8) + 1, sentinel);
-      real_ylm(u, l, out.data(), ws);
-      YlmWorkspace fresh;
+      real_ylm(u, l, out.data());
       std::vector<double> ref;
-      real_ylm(u, l, ref, fresh);
+      real_ylm(u, l, ref);
       ASSERT_EQ(ref.size(), n_lm(l));
       EXPECT_EQ(std::memcmp(out.data(), ref.data(),
                             ref.size() * sizeof(double)),

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -213,6 +214,54 @@ TEST(Multipole, PlanPastTheByteCapFallsBackBitwise) {
   EXPECT_TRUE(bitwise_equal(v, pointwise(pot, w.grid)));
 }
 
+// Three densities of one grid: the water density and two deformations
+// of it, so each potential has its own channels and moments.
+std::vector<std::vector<double>> three_densities(const WaterCase& w) {
+  std::vector<std::vector<double>> d(3, w.density);
+  for (std::size_t p = 0; p < w.grid.size(); ++p) {
+    const Vec3& x = w.grid.points[p];
+    d[1][p] *= 0.5 + 0.3 * std::tanh(x.x - 0.4 * x.z);
+    d[2][p] *= -0.7 * std::cos(0.8 * x.y) + 0.2 * x.z;
+  }
+  return d;
+}
+
+TEST(Multipole, MultiDensityCallIsBitwiseSingleCalls) {
+  // k densities in one call, with and without the plan: each result is
+  // bitwise the one-density call, and (unplanned) pointwise value().
+  grid::GridSettings serve;
+  serve.n_radial = 12;
+  serve.angular_order = 5;
+  const WaterCase w = water_case(serve);
+  const std::vector<std::vector<double>> dens = three_densities(w);
+  for (bool plan : {false, true}) {
+    SCOPED_TRACE(plan ? "planned" : "unplanned");
+    MultipoleSolver solver(w.grid, 6);
+    if (plan) solver.request_plan();
+    std::vector<std::vector<double>> single;
+    for (const std::vector<double>& n : dens) {
+      single.push_back(solver.solve_on_grid(n));
+    }
+    for (std::size_t k = 1; k <= dens.size(); ++k) {
+      const std::vector<std::vector<double>> multi =
+          solver.solve_on_grid(std::span(dens.data(), k));
+      ASSERT_EQ(multi.size(), k);
+      for (std::size_t j = 0; j < k; ++j) {
+        EXPECT_TRUE(bitwise_equal(multi[j], single[j]))
+            << "k=" << k << " j=" << j;
+      }
+    }
+    EXPECT_EQ(solver.planned_points(), plan ? w.grid.size() : 0u);
+    if (!plan) {
+      for (std::size_t j = 0; j < dens.size(); ++j) {
+        EXPECT_TRUE(
+            bitwise_equal(single[j], pointwise(solver.solve(dens[j]), w.grid)))
+            << "j=" << j;
+      }
+    }
+  }
+}
+
 TEST(Multipole, ConcurrentFirstEvaluationBuildsPlanOnce) {
   // Threads race the first evaluation of a shared planned solver; the plan
   // is built once (std::call_once) and every output is bitwise the
@@ -313,9 +362,8 @@ void per_channel_atom_terms(const MultipolePotential& pot,
   if (splines.empty()) return;
   const Vec3 d = point - pot.centers()[atom];
   const double r = std::max(d.norm(), 1e-8);
-  grid::YlmWorkspace ws;
   std::vector<double> y;
-  grid::real_ylm(d, pot.lmax(), y, ws);
+  grid::real_ylm(d, pot.lmax(), y);
   if (r <= pot.outer_radius(atom)) {
     for (std::size_t lm = 0; lm < splines.size(); ++lm) {
       v += splines[lm].value(r) * y[lm];
@@ -415,17 +463,15 @@ void check_shared_interval_bitwise(const grid::GridSettings& settings,
   ASSERT_EQ((Vec3{knots.front(), 0.0, 0.0}.norm()), knots.front());
   ASSERT_EQ((Vec3{outer, 0.0, 0.0}.norm()), outer);
 
-  MultipolePotential::Workspace ws;
   for (const Vec3& r : points) {
     double ref = 0.0;
     for (std::size_t a = 0; a < pot.n_atoms(); ++a) {
       double term = 0.0;
       per_channel_atom_terms(pot, splines[a], a, r, term);
-      EXPECT_EQ(pot.value_atom(a, r, ws), term) << "atom " << a << " at " << r;
+      EXPECT_EQ(pot.value_atom(a, r), term) << "atom " << a << " at " << r;
       per_channel_atom_terms(pot, splines[a], a, r, ref);
     }
     EXPECT_EQ(pot.value(r), ref) << r;
-    EXPECT_EQ(pot.value(r, ws), ref) << r;
   }
 }
 
@@ -571,9 +617,8 @@ TEST(Multipole, ValueDoesNotAllocatePerPoint) {
   }
   const MultipolePotential pot = solver.solve(n);
 
-  // First calls size the (thread_local / explicit) workspaces.
-  MultipolePotential::Workspace ws;
-  double acc = pot.value({1.0, 0.5, -0.3}) + pot.value({1.0, 0.5, -0.3}, ws);
+  // The first calls size ylm and build the process-wide Y_lm constants.
+  double acc = pot.value({1.0, 0.5, -0.3});
   std::vector<double> ylm;
   grid::real_ylm({1.0, 0.5, -0.3}, 6, ylm);
 
@@ -582,9 +627,8 @@ TEST(Multipole, ValueDoesNotAllocatePerPoint) {
   for (int i = 0; i < 256; ++i) {
     const Vec3 r{0.3 + 0.02 * i, -0.7, 0.4};
     acc += pot.value(r);
-    acc += pot.value(r, ws);
-    acc += pot.value_atom(0, r, ws);
-    // The convenience overload runs on a thread-local workspace.
+    acc += pot.value_atom(0, r);
+    // The vector overload reuses ylm's capacity.
     grid::real_ylm(r, 6, ylm);
     acc += ylm[3];
   }

@@ -4,7 +4,9 @@
 // must resume from its checkpoint re-evaluating only the missing
 // geometries.
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -12,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "dfpt/dfpt_engine.hpp"
 #include "raman/raman.hpp"
 #include "robustness/fault.hpp"
 #include "scf/scf_engine.hpp"
@@ -236,6 +239,70 @@ TEST(NumericsFaults, DfptRecoversFromInjectedDivergence) {
           << "alpha(" << i << "," << j << ")";
     }
   }
+}
+
+TEST(NumericsFaults, DfptLockstepRecoveryRestartsOnlyTheHitAxis) {
+  // The axes advance in lockstep on one thread, so the rolls go axis 0,
+  // axis 1, axis 2 per iteration: at=2 poisons axis 1 on its first
+  // iteration. Axis 1 restarts alone; axes 0 and 2 never notice.
+  const auto atoms = h2();
+  scf::ScfEngine engine(atoms, fast_scf());
+  const scf::GroundState gs = engine.solve();
+  ASSERT_TRUE(gs.converged);
+  dfpt::DfptOptions dopt;
+  dopt.tol = 1e-10;
+
+  linalg::Matrix clean;
+  {
+    ScopedFaults guard;
+    dfpt::DfptEngine dfpt(engine, gs, dopt);
+    clean = dfpt.polarizability();
+  }
+  ScopedFaults guard;
+  FaultSpec spec;
+  spec.fire_at = 2;
+  FaultInjector::instance().configure(fault::kDfptDiverge, spec);
+  dfpt::DfptEngine dfpt(engine, gs, dopt);
+  const linalg::Matrix recovered = dfpt.polarizability();
+  EXPECT_EQ(FaultInjector::instance().stats(fault::kDfptDiverge).fires, 1u);
+  // alpha(i, j) after symmetrizing reads the responses of axes i and j.
+  auto bits = [](double x) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+  };
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      if (i != 1 && j != 1) {
+        EXPECT_EQ(bits(recovered(i, j)), bits(clean(i, j)))
+            << "alpha(" << i << "," << j << ") of unpoisoned axes";
+      } else {
+        EXPECT_NEAR(recovered(i, j), clean(i, j), 1e-8)
+            << "alpha(" << i << "," << j << ")";
+      }
+    }
+  }
+}
+
+TEST(NumericsFaults, FailedDynamicCallLeavesTheEngineStatic) {
+  // A dynamic call that throws must not leave its frequency behind: the
+  // next static polarizability on the same engine is a fresh engine's.
+  scf::ScfEngine engine(h2(), fast_scf());
+  const scf::GroundState gs = engine.solve();
+  ASSERT_TRUE(gs.converged);
+  dfpt::DfptEngine dfpt(engine, gs);
+  {
+    ScopedFaults guard;
+    FaultSpec spec;
+    spec.probability = 1.0;
+    FaultInjector::instance().configure(fault::kDfptDiverge, spec);
+    EXPECT_THROW((void)dfpt.polarizability_at_frequency(0.05),
+                 ConvergenceError);
+  }
+  const linalg::Matrix after = dfpt.polarizability();
+  dfpt::DfptEngine fresh(engine, gs);
+  const linalg::Matrix ref = fresh.polarizability();
+  EXPECT_EQ(std::memcmp(after.data(), ref.data(), 9 * sizeof(double)), 0);
 }
 
 TEST(NumericsFaults, DfptExhaustedRecoveryThrowsConvergenceError) {
