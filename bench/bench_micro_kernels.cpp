@@ -65,10 +65,10 @@ void BM_Allreduce(benchmark::State& state) {
         cfg);
   }
 }
-// All AllreduceAlgorithm values: Linear, Ring, RecursiveDoubling,
-// ReduceScatterAllgather, CpePipelined, Hierarchical, Auto.
+// All AllreduceAlgorithm values: ReduceScatterAllgather, CpePipelined,
+// Hierarchical, Auto.
 BENCHMARK(BM_Allreduce)
-    ->ArgsProduct({{0, 1, 2, 3, 4, 5, 6}, {1024, 65536}})
+    ->ArgsProduct({{0, 1, 2, 3}, {1024, 65536}})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_RmaReduction(benchmark::State& state) {

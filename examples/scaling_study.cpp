@@ -1,7 +1,7 @@
 // Machine-scale what-if study: drives the 3-level-parallelization
 // scalability model (paper Fig. 4) for the RBD-protein Raman job across
-// group sizes and machine sizes, and exercises the thread-rank SPMD
-// runtime with the five Allreduce algorithms.
+// group sizes and machine sizes. (bench_fig15_allreduce and the
+// AllreduceProperty tests cover the thread-rank Allreduce algorithms.)
 //
 //   $ ./scaling_study
 
@@ -34,27 +34,6 @@ int main() {
                 "eff %5.1f%%\n",
                 p.n_processes, p.n_cores, p.time_seconds, p.speedup,
                 100.0 * p.efficiency);
-  }
-
-  // Functional SPMD runtime: all five Allreduce algorithms agree.
-  std::printf("\nThread-rank Allreduce cross-check (8 ranks, 4096 doubles):\n");
-  for (auto [name, algo] :
-       {std::pair{"linear", parallel::AllreduceAlgorithm::Linear},
-        std::pair{"ring", parallel::AllreduceAlgorithm::Ring},
-        std::pair{"recursive-doubling",
-                  parallel::AllreduceAlgorithm::RecursiveDoubling},
-        std::pair{"reduce-scatter+allgather",
-                  parallel::AllreduceAlgorithm::ReduceScatterAllgather},
-        std::pair{"cpe-pipelined",
-                  parallel::AllreduceAlgorithm::CpePipelined}}) {
-    double checksum = 0.0;
-    parallel::run_spmd(8, [&](parallel::Communicator& comm) {
-      std::vector<double> data(4096,
-                               static_cast<double>(comm.rank() + 1));
-      comm.allreduce(data, algo);
-      if (comm.rank() == 0) checksum = data[0];
-    });
-    std::printf("  %-26s sum = %.1f (expect 36)\n", name, checksum);
   }
   return 0;
 }

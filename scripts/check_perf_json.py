@@ -180,6 +180,20 @@ def check_fmm_crossover_record(path: str, i: int, r: dict,
              f"(got {speedup})")
 
 
+def check_fig15_overlapped_record(path: str, i: int, r: dict) -> None:
+    """An `overlapped` row of bench_fig15_allreduce: the hierarchical
+    collective (comm_s) hidden under one DFPT iteration's kernels
+    (compute_s) exposes only seconds == max(comm_s - compute_s, 0), to the
+    six significant digits the bench prints."""
+    where = f"records[{i}]"
+    comm_s = _finite_nonneg(path, where, r, "comm_s")
+    compute_s = _finite_nonneg(path, where, r, "compute_s")
+    exposed = max(comm_s - compute_s, 0.0)
+    if abs(r["seconds"] - exposed) > 1e-5 * max(comm_s, compute_s):
+        fail(f"{path}: {where} seconds {r['seconds']} must equal "
+             f"max(comm_s - compute_s, 0) = {exposed}")
+
+
 def check_bench(path: str, doc: dict) -> None:
     if not isinstance(doc.get("bench"), str) or not doc["bench"]:
         fail(f"{path}: bench must be a non-empty string")
@@ -223,6 +237,8 @@ def check_bench(path: str, doc: dict) -> None:
             _finite_nonneg(path, f"records[{i}]", r, key)
         if "cycles" in r:
             _finite_nonneg(path, f"records[{i}]", r, "cycles")
+        if doc["bench"] == "fig15_allreduce" and r["series"] == "overlapped":
+            check_fig15_overlapped_record(path, i, r)
     print(f"check_perf_json: {path}: OK "
           f"(bench {doc['bench']!r}, {len(records)} records, "
           f"{len(series)} series)")

@@ -50,6 +50,15 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
 (cd build && ctest --output-on-failure -j "${JOBS}")
 
+echo "== tier-1: stable test names =="
+# A parameterized case without a printer is named by its raw bytes,
+# uninitialized padding included, so its ctest name changes from build to
+# build. Every parameter type needs a PrintTo.
+if (cd build && ctest -N) | grep -F -- '-byte object <'; then
+  echo "tier-1: FAIL: ctest names above print raw parameter bytes"
+  exit 1
+fi
+
 echo "== tier-1: repo lint gate (scripts/lint.py) =="
 python3 scripts/lint.py build
 

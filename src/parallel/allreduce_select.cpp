@@ -24,20 +24,12 @@ double modeled_allreduce_seconds(AllreduceAlgorithm algorithm, double bytes,
   contended.net_bw_gbs /=
       static_cast<double>(std::clamp<std::size_t>(node_size, 1, n_ranks));
   switch (algorithm) {
-    case AllreduceAlgorithm::Linear:
-      return sunway::modeled_linear_allreduce_time(bytes, n_ranks,
-                                                   contended);
-    case AllreduceAlgorithm::Ring:
-      return sunway::modeled_ring_allreduce_time(bytes, n_ranks, contended);
-    case AllreduceAlgorithm::RecursiveDoubling:
-      return sunway::modeled_recursive_doubling_allreduce_time(
-          bytes, n_ranks, contended);
     case AllreduceAlgorithm::ReduceScatterAllgather:
-      return sunway::modeled_allreduce_time(
-          bytes, n_ranks, contended, sunway::AllreduceModel{false, true});
+      return sunway::modeled_allreduce_time(bytes, n_ranks, contended,
+                                            sunway::AllreduceModel{false});
     case AllreduceAlgorithm::CpePipelined:
-      return sunway::modeled_allreduce_time(
-          bytes, n_ranks, contended, sunway::AllreduceModel{true, true});
+      return sunway::modeled_allreduce_time(bytes, n_ranks, contended,
+                                            sunway::AllreduceModel{true});
     case AllreduceAlgorithm::Hierarchical:
       return sunway::modeled_hierarchical_allreduce_time(
           bytes, n_ranks, arch,
@@ -64,14 +56,11 @@ AllreduceChoice select_allreduce(double bytes, std::size_t n_ranks,
   SWRAMAN_REQUIRE(bytes >= 0.0 && n_ranks >= 1,
                   "select_allreduce: invalid arguments");
   if (n_ranks == 1 || bytes == 0.0) {
-    return AllreduceChoice{AllreduceAlgorithm::Linear, 0.0};
+    return AllreduceChoice{AllreduceAlgorithm::CpePipelined, 0.0};
   }
   // Fixed evaluation order; strict < keeps the earlier entry on ties, so
   // identical inputs always produce the identical choice.
-  constexpr std::array<AllreduceAlgorithm, 6> kCandidates = {
-      AllreduceAlgorithm::Linear,
-      AllreduceAlgorithm::Ring,
-      AllreduceAlgorithm::RecursiveDoubling,
+  constexpr std::array<AllreduceAlgorithm, 3> kCandidates = {
       AllreduceAlgorithm::ReduceScatterAllgather,
       AllreduceAlgorithm::CpePipelined,
       AllreduceAlgorithm::Hierarchical,

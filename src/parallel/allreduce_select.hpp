@@ -15,7 +15,7 @@
 namespace swraman::parallel {
 
 struct AllreduceChoice {
-  AllreduceAlgorithm algorithm = AllreduceAlgorithm::Linear;
+  AllreduceAlgorithm algorithm = AllreduceAlgorithm::CpePipelined;
   double modeled_seconds = 0.0;
 };
 
@@ -35,10 +35,10 @@ double modeled_allreduce_cycles(
     const sunway::ArchParams& arch = sunway::sw26010pro());
 
 // Picks the cheapest concrete algorithm. Evaluation order is fixed
-// (Linear, Ring, RecursiveDoubling, ReduceScatterAllgather, CpePipelined,
-// Hierarchical) and ties keep the earlier entry, so the choice is
-// deterministic. Degenerate inputs (one rank or empty payload) resolve to
-// Linear.
+// (ReduceScatterAllgather, CpePipelined, Hierarchical) and ties keep the
+// earlier entry, so the choice is deterministic. Degenerate inputs (one
+// rank or empty payload) resolve to CpePipelined at 0 s. On sw26010pro()
+// the pick is always CpePipelined or Hierarchical (DESIGN.md S10).
 AllreduceChoice select_allreduce(
     double bytes, std::size_t n_ranks, std::size_t node_size,
     const sunway::ArchParams& arch = sunway::sw26010pro());

@@ -31,16 +31,11 @@ namespace {
 // (>= 0 by convention) are untouched.
 constexpr int kTagStride = 1 << 15;
 constexpr int kOffBroadcast = 0;
-constexpr int kOffLinearGather = 1;
-constexpr int kOffRdFold = 2;
-constexpr int kOffRdUnfold = 3;
-constexpr int kOffGatherFallback = 4;
-constexpr int kOffHierGather = 5;
-constexpr int kOffHierBcast = 6;
-constexpr int kOffRdMask = 200;    // + log2(mask)
-constexpr int kOffRsagHalve = 300; // + log2(mask)
-constexpr int kOffRsagDouble = 400;
-constexpr int kOffRing = 1000;     // + step (reduce-scatter), + p-1 (gather)
+constexpr int kOffGatherFallback = 1;
+constexpr int kOffHierGather = 2;
+constexpr int kOffHierBcast = 3;
+constexpr int kOffRsagHalve = 100;  // + log2(mask)
+constexpr int kOffRsagDouble = 200; // + log2(mask)
 
 int bit_index(std::size_t mask) {
   return std::countr_zero(mask);
@@ -48,6 +43,12 @@ int bit_index(std::size_t mask) {
 
 void sleep_s(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+}
+
+// Plain elementwise accumulate.
+void reduce_into(std::vector<double>& acc, const std::vector<double>& in) {
+  SWRAMAN_REQUIRE(acc.size() == in.size(), "allreduce: size mismatch");
+  for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += in[i];
 }
 
 }  // namespace
@@ -322,12 +323,6 @@ void Communicator::broadcast(std::vector<double>& data, std::size_t root) {
 
 const char* allreduce_algorithm_name(AllreduceAlgorithm a) {
   switch (a) {
-    case AllreduceAlgorithm::Linear:
-      return "linear";
-    case AllreduceAlgorithm::Ring:
-      return "ring";
-    case AllreduceAlgorithm::RecursiveDoubling:
-      return "recursive_doubling";
     case AllreduceAlgorithm::ReduceScatterAllgather:
       return "rsag";
     case AllreduceAlgorithm::CpePipelined:
@@ -386,20 +381,9 @@ void Communicator::allreduce_with_base(std::vector<double>& data,
     obs::count("comm.allreduce.bytes", bytes);
   }
   switch (algorithm) {
-    case AllreduceAlgorithm::Linear:
-      allreduce_linear(data, tag_base);
-      break;
-    case AllreduceAlgorithm::Ring:
-      allreduce_ring(data, tag_base);
-      break;
-    case AllreduceAlgorithm::RecursiveDoubling:
-      allreduce_recursive_doubling(data, tag_base);
-      break;
     case AllreduceAlgorithm::ReduceScatterAllgather:
-      allreduce_rsag(data, false, tag_base);
-      break;
     case AllreduceAlgorithm::CpePipelined:
-      allreduce_rsag(data, true, tag_base);
+      allreduce_rsag(data, tag_base);
       break;
     case AllreduceAlgorithm::Hierarchical:
       allreduce_hierarchical(data, tag_base);
@@ -420,146 +404,21 @@ void Communicator::allreduce_with_base(std::vector<double>& data,
   }
 }
 
-namespace {
-
-// Plain elementwise accumulate.
-void reduce_into(std::vector<double>& acc, const std::vector<double>& in) {
-  SWRAMAN_REQUIRE(acc.size() == in.size(), "allreduce: size mismatch");
-  for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += in[i];
-}
-
-// The CPE-offloaded local reduction of paper Algorithm 3: the array is
-// processed in LDM-sized blocks through a double-buffered pipeline. The
-// numerics are identical; the chunked structure is what the Sunway cost
-// model charges differently (see sunway/cost_model).
-void reduce_into_pipelined(std::vector<double>& acc,
-                           const std::vector<double>& in) {
-  SWRAMAN_REQUIRE(acc.size() == in.size(), "allreduce: size mismatch");
-  constexpr std::size_t kBlk = 256 * 1024 / 4 / sizeof(double);
-  for (std::size_t base = 0; base < acc.size(); base += kBlk) {
-    const std::size_t end = std::min(acc.size(), base + kBlk);
-    for (std::size_t i = base; i < end; ++i) acc[i] += in[i];
-  }
-}
-
-}  // namespace
-
-// Reduction order: rank 0 folds contributions in ascending rank order
-// (((x0 + x1) + x2) + ...), bitwise identical to a serial loop over ranks
-// — the reference order the property suite pins the other algorithms to.
-void Communicator::allreduce_linear(std::vector<double>& data, int tag_base) {
-  const int tag = tag_base + kOffLinearGather;
-  if (rank_ == 0) {
-    for (std::size_t r = 1; r < size(); ++r) {
-      reduce_into(data, recv(r, tag));
-    }
-  } else {
-    send(0, data, tag);
-  }
-  broadcast_with_tag(data, 0, tag_base + kOffBroadcast);
-}
-
-void Communicator::allreduce_ring(std::vector<double>& data, int tag_base) {
+void Communicator::allreduce_rsag(std::vector<double>& data, int tag_base) {
   const std::size_t p = size();
   const std::size_t n = data.size();
-  if (n == 0) return;  // empty allreduce is a no-op, not a barrier
-  SWRAMAN_REQUIRE(kOffRing + 2 * p < static_cast<std::size_t>(kTagStride),
-                  "allreduce_ring: rank count exceeds tag window");
-  // Chunk boundaries.
-  const auto lo = [&](std::size_t c) { return c * n / p; };
-  const auto hi = [&](std::size_t c) { return (c + 1) * n / p; };
-  const std::size_t next = (rank_ + 1) % p;
-  const std::size_t prev = (rank_ + p - 1) % p;
 
-  // Reduce-scatter: after p-1 steps, rank r owns the full sum of chunk
-  // (r+1) mod p.
-  for (std::size_t step = 0; step < p - 1; ++step) {
-    const std::size_t send_chunk = (rank_ + p - step) % p;
-    const std::size_t recv_chunk = (rank_ + p - step - 1) % p;
-    const int tag = tag_base + kOffRing + static_cast<int>(step);
-    std::vector<double> out(data.begin() + static_cast<long>(lo(send_chunk)),
-                            data.begin() + static_cast<long>(hi(send_chunk)));
-    send(next, out, tag);
-    const std::vector<double> in = recv(prev, tag);
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      data[lo(recv_chunk) + i] += in[i];
-    }
-  }
-  // Allgather ring.
-  for (std::size_t step = 0; step < p - 1; ++step) {
-    const std::size_t send_chunk = (rank_ + 1 + p - step) % p;
-    const std::size_t recv_chunk = (rank_ + p - step) % p;
-    const int tag =
-        tag_base + kOffRing + static_cast<int>(p - 1 + step);
-    std::vector<double> out(data.begin() + static_cast<long>(lo(send_chunk)),
-                            data.begin() + static_cast<long>(hi(send_chunk)));
-    send(next, out, tag);
-    const std::vector<double> in = recv(prev, tag);
-    std::copy(in.begin(), in.end(),
-              data.begin() + static_cast<long>(lo(recv_chunk)));
-  }
-}
-
-void Communicator::allreduce_recursive_doubling(std::vector<double>& data,
-                                                int tag_base) {
-  const std::size_t p = size();
-  // Fold the non-power-of-two remainder into the lower ranks first.
-  std::size_t pof2 = 1;
-  while (pof2 * 2 <= p) pof2 *= 2;
-  const std::size_t rem = p - pof2;
-
-  long my_id = -1;  // id within the power-of-two group, -1 = folded out
-  if (rank_ < 2 * rem) {
-    if (rank_ % 2 == 0) {
-      send(rank_ + 1, data, tag_base + kOffRdFold);
-      my_id = -1;
-    } else {
-      reduce_into(data, recv(rank_ - 1, tag_base + kOffRdFold));
-      my_id = static_cast<long>(rank_ / 2);
-    }
-  } else {
-    my_id = static_cast<long>(rank_ - rem);
-  }
-
-  if (my_id >= 0) {
-    for (std::size_t mask = 1; mask < pof2; mask <<= 1) {
-      const std::size_t partner_id =
-          static_cast<std::size_t>(my_id) ^ mask;
-      const std::size_t partner_rank = partner_id < rem
-                                           ? 2 * partner_id + 1
-                                           : partner_id + rem;
-      const int tag = tag_base + kOffRdMask + bit_index(mask);
-      send(partner_rank, data, tag);
-      reduce_into(data, recv(partner_rank, tag));
-    }
-  }
-
-  if (rank_ < 2 * rem) {
-    if (rank_ % 2 == 1) {
-      send(rank_ - 1, data, tag_base + kOffRdUnfold);
-    } else {
-      data = recv(rank_ + 1, tag_base + kOffRdUnfold);
-    }
-  }
-}
-
-void Communicator::allreduce_rsag(std::vector<double>& data,
-                                  bool pipelined_local, int tag_base) {
-  const std::size_t p = size();
-  const std::size_t n = data.size();
-  const auto combine = pipelined_local ? reduce_into_pipelined : reduce_into;
-
-  // Non-power-of-two: fall back to linear fold into recursive halving is
-  // intricate; a ring pass keeps correctness with the same local-reduce
-  // kernel. Power-of-two uses true recursive halving + doubling.
+  // Non-power-of-two P, or fewer elements than ranks: rank 0 folds the
+  // contributions in ascending rank order (((x0 + x1) + x2) + ...), bitwise
+  // a serial loop over ranks, and broadcasts the sum. The cost model still
+  // prices this path as Rabenseifner (DESIGN.md S10). Power-of-two P uses
+  // true recursive halving + doubling.
   std::size_t pof2 = 1;
   while (pof2 * 2 <= p) pof2 *= 2;
   if (pof2 != p || n < p) {
-    // Same communication volume class; local reductions go through the
-    // (possibly pipelined) combine.
     const int tag = tag_base + kOffGatherFallback;
     if (rank_ == 0) {
-      for (std::size_t r = 1; r < p; ++r) combine(data, recv(r, tag));
+      for (std::size_t r = 1; r < p; ++r) reduce_into(data, recv(r, tag));
     } else {
       send(0, data, tag);
     }
@@ -585,7 +444,7 @@ void Communicator::allreduce_rsag(std::vector<double>& data,
     std::vector<double> window(data.begin() + static_cast<long>(keep_lo),
                                data.begin() +
                                    static_cast<long>(keep_lo + in.size()));
-    combine(window, in);
+    reduce_into(window, in);
     std::copy(window.begin(), window.end(),
               data.begin() + static_cast<long>(keep_lo));
     if (keep_low) {
@@ -622,8 +481,8 @@ void Communicator::allreduce_rsag(std::vector<double>& data,
 // through its chunked LDM block-cache pipeline. Stage 2: the leaders run
 // Rabenseifner reduce-scatter + allgather (CPE-pipelined local combine)
 // across node groups. Stage 3: each leader broadcasts the global sum
-// inside its node. Reduction order therefore differs from Linear; results
-// agree within floating-point reassociation error.
+// inside its node. Reduction order therefore differs from the ascending-rank
+// fold; results agree within floating-point reassociation error.
 void Communicator::allreduce_hierarchical(std::vector<double>& data,
                                           int tag_base) {
   SWRAMAN_REQUIRE(hierarchy_ != nullptr,
@@ -667,7 +526,7 @@ void Communicator::allreduce_hierarchical(std::vector<double>& data,
   // Stage 2: leaders reduce across node groups (Rabenseifner with the
   // CPE-pipelined local combine — the paper's optimized inter-node path).
   if (h.leader && h.leaders.size() > 1) {
-    h.leaders.allreduce_rsag(data, true, tag_base);
+    h.leaders.allreduce_rsag(data, tag_base);
     if (obs::enabled()) {
       // Rabenseifner wire volume per rank: 2 (g-1)/g * payload.
       const double g = static_cast<double>(h.leaders.size());
@@ -687,7 +546,7 @@ void Communicator::allreduce_hierarchical(std::vector<double>& data,
 
 struct AllreduceRequest::State {
   std::vector<double> data;
-  AllreduceAlgorithm algorithm = AllreduceAlgorithm::Linear;
+  AllreduceAlgorithm algorithm = AllreduceAlgorithm::CpePipelined;
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> comm_done_ns{0};
   std::uint64_t start_ns = 0;

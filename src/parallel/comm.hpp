@@ -15,9 +15,10 @@
 // (DESIGN.md S4). Ranks are threads sharing a CommContext of mailboxes;
 // the API mirrors the MPI subset the paper's code needs: point-to-point,
 // barrier, broadcast, communicator split (the geometry-level sub-groups of
-// Fig. 4), and Allreduce in several algorithm variants including the
-// paper's "Reduce-Scatter followed by Allgather" (Sec. 3.4) and the
-// two-level topology-aware Hierarchical scheme (DESIGN.md S10).
+// Fig. 4), and the Allreduce line of paper Sec. 3.4 / Fig. 15: "Reduce-
+// Scatter followed by Allgather" with the local reduce on the MPE, the same
+// with the reduce offloaded to the CPEs, and the two-level topology-aware
+// Hierarchical scheme (DESIGN.md S10).
 //
 // Fault tolerance: the transport models acknowledged delivery, so a send
 // whose message the injector drops (fault site comm.send.drop) is detected
@@ -50,12 +51,12 @@ struct CommConfig {
   std::size_t node_size = 4;
 };
 
+// ReduceScatterAllgather and CpePipelined send the same messages and add in
+// the same order; only the cost model tells them apart (local reduce on the
+// MPE or on the CPEs, sunway::AllreduceModel::cpe_offload).
 enum class AllreduceAlgorithm {
-  Linear,                  // gather to root, reduce, broadcast
-  Ring,                    // ring reduce-scatter + ring allgather
-  RecursiveDoubling,       // log2(P) pairwise exchanges
-  ReduceScatterAllgather,  // Rabenseifner (the paper's baseline optimized)
-  CpePipelined,            // same pattern, local reduce via chunked pipeline
+  ReduceScatterAllgather,  // Rabenseifner, local reduce on the MPE (Fig. 15)
+  CpePipelined,            // same exchange, local reduce offloaded to CPEs
   Hierarchical,            // two-level: intra-node RMA mesh, leaders RSAG
   Auto,                    // cost-model-driven pick among the concrete ones
 };
@@ -137,7 +138,7 @@ class Communicator {
   // ranks must pass the same number of elements. An empty payload is a
   // no-op on every rank (NOT a synchronization point).
   void allreduce(std::vector<double>& data,
-                 AllreduceAlgorithm algorithm = AllreduceAlgorithm::Ring);
+                 AllreduceAlgorithm algorithm = AllreduceAlgorithm::Auto);
 
   // Non-blocking allreduce: takes ownership of the payload, runs the
   // exchange on a communication thread, and returns a handle whose wait()
@@ -174,11 +175,7 @@ class Communicator {
                            AllreduceAlgorithm algorithm, int tag_base);
   void broadcast_with_tag(std::vector<double>& data, std::size_t root,
                           int tag);
-  void allreduce_linear(std::vector<double>& data, int tag_base);
-  void allreduce_ring(std::vector<double>& data, int tag_base);
-  void allreduce_recursive_doubling(std::vector<double>& data, int tag_base);
-  void allreduce_rsag(std::vector<double>& data, bool pipelined_local,
-                      int tag_base);
+  void allreduce_rsag(std::vector<double>& data, int tag_base);
   void allreduce_hierarchical(std::vector<double>& data, int tag_base);
 };
 

@@ -171,12 +171,6 @@ double modeled_allreduce_time(double bytes, std::size_t n_ranks,
 
   const double wire = 2.0 * (p - 1.0) / p * bytes / beta;
   const double reduced = (p - 1.0) / p * bytes;
-  if (!model.reduce_scatter) {
-    // Binary-tree reduce + broadcast: full payload and a reduction on
-    // every level — the worst-case baseline kept for the ablation bench.
-    return 2.0 * log2p * alpha + 2.0 * log2p * bytes / beta +
-           log2p * bytes / mpe_reduce_bw + log2p * mpe_sched;
-  }
   if (!model.cpe_offload) {
     // Reduce-scatter + allgather with the reduction on the MPE, serialized
     // with communication ("before MPI optimization").
@@ -187,51 +181,6 @@ double modeled_allreduce_time(double bytes, std::size_t n_ranks,
   // ("after"): the reduction hides under the wire time.
   return 2.0 * log2p * alpha +
          std::max(wire, reduced / cpe_reduce_bw);
-}
-
-double modeled_linear_allreduce_time(double bytes, std::size_t n_ranks,
-                                     const ArchParams& arch) {
-  SWRAMAN_REQUIRE(bytes >= 0.0 && n_ranks >= 1,
-                  "modeled_linear_allreduce_time: invalid arguments");
-  if (n_ranks == 1) return 0.0;
-  const double p = static_cast<double>(n_ranks);
-  const double alpha = arch.net_latency_us * 1e-6;
-  const double beta = arch.net_bw_gbs * kGiga;
-  // Root serially receives, reduces, and rebroadcasts full payloads.
-  return 2.0 * (p - 1.0) * (alpha + bytes / beta) +
-         (p - 1.0) * bytes / mpe_reduce_bw(arch) + (p - 1.0) * kMpeSched;
-}
-
-double modeled_ring_allreduce_time(double bytes, std::size_t n_ranks,
-                                   const ArchParams& arch) {
-  SWRAMAN_REQUIRE(bytes >= 0.0 && n_ranks >= 1,
-                  "modeled_ring_allreduce_time: invalid arguments");
-  if (n_ranks == 1) return 0.0;
-  const double p = static_cast<double>(n_ranks);
-  const double alpha = arch.net_latency_us * 1e-6;
-  const double beta = arch.net_bw_gbs * kGiga;
-  // 2(p-1) latency-bound steps moving B/p chunks; bandwidth-optimal wire
-  // volume but linear latency and per-step scheduling.
-  return 2.0 * (p - 1.0) * alpha +
-         2.0 * (p - 1.0) / p * bytes / beta +
-         (p - 1.0) / p * bytes / mpe_reduce_bw(arch) +
-         (p - 1.0) * kMpeSched;
-}
-
-double modeled_recursive_doubling_allreduce_time(double bytes,
-                                                 std::size_t n_ranks,
-                                                 const ArchParams& arch) {
-  SWRAMAN_REQUIRE(bytes >= 0.0 && n_ranks >= 1,
-                  "modeled_recursive_doubling_allreduce_time: invalid "
-                  "arguments");
-  if (n_ranks == 1) return 0.0;
-  const double p = static_cast<double>(n_ranks);
-  const double log2p = std::log2(p);
-  const double alpha = arch.net_latency_us * 1e-6;
-  const double beta = arch.net_bw_gbs * kGiga;
-  // log2(P) full-payload exchanges, each followed by a full local reduce.
-  return log2p * (alpha + bytes / beta + bytes / mpe_reduce_bw(arch) +
-                  kMpeSched);
 }
 
 double modeled_hierarchical_allreduce_time(
@@ -262,7 +211,7 @@ double modeled_hierarchical_allreduce_time(
   // Stage 2: leaders run the CPE-offloaded Rabenseifner exchange over the
   // (much smaller) inter-node network.
   t += modeled_allreduce_time(bytes, g, arch,
-                              AllreduceModel{true, true});
+                              AllreduceModel{true});
   // Orchestration: the MPE schedules the level transitions.
   t += 2.0 * kMpeSched;
   return t;

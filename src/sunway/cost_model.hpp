@@ -68,28 +68,16 @@ double modeled_cycles(const KernelWorkload& w, const ArchParams& arch,
 // the Fig. 14 Xeon baseline path.
 double modeled_cpu_time(const KernelWorkload& w, const ArchParams& arch);
 
-// Modeled time of an Allreduce of `bytes` over `n_ranks` under the given
-// algorithm, with the local reduction arithmetic executed on the MPE
+// Modeled time of a reduce-scatter + allgather Allreduce of `bytes` over
+// `n_ranks`, with the local reduction arithmetic executed on the MPE
 // (baseline) or offloaded to the CPE cluster (paper Sec. 3.4).
 struct AllreduceModel {
-  bool cpe_offload = false;     // pipelined CPE local reduction
-  bool reduce_scatter = true;   // reduce-scatter + allgather vs binary tree
+  bool cpe_offload = false;  // pipelined CPE local reduction
 };
 
 double modeled_allreduce_time(double bytes, std::size_t n_ranks,
                               const ArchParams& arch,
                               const AllreduceModel& model);
-
-// Flat-algorithm companions of modeled_allreduce_time, matching the other
-// Communicator algorithm variants (local reductions on the MPE). The Auto
-// selector (parallel/allreduce_select) minimizes over these.
-double modeled_linear_allreduce_time(double bytes, std::size_t n_ranks,
-                                     const ArchParams& arch);
-double modeled_ring_allreduce_time(double bytes, std::size_t n_ranks,
-                                   const ArchParams& arch);
-double modeled_recursive_doubling_allreduce_time(double bytes,
-                                                 std::size_t n_ranks,
-                                                 const ArchParams& arch);
 
 // Two-level topology-aware Allreduce (paper Sec. 3.4 / Fig. 15): groups of
 // node_size consecutive ranks reduce onto a leader over the intra-node RMA

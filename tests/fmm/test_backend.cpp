@@ -119,6 +119,12 @@ struct SweepCase {
   double theta;
 };
 
+// Names the ctest case (e.g. p4_theta0.45) instead of dumping the struct's
+// bytes, padding included.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << "p" << c.order << "_theta" << c.theta;
+}
+
 class FmmVsDirect : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(FmmVsDirect, AgreesWithinTheTrackedAnalyticBound) {

@@ -51,6 +51,13 @@ struct TreeCase {
   bool with_extent;
 };
 
+// Names the ctest case (e.g. n17_seed11_leaf4_extent) instead of dumping the
+// struct's bytes, padding included.
+void PrintTo(const TreeCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_seed" << c.seed << "_leaf" << c.leaf_size
+      << (c.with_extent ? "_extent" : "");
+}
+
 class OctreeProperty : public ::testing::TestWithParam<TreeCase> {};
 
 TEST_P(OctreeProperty, Invariants) {

@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -15,18 +17,16 @@
 // {0 (empty), 1, 31 (prime), 1000 (not divisible by most P), 20011
 // (large prime)} on seeded random vectors.
 //
-// Correctness contract (comm.hpp): Linear reduces in ascending rank order
-// and must match a serial fold bitwise; the other algorithms reassociate
-// the sum, so they are held to a reassociation bound of a few ulp per
-// combining level instead.
+// Correctness contract (comm.hpp): where ReduceScatterAllgather and
+// CpePipelined fall back to the gather to rank 0 (non-power-of-two P, or
+// fewer elements than ranks) they reduce in ascending rank order and must
+// match a serial fold bitwise; every other path reassociates the sum, so it
+// is held to a reassociation bound of a few ulp per combining level.
 
 namespace swraman::parallel {
 namespace {
 
 constexpr AllreduceAlgorithm kAll[] = {
-    AllreduceAlgorithm::Linear,
-    AllreduceAlgorithm::Ring,
-    AllreduceAlgorithm::RecursiveDoubling,
     AllreduceAlgorithm::ReduceScatterAllgather,
     AllreduceAlgorithm::CpePipelined,
     AllreduceAlgorithm::Hierarchical,
@@ -47,7 +47,7 @@ std::vector<double> rank_input(std::uint32_t seed, std::size_t rank,
   return v;
 }
 
-// The documented Linear reduction order: ascending ranks, left fold.
+// The gather fallback's reduction order: ascending ranks, left fold.
 std::vector<double> serial_fold(std::uint32_t seed, std::size_t p,
                                 std::size_t n) {
   std::vector<double> acc = rank_input(seed, 0, n);
@@ -75,6 +75,9 @@ void check_algorithm(AllreduceAlgorithm alg, std::size_t p, std::size_t n,
   CommConfig cfg;
   cfg.node_size = node_size;
   const std::vector<double> expected = serial_fold(seed, p, n);
+  const bool flat = alg == AllreduceAlgorithm::ReduceScatterAllgather ||
+                    alg == AllreduceAlgorithm::CpePipelined;
+  const bool gather_fallback = flat && (!std::has_single_bit(p) || n < p);
   run_spmd(
       p,
       [&](Communicator& comm) {
@@ -82,10 +85,11 @@ void check_algorithm(AllreduceAlgorithm alg, std::size_t p, std::size_t n,
         comm.allreduce(data, alg);
         ASSERT_EQ(data.size(), n);
         for (std::size_t i = 0; i < n; ++i) {
-          if (alg == AllreduceAlgorithm::Linear) {
+          if (gather_fallback) {
             // Bitwise: documented ascending-rank reduction order.
             ASSERT_EQ(data[i], expected[i])
-                << "linear mismatch at element " << i << " (P=" << p
+                << allreduce_algorithm_name(alg) << " gather fallback "
+                << "mismatch at element " << i << " (P=" << p
                 << ", n=" << n << ")";
           } else {
             ASSERT_NEAR(data[i], expected[i],
@@ -115,7 +119,7 @@ TEST(AllreduceProperty, AllAlgorithmsAllRankCountsAllSizes) {
 
 TEST(AllreduceProperty, LargePayloadNonDivisibleByRanks) {
   // 20011 is prime: no rank count divides it, exercising every uneven
-  // chunking path (ring chunks, rsag windows, hierarchical groups).
+  // chunking path (rsag windows, hierarchical groups).
   std::uint32_t seed = 1234;
   for (const AllreduceAlgorithm alg : kAll) {
     for (const std::size_t p : {std::size_t{3}, std::size_t{8}}) {
@@ -143,10 +147,10 @@ TEST(AllreduceProperty, HierarchicalNodeSizeSweep) {
 }
 
 TEST(AllreduceProperty, EmptyPayloadIsANoOpNotABarrier) {
-  // Regression for the old Ring behaviour, which turned an empty allreduce
-  // into a barrier — deadlocking any rank pair whose collective schedules
-  // diverge on empty payloads (and corrupting generation counts when
-  // issued from iallreduce communication threads).
+  // An empty allreduce must not turn into a barrier — that would deadlock
+  // any rank pair whose collective schedules diverge on empty payloads
+  // (and corrupt generation counts when issued from iallreduce
+  // communication threads).
   for (const AllreduceAlgorithm alg : kAll) {
     run_spmd(3, [alg](Communicator& comm) {
       std::vector<double> empty;
@@ -184,6 +188,54 @@ TEST(AllreduceProperty, SelectorPrefersHierarchicalAtScale) {
   // The acceptance regime of the bench: >= 16 ranks, >= 1 MB payloads.
   const AllreduceChoice choice = select_allreduce(1 << 20, 16, 4);
   EXPECT_EQ(choice.algorithm, AllreduceAlgorithm::Hierarchical);
+}
+
+TEST(AllreduceProperty, SelectorPicksOnlyCpePipelinedOrHierarchical) {
+  // The premise of the four-value enum: on sw26010pro(), the architecture
+  // every Auto resolution uses, the selector never picks the flat MPE-side
+  // ReduceScatterAllgather. P = 2..4096 (every P below 32, then steps of
+  // about 6%), node_size = 1..32, payloads 1 B..128 MB (2^k and 1.5 * 2^k).
+  constexpr double kMaxBytes = 128.0 * (1 << 20);
+  std::size_t cpe_pipelined = 0;
+  std::size_t hierarchical = 0;
+  for (std::size_t p = 2; p <= 4096; p += std::max<std::size_t>(1, p / 16)) {
+    for (std::size_t node_size = 1; node_size <= 32; ++node_size) {
+      for (double bytes = 1.0; bytes <= kMaxBytes; bytes *= 2.0) {
+        for (const double b : {bytes, 1.5 * bytes}) {
+          if (b > kMaxBytes) continue;
+          const AllreduceChoice c = select_allreduce(b, p, node_size);
+          ASSERT_GT(c.modeled_seconds, 0.0);
+          if (c.algorithm == AllreduceAlgorithm::CpePipelined) {
+            ++cpe_pipelined;
+          } else if (c.algorithm == AllreduceAlgorithm::Hierarchical) {
+            ++hierarchical;
+          } else {
+            ADD_FAILURE() << "selector picked "
+                          << allreduce_algorithm_name(c.algorithm)
+                          << " at bytes=" << b << " P=" << p
+                          << " node_size=" << node_size;
+          }
+        }
+      }
+    }
+  }
+  // Both kept algorithms win somewhere, so neither is dead either.
+  EXPECT_GT(cpe_pipelined, 0u);
+  EXPECT_GT(hierarchical, 0u);
+}
+
+TEST(AllreduceProperty, DegenerateInputsResolveToAKeptValueAtZeroSeconds) {
+  for (const std::size_t node_size : {std::size_t{1}, std::size_t{4}}) {
+    for (const AllreduceChoice c :
+         {select_allreduce(0.0, 8, node_size),
+          select_allreduce(1 << 20, 1, node_size)}) {
+      EXPECT_EQ(c.algorithm, AllreduceAlgorithm::CpePipelined);
+      EXPECT_EQ(c.modeled_seconds, 0.0);
+    }
+    EXPECT_EQ(modeled_allreduce_seconds(AllreduceAlgorithm::Auto, 0.0, 8,
+                                        node_size),
+              0.0);
+  }
 }
 
 TEST(AllreducePropertyFaults, SurvivesInjectedDropsAllAlgorithms) {

@@ -72,7 +72,18 @@ struct AllreduceCase {
   AllreduceAlgorithm algo;
   std::size_t ranks;
   std::size_t n;
+  std::size_t node_size = 4;  // CommConfig::node_size, read by Hierarchical
 };
+
+// Names the ctest case (e.g. rsag_P3_n17, hierarchical_node2_P5_n17)
+// instead of dumping the struct's bytes, padding included.
+void PrintTo(const AllreduceCase& c, std::ostream* os) {
+  *os << allreduce_algorithm_name(c.algo);
+  if (c.algo == AllreduceAlgorithm::Hierarchical) {
+    *os << "_node" << c.node_size;
+  }
+  *os << "_P" << c.ranks << "_n" << c.n;
+}
 
 class AllreduceSweep : public ::testing::TestWithParam<AllreduceCase> {};
 
@@ -90,27 +101,44 @@ TEST_P(AllreduceSweep, MatchesSerialSum) {
       expected[i] += inputs[r][i];
     }
   }
-  run_spmd(c.ranks, [&](Communicator& comm) {
-    std::vector<double> data = inputs[comm.rank()];
-    comm.allreduce(data, c.algo);
-    ASSERT_EQ(data.size(), c.n);
-    for (std::size_t i = 0; i < c.n; ++i) {
-      EXPECT_NEAR(data[i], expected[i], 1e-11)
-          << "rank " << comm.rank() << " index " << i;
-    }
-  });
+  CommConfig config;
+  config.node_size = c.node_size;
+  run_spmd(
+      c.ranks,
+      [&](Communicator& comm) {
+        std::vector<double> data = inputs[comm.rank()];
+        comm.allreduce(data, c.algo);
+        ASSERT_EQ(data.size(), c.n);
+        for (std::size_t i = 0; i < c.n; ++i) {
+          EXPECT_NEAR(data[i], expected[i], 1e-11)
+              << "rank " << comm.rank() << " index " << i;
+        }
+      },
+      config);
 }
 
+// Every AllreduceAlgorithm value over the same P x n grid. Hierarchical
+// runs at three node sizes so the grid covers full and ragged last node
+// groups and a non-power-of-two leader count (P = 5 at node size 2, P = 8
+// at node size 3), which sends the leaders' stage down RSAG's
+// gather-to-root fallback. Auto runs whatever the selector resolves.
 std::vector<AllreduceCase> allreduce_cases() {
+  const std::size_t rank_counts[] = {1, 2, 3, 4, 5, 8};
+  const std::size_t lengths[] = {1, 17, 256, 1000};
   std::vector<AllreduceCase> cases;
   for (AllreduceAlgorithm algo :
-       {AllreduceAlgorithm::Linear, AllreduceAlgorithm::Ring,
-        AllreduceAlgorithm::RecursiveDoubling,
-        AllreduceAlgorithm::ReduceScatterAllgather,
-        AllreduceAlgorithm::CpePipelined}) {
-    for (std::size_t ranks : {1, 2, 3, 4, 5, 8}) {
-      for (std::size_t n : {1, 17, 256, 1000}) {
+       {AllreduceAlgorithm::ReduceScatterAllgather,
+        AllreduceAlgorithm::CpePipelined, AllreduceAlgorithm::Auto}) {
+    for (std::size_t ranks : rank_counts) {
+      for (std::size_t n : lengths) {
         cases.push_back({algo, ranks, n});
+      }
+    }
+  }
+  for (std::size_t node_size : {2, 3, 4}) {
+    for (std::size_t ranks : rank_counts) {
+      for (std::size_t n : lengths) {
+        cases.push_back({AllreduceAlgorithm::Hierarchical, ranks, n, node_size});
       }
     }
   }
@@ -129,7 +157,7 @@ TEST(Comm, SplitFormsSubCommunicators) {
     EXPECT_EQ(sub.rank(), comm.rank() % 3);
     // Group-local allreduce: sums stay within the group.
     std::vector<double> data{static_cast<double>(comm.rank())};
-    sub.allreduce(data, AllreduceAlgorithm::Ring);
+    sub.allreduce(data, AllreduceAlgorithm::ReduceScatterAllgather);
     const double expected = (color == 0) ? 0.0 + 1.0 + 2.0 : 3.0 + 4.0 + 5.0;
     EXPECT_DOUBLE_EQ(data[0], expected);
   });
@@ -140,7 +168,7 @@ TEST(Comm, SplitSingletonColors) {
     Communicator sub = comm.split(static_cast<int>(comm.rank()));
     EXPECT_EQ(sub.size(), 1u);
     std::vector<double> v{1.0};
-    sub.allreduce(v, AllreduceAlgorithm::RecursiveDoubling);
+    sub.allreduce(v, AllreduceAlgorithm::CpePipelined);
     EXPECT_DOUBLE_EQ(v[0], 1.0);
   });
 }
@@ -170,7 +198,7 @@ TEST(Comm, RepeatedAllreducesStayConsistent) {
   run_spmd(4, [](Communicator& comm) {
     for (int round = 0; round < 5; ++round) {
       std::vector<double> data(64, static_cast<double>(comm.rank() + round));
-      comm.allreduce(data, AllreduceAlgorithm::Ring);
+      comm.allreduce(data);  // Auto
       const double expected = 4.0 * round + 6.0;  // sum over ranks 0..3
       EXPECT_DOUBLE_EQ(data[0], expected) << "round " << round;
       EXPECT_DOUBLE_EQ(data[63], expected);
@@ -184,7 +212,7 @@ TEST(Comm, NestedSplits) {
     Communicator quarter = half.split(static_cast<int>(half.rank() / 2));
     EXPECT_EQ(quarter.size(), 2u);
     std::vector<double> v{1.0};
-    quarter.allreduce(v, AllreduceAlgorithm::Linear);
+    quarter.allreduce(v, AllreduceAlgorithm::Hierarchical);
     EXPECT_DOUBLE_EQ(v[0], 2.0);
   });
 }

@@ -113,7 +113,7 @@ TEST(Commcheck, SpmdCollectivesRunCleanUnderCheck) {
   const ScopedChecking checking;
   run_spmd(4, [](Communicator& comm) {
     std::vector<double> data{static_cast<double>(comm.rank()), 1.0};
-    comm.allreduce(data, AllreduceAlgorithm::Ring);
+    comm.allreduce(data, AllreduceAlgorithm::ReduceScatterAllgather);
     EXPECT_DOUBLE_EQ(data[0], 6.0);
     EXPECT_DOUBLE_EQ(data[1], 4.0);
     comm.barrier();

@@ -30,9 +30,9 @@ double expected_sum(std::size_t p, std::size_t i) {
 
 TEST(Iallreduce, WaitReturnsReducedData) {
   for (const AllreduceAlgorithm alg :
-       {AllreduceAlgorithm::Linear, AllreduceAlgorithm::Ring,
-        AllreduceAlgorithm::ReduceScatterAllgather,
-        AllreduceAlgorithm::Hierarchical, AllreduceAlgorithm::Auto}) {
+       {AllreduceAlgorithm::ReduceScatterAllgather,
+        AllreduceAlgorithm::CpePipelined, AllreduceAlgorithm::Hierarchical,
+        AllreduceAlgorithm::Auto}) {
     run_spmd(4, [alg](Communicator& comm) {
       AllreduceRequest req = comm.iallreduce(rank_vector(comm.rank(), 37), alg);
       ASSERT_TRUE(req.valid());
@@ -49,7 +49,8 @@ TEST(Iallreduce, WaitReturnsReducedData) {
 TEST(Iallreduce, TestEventuallyTrueAndWaitIsThenImmediate) {
   run_spmd(3, [](Communicator& comm) {
     AllreduceRequest req =
-        comm.iallreduce(rank_vector(comm.rank(), 11), AllreduceAlgorithm::Ring);
+        comm.iallreduce(rank_vector(comm.rank(), 11),
+                        AllreduceAlgorithm::ReduceScatterAllgather);
     while (!req.test()) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
@@ -65,12 +66,13 @@ TEST(Iallreduce, OverlapsWithLocalComputeAndOtherCollectives) {
   // per-operation tag bases must keep all three message spaces disjoint.
   run_spmd(4, [](Communicator& comm) {
     AllreduceRequest req_a =
-        comm.iallreduce(rank_vector(comm.rank(), 513), AllreduceAlgorithm::Ring);
+        comm.iallreduce(rank_vector(comm.rank(), 513),
+                        AllreduceAlgorithm::CpePipelined);
     AllreduceRequest req_b = comm.iallreduce(
         rank_vector(comm.rank(), 129), AllreduceAlgorithm::Hierarchical);
 
     std::vector<double> blocking = {static_cast<double>(comm.rank())};
-    comm.allreduce(blocking, AllreduceAlgorithm::RecursiveDoubling);
+    comm.allreduce(blocking, AllreduceAlgorithm::ReduceScatterAllgather);
     EXPECT_DOUBLE_EQ(blocking[0], 6.0);
 
     const std::vector<double> b = req_b.wait();
@@ -86,7 +88,8 @@ TEST(Iallreduce, OverlapsWithLocalComputeAndOtherCollectives) {
 
 TEST(Iallreduce, EmptyPayloadCompletesImmediately) {
   run_spmd(3, [](Communicator& comm) {
-    AllreduceRequest req = comm.iallreduce({}, AllreduceAlgorithm::Ring);
+    AllreduceRequest req =
+        comm.iallreduce({}, AllreduceAlgorithm::ReduceScatterAllgather);
     EXPECT_TRUE(req.test());  // no communication: done at start
     EXPECT_TRUE(req.wait().empty());
   });
@@ -109,7 +112,7 @@ TEST(Iallreduce, ManyOutstandingRequestsCompleteInAnyWaitOrder) {
     std::vector<AllreduceRequest> reqs;
     for (int k = 0; k < 6; ++k) {
       reqs.push_back(comm.iallreduce(rank_vector(comm.rank(), 17),
-                                     AllreduceAlgorithm::Linear));
+                                     AllreduceAlgorithm::CpePipelined));
     }
     // Wait in reverse start order — completion must not depend on it.
     for (auto it = reqs.rbegin(); it != reqs.rend(); ++it) {
@@ -126,7 +129,8 @@ TEST(Iallreduce, OverlapCountersAccumulate) {
   obs::set_enabled(true);
   run_spmd(2, [](Communicator& comm) {
     AllreduceRequest req =
-        comm.iallreduce(rank_vector(comm.rank(), 4097), AllreduceAlgorithm::Ring);
+        comm.iallreduce(rank_vector(comm.rank(), 4097),
+                        AllreduceAlgorithm::CpePipelined);
     // Represent overlapped local work.
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     (void)req.wait();

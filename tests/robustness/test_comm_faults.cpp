@@ -86,9 +86,8 @@ TEST(CommFaults, AllreduceSurvivesMessageDrops) {
   spec.probability = 0.1;
   fault::FaultInjector::instance().configure(fault::kCommSendDrop, spec);
   for (const AllreduceAlgorithm alg :
-       {AllreduceAlgorithm::Linear, AllreduceAlgorithm::Ring,
-        AllreduceAlgorithm::RecursiveDoubling,
-        AllreduceAlgorithm::ReduceScatterAllgather}) {
+       {AllreduceAlgorithm::ReduceScatterAllgather,
+        AllreduceAlgorithm::CpePipelined, AllreduceAlgorithm::Hierarchical}) {
     run_spmd(
         4,
         [alg](Communicator& comm) {

@@ -121,7 +121,7 @@ TEST(ParallelScf, GeometryLevelSubGroups) {
     part.n_ranks = group.size();
     part.allreduce = [&group](double* data, std::size_t n) {
       std::vector<double> buf(data, data + n);
-      group.allreduce(buf, parallel::AllreduceAlgorithm::Ring);
+      group.allreduce(buf, parallel::AllreduceAlgorithm::CpePipelined);
       std::copy(buf.begin(), buf.end(), data);
     };
     ScfEngine engine(mol, {}, part);

@@ -10,6 +10,16 @@
 #include "robustness/fault.hpp"
 #include "scf/forces.hpp"
 
+namespace swraman::grid {
+// Names the ctest cases (light, tight, really_tight) instead of dumping the
+// enum's bytes; gtest looks it up in the enum's namespace.
+static void PrintTo(GridLevel level, std::ostream* os) {
+  *os << (level == GridLevel::Light   ? "light"
+          : level == GridLevel::Tight ? "tight"
+                                      : "really_tight");
+}
+}  // namespace swraman::grid
+
 namespace swraman::scf {
 namespace {
 

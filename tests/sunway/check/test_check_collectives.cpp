@@ -63,7 +63,7 @@ TEST(CheckCollectives, AbandonedIallreduceIsReported) {
   run_spmd(2, [](Communicator& comm) {
     AllreduceRequest req =
         comm.iallreduce({static_cast<double>(comm.rank())},
-                        AllreduceAlgorithm::Linear);
+                        AllreduceAlgorithm::ReduceScatterAllgather);
     ASSERT_TRUE(req.valid());
     // Dropped without wait(): the destructor still completes the exchange
     // (the peer must not deadlock) and files the violation.
@@ -90,8 +90,9 @@ TEST(CheckCollectives, AbandonmentIsSilentWhenCheckingDisabled) {
   // Production runs (checking off) only count the event; no tally entry.
   check::ScopedChecking checking(false);
   run_spmd(2, [](Communicator& comm) {
-    AllreduceRequest req = comm.iallreduce(
-        {static_cast<double>(comm.rank())}, AllreduceAlgorithm::Linear);
+    AllreduceRequest req =
+        comm.iallreduce({static_cast<double>(comm.rank())},
+                        AllreduceAlgorithm::ReduceScatterAllgather);
     (void)req;
   });
   EXPECT_EQ(check::total_violations(), 0u);

@@ -15,6 +15,12 @@ struct PipelineCase {
   std::size_t ldm_doubles;
 };
 
+// Names the ctest case (e.g. count4097_ldm4096) instead of dumping the
+// struct's bytes.
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  *os << "count" << c.count << "_ldm" << c.ldm_doubles;
+}
+
 class PipelineSweep : public ::testing::TestWithParam<PipelineCase> {};
 
 TEST_P(PipelineSweep, MatchesSerialReduction) {

@@ -8,6 +8,13 @@
 #include "common/constants.hpp"
 
 namespace swraman::sunway {
+
+// Names the ctest cases (scalar, simd) instead of dumping the enum's bytes;
+// gtest looks it up in the enum's namespace.
+static void PrintTo(ExecMode mode, std::ostream* os) {
+  *os << (mode == ExecMode::Simd ? "simd" : "scalar");
+}
+
 namespace {
 
 // A solved multipole potential of a two-center Gaussian density.

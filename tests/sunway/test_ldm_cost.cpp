@@ -114,12 +114,8 @@ TEST(CostModel, AllreduceModelShape) {
   const double bytes = 8e6;
   // Fig. 15 "before": reduce-scatter + allgather with the local reduction
   // on the MPE; "after": CPE-offloaded pipelined reduction.
-  AllreduceModel before;
-  before.reduce_scatter = true;
-  before.cpe_offload = false;
-  AllreduceModel after;
-  after.reduce_scatter = true;
-  after.cpe_offload = true;
+  const AllreduceModel before{false};
+  const AllreduceModel after{true};
   for (std::size_t p : {256, 1024}) {
     const double t_before = modeled_allreduce_time(bytes, p, sw, before);
     const double t_after = modeled_allreduce_time(bytes, p, sw, after);

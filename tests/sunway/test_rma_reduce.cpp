@@ -32,6 +32,13 @@ struct RmaCase {
   std::size_t per_cpe;
 };
 
+// Names the ctest case (e.g. cpes64_array512_per100) instead of dumping the
+// struct's bytes.
+void PrintTo(const RmaCase& c, std::ostream* os) {
+  *os << "cpes" << c.n_cpes << "_array" << c.array_size << "_per"
+      << c.per_cpe;
+}
+
 class RmaReduceSweep : public ::testing::TestWithParam<RmaCase> {};
 
 TEST_P(RmaReduceSweep, MatchesSerialReduction) {
