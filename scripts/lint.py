@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo lint gate for swraman (tier-1 stage).
 
-Six repo-specific rules that clang-tidy cannot express, plus an
+Seven repo-specific rules that clang-tidy cannot express, plus an
 optional clang-tidy pass over compile_commands.json when the binary is
 available (the gate skips that stage gracefully when it is not). The
 clang-tidy stage diffs its findings against a committed baseline
@@ -43,6 +43,13 @@ Refresh the baseline with --update-tidy-baseline after triaging.
      flight recorder (src/obs/flight.cpp), which is lock-free by design
      and must stay dumpable from crash paths that may hold arbitrary
      locks.
+  7. One displaced-geometry evaluator in src/raman and src/serve.
+     scf::ScfEngine and dfpt::DfptEngine are constructed there only in
+     src/raman/evaluate.cpp (raman::evaluate), which owns the solve,
+     the convergence check and the result extraction for every
+     displaced or finite-field geometry. A second engine build in those
+     tiers is a second copy of that policy (seed, error type, what is
+     pulled out of the ground state) and drifts from the first.
 
 Exit status: 0 clean, 1 violations, 2 usage/setup error.
 
@@ -293,6 +300,38 @@ def check_lock_primitives() -> list[str]:
     return violations
 
 
+# Rule 7: the tiers whose engine builds all go through raman::evaluate,
+# and the evaluator's own file.
+EVALUATOR_TIERS = (SRC / "raman", SRC / "serve")
+EVALUATOR_HOME = SRC / "raman" / "evaluate.cpp"
+
+_ENGINE = r"(?:scf::)?ScfEngine|(?:dfpt::)?DfptEngine"
+ENGINE_CTOR = re.compile(
+    rf"\b(?:{_ENGINE})\s+[A-Za-z_]\w*\s*[({{]"   # ScfEngine e(...)
+    rf"|\b(?:{_ENGINE})\s*[({{]"                  # ScfEngine(...) temporary
+    rf"|\bmake_(?:unique|shared)\s*<\s*(?:const\s+)?(?:{_ENGINE})\s*>"
+    rf"|\bnew\s+(?:{_ENGINE})\b")
+
+
+def check_engine_builds() -> list[str]:
+    """Rule 7: src/raman and src/serve build engines only in the
+    displaced-geometry evaluator."""
+    violations: list[str] = []
+    for tier in EVALUATOR_TIERS:
+        for path in cpp_sources(tier):
+            if path == EVALUATOR_HOME:
+                continue
+            text = strip_comments(path.read_text())
+            rel = path.relative_to(REPO)
+            for m in ENGINE_CTOR.finditer(text):
+                line = text.count("\n", 0, m.start()) + 1
+                violations.append(
+                    f"{rel}:{line}: engine constructed outside "
+                    "src/raman/evaluate.cpp — solve displaced and "
+                    "finite-field geometries through raman::evaluate")
+    return violations
+
+
 BASELINE_PATH = REPO / "scripts" / "clang_tidy_baseline.json"
 
 # One clang-tidy finding line: /abs/path.cpp:LINE:COL: warning: ... [check]
@@ -378,7 +417,8 @@ def main(argv: list[str]) -> int:
         return 2
     violations = (check_charge_flops() + check_raw_memcpy()
                   + check_std_endl() + check_threads()
-                  + check_wal_durability() + check_lock_primitives())
+                  + check_wal_durability() + check_lock_primitives()
+                  + check_engine_builds())
     fail(violations)
     tidy_count = run_clang_tidy(build_dir, update_baseline)
     total = len(violations) + tidy_count

@@ -33,6 +33,7 @@
 #include "hartree/multipole.hpp"
 #include "parallel/comm.hpp"
 #include "raman/checkpoint.hpp"
+#include "raman/evaluate.hpp"
 #include "raman/raman.hpp"
 #include "raman/relax.hpp"
 #include "robustness/fault.hpp"

@@ -63,6 +63,14 @@ int angular_order(const GridSettings& s) {
   return 11;
 }
 
+std::vector<AtomSite> displaced(std::vector<AtomSite> atoms,
+                                std::size_t coord, double step) {
+  SWRAMAN_REQUIRE(coord < 3 * atoms.size(),
+                  "displaced: coordinate out of range");
+  atoms[coord / 3].pos[static_cast<int>(coord % 3)] += step;
+  return atoms;
+}
+
 double becke_weight(const std::vector<AtomSite>& atoms, std::size_t a,
                     const Vec3& r) {
   SWRAMAN_REQUIRE(a < atoms.size(), "becke_weight: atom index");

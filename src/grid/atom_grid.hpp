@@ -20,6 +20,12 @@ struct AtomSite {
   Vec3 pos;
 };
 
+// `atoms` with Cartesian coordinate `coord` (atom coord / 3, axis
+// coord % 3) moved by `step` bohr: the displaced geometry of every
+// finite-difference loop (Hessian, d(alpha)/dR, forces, relaxation).
+std::vector<AtomSite> displaced(std::vector<AtomSite> atoms,
+                                std::size_t coord, double step);
+
 // Grid quality presets mirroring FHI-aims' "light" / "tight" / "really
 // tight" defaults (coarser absolute sizes; relative structure preserved).
 enum class GridLevel { Light, Tight, ReallyTight };

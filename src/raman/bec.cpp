@@ -1,16 +1,10 @@
 #include "raman/bec.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <mutex>
-
 #include "common/error.hpp"
-#include "common/logging.hpp"
-#include "common/threads.hpp"
 #include "obs/obs.hpp"
 #include "raman/checkpoint.hpp"
+#include "raman/evaluate.hpp"
 #include "robustness/fault.hpp"
-#include "scf/scf_engine.hpp"
 
 namespace swraman::raman {
 
@@ -45,6 +39,10 @@ constexpr int pair_plus(int a, int b) {
   return lo == 0 ? (hi == 1 ? 7 : 11) : 9;
 }
 constexpr int pair_minus(int a, int b) { return pair_plus(a, b) + 1; }
+
+// Attempts per field point: one retry on a transient failure, as the
+// displacement pipeline's default RamanOptions::geometry_attempts.
+constexpr int kFieldAttempts = 2;
 
 }  // namespace
 
@@ -177,36 +175,6 @@ BecCalculator::BecCalculator(std::vector<grid::AtomSite> atoms,
                   "BecCalculator: field strength must be positive");
 }
 
-GeometryRecord BecCalculator::evaluate_field(int idx) {
-  SWRAMAN_TRACE_SPAN(span, "raman.bec.field");
-  if (span.active()) span.attr("field", static_cast<double>(idx));
-  scf::ScfOptions opts = options_.vibrations.scf;
-  const Vec3 field = field_vector(idx, options_.field_strength);
-  opts.electric_field = field;
-  const int attempts = std::max(1, options_.field_attempts);
-  for (int attempt = 1;; ++attempt) {
-    try {
-      scf::ScfEngine engine(atoms_, opts);
-      const scf::GroundState gs = engine.solve();
-      SWRAMAN_REQUIRE(gs.converged, "BecCalculator: SCF did not converge");
-      GeometryRecord rec;
-      rec.forces = forces_->forces(gs, field);
-      for (int i = 0; i < 3; ++i) {
-        rec.dipole[static_cast<std::size_t>(i)] = gs.dipole[i];
-      }
-      n_field_forces_.fetch_add(1, std::memory_order_relaxed);
-      return rec;
-    } catch (const FaultInjected&) {
-      throw;  // a simulated hard failure (process kill) must propagate
-    } catch (const Error& e) {
-      if (attempt >= attempts) throw;
-      log::warn("raman.bec.field: stencil point ", idx,
-                " failed on attempt ", attempt, "/", attempts, " (",
-                e.what(), ") — retrying");
-    }
-  }
-}
-
 std::vector<GeometryRecord> BecCalculator::field_records() {
   SWRAMAN_TRACE_SPAN(span, "raman.bec.fields");
   const int n = n_field_points();
@@ -218,47 +186,30 @@ std::vector<GeometryRecord> BecCalculator::field_records() {
     ckpt = Checkpoint(options_.checkpoint_path, atoms_,
                       options_.field_strength);
   }
-  std::vector<GeometryRecord> records(static_cast<std::size_t>(n));
-  std::vector<int> missing;
+  std::vector<SlotKey> keys;
   for (int idx = 0; idx < n; ++idx) {
-    if (const GeometryRecord* stored =
-            ckpt.lookup(static_cast<std::size_t>(idx), 0)) {
-      records[static_cast<std::size_t>(idx)] = *stored;
-      obs::count("checkpoint.hits");
-    } else {
-      missing.push_back(idx);
-    }
+    keys.push_back({static_cast<std::size_t>(idx), 0});
   }
-  // The displaced sibling engines are shared by every field point; build
-  // them once, before the fan-out, and only when a point is missing (a
-  // fully checkpointed resume never pays for them).
-  if (!missing.empty() && !forces_) {
-    forces_ = std::make_unique<scf::ForceEvaluator>(atoms_,
-                                                    options_.vibrations.scf);
-  }
-
-  // The field points are independent: they run concurrently, one per
-  // claim, in stencil order, and each record becomes durable as its point
-  // finishes (replay is keyed per stencil index).
-  std::mutex ckpt_mutex;
-  threads::claim_each(missing.size(), geometry_threads(), [&](std::size_t k) {
-    const int idx = missing[k];
-    obs::count("checkpoint.misses");
-    GeometryRecord& rec = records[static_cast<std::size_t>(idx)];
-    rec = evaluate_field(idx);
-    {
-      const std::scoped_lock lock(ckpt_mutex);
-      ckpt.record(static_cast<std::size_t>(idx), 0, rec);
+  const auto build_forces = [&] {  // see forces_
+    if (!forces_) {
+      forces_ = std::make_unique<scf::ForceEvaluator>(atoms_,
+                                                      options_.vibrations.scf);
     }
-    // Simulated mid-loop process death: fires only on freshly computed
-    // field points, after their checkpoint record is durable — the same
-    // crash window the displacement pipeline's kRamanKill covers. An armed
-    // injector keeps this loop serial.
-    if (fault::should_fire(fault::kBecKill)) {
-      fault::FaultInjector::raise(fault::kBecKill);
-    }
-  });
-  return records;
+  };
+  return fan_out(
+      keys, ckpt, {"raman.bec.field", fault::kBecKill, kFieldAttempts},
+      build_forces, [&](const SlotKey& key) {
+        scf::ScfOptions opts = options_.vibrations.scf;
+        opts.electric_field =
+            field_vector(static_cast<int>(key.index), options_.field_strength);
+        Wants wants;
+        wants.forces = [this]() -> const scf::ForceEvaluator& {
+          return *forces_;
+        };
+        GeometryRecord rec = evaluate(atoms_, opts, wants);
+        n_field_forces_.fetch_add(1, std::memory_order_relaxed);
+        return rec;
+      });
 }
 
 linalg::Matrix BecCalculator::polarizability_derivatives() {

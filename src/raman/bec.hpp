@@ -72,8 +72,6 @@ struct BecOptions {
   // checkpoint; field records are keyed (stencil index, sign 0) and the
   // header displacement slot carries the field strength).
   std::string checkpoint_path;
-  // Bounded retry per field point, mirroring RamanOptions::geometry_attempts.
-  int field_attempts = 2;
 };
 
 // Number of field points in the stencil (13).
@@ -123,10 +121,8 @@ class BecCalculator {
     return dmu_;
   }
 
-  // Evaluates (or replays from the checkpoint) all 13 field records. The
-  // missing points run concurrently on geometry_threads() threads; the
-  // records are bitwise those of a serial loop, and a failure rethrows the
-  // error of the lowest failing stencil index once every point finished.
+  // Evaluates (or replays from the checkpoint) all 13 field records
+  // through raman::fan_out, bitwise a serial loop.
   [[nodiscard]] std::vector<GeometryRecord> field_records();
 
   // Equilibrium polarizability via the finite-field dipole derivative.
@@ -139,9 +135,6 @@ class BecCalculator {
   }
 
  private:
-  // One field point, with bounded retry on transient failures.
-  GeometryRecord evaluate_field(int idx);
-
   std::vector<grid::AtomSite> atoms_;
   BecOptions options_;
   linalg::Matrix dmu_;

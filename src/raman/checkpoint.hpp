@@ -47,6 +47,9 @@ struct GeometryRecord {
   // Flat 3N forces; empty for displacement records, filled for the bec
   // tier's finite-field records.
   std::vector<double> forces;
+  // SCF total energy, Hartree. Filled by raman::evaluate and never
+  // persisted: a replayed record carries 0.
+  double energy = 0.0;
 };
 
 class Checkpoint {

@@ -1,16 +1,12 @@
 #include "raman/raman.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <mutex>
 
 #include "common/constants.hpp"
 #include "common/elements.hpp"
 #include "common/error.hpp"
-#include "common/logging.hpp"
-#include "common/threads.hpp"
 #include "obs/obs.hpp"
-#include "raman/checkpoint.hpp"
+#include "raman/evaluate.hpp"
 #include "robustness/fault.hpp"
 
 namespace swraman::raman {
@@ -21,99 +17,38 @@ RamanCalculator::RamanCalculator(std::vector<grid::AtomSite> atoms,
   SWRAMAN_REQUIRE(!atoms_.empty(), "RamanCalculator: no atoms");
 }
 
-linalg::Matrix RamanCalculator::polarizability_at(
-    const std::vector<grid::AtomSite>& geometry, Vec3* dipole) {
-  scf::ScfEngine engine(geometry, options_.vibrations.scf);
-  const scf::GroundState gs = engine.solve();
-  SWRAMAN_REQUIRE(gs.converged, "RamanCalculator: SCF did not converge");
-  if (dipole != nullptr) *dipole = gs.dipole;
-  dfpt::DfptEngine dfpt(engine, gs, options_.dfpt);
-  ++n_polarizabilities_;
-  return dfpt.polarizability();
-}
-
-GeometryRecord RamanCalculator::evaluate_geometry(std::size_t coord,
-                                                  int sign) {
-  SWRAMAN_TRACE_SPAN(span, "raman.geometry");
-  if (span.active()) {
-    span.attr("coord", static_cast<double>(coord));
-    span.attr("sign", static_cast<double>(sign));
-  }
-  std::vector<grid::AtomSite> geometry = atoms_;
-  geometry[coord / 3].pos[static_cast<int>(coord % 3)] +=
-      sign * options_.alpha_displacement;
-  const int attempts = std::max(1, options_.geometry_attempts);
-  for (int attempt = 1;; ++attempt) {
-    try {
-      Vec3 mu;
-      const linalg::Matrix alpha = polarizability_at(geometry, &mu);
-      GeometryRecord rec;
-      for (std::size_t i = 0; i < 3; ++i) {
-        for (std::size_t j = 0; j < 3; ++j) rec.alpha[3 * i + j] = alpha(i, j);
-        rec.dipole[i] = mu[static_cast<int>(i)];
-      }
-      return rec;
-    } catch (const FaultInjected&) {
-      throw;  // a simulated hard failure (process kill) must propagate
-    } catch (const Error& e) {
-      if (attempt >= attempts) throw;
-      log::warn("raman.geometry: coordinate ", coord, " sign ",
-                sign > 0 ? "+" : "-", " failed on attempt ", attempt, "/",
-                attempts, " (", e.what(), ") — retrying");
-    }
-  }
-}
-
 linalg::Matrix RamanCalculator::polarizability_derivatives() {
   SWRAMAN_TRACE_SPAN(span, "raman.dalpha");
   const std::size_t n = 3 * atoms_.size();
   if (span.active()) span.attr("coords", static_cast<double>(n));
   const double d = options_.alpha_displacement;
-  linalg::Matrix deriv(n, 9);
-  dmu_ = linalg::Matrix(n, 3);
   Checkpoint ckpt;
   if (!options_.checkpoint_path.empty()) {
     ckpt = Checkpoint(options_.checkpoint_path, atoms_, d);
   }
 
-  // rec[2 * coord + s]: s = 0 for +d, 1 for -d. Checkpointed geometries
-  // replay; the rest are evaluated below.
-  std::vector<GeometryRecord> rec(2 * n);
-  std::vector<std::size_t> missing;
-  for (std::size_t slot = 0; slot < 2 * n; ++slot) {
-    const int sign = slot % 2 == 0 ? +1 : -1;
-    if (const GeometryRecord* stored = ckpt.lookup(slot / 2, sign)) {
-      rec[slot] = *stored;
-      obs::count("checkpoint.hits");
-    } else {
-      missing.push_back(slot);
-    }
+  // Slot 2 * coord + s: s = 0 for +d, 1 for -d.
+  std::vector<SlotKey> keys;
+  keys.reserve(2 * n);
+  for (std::size_t coord = 0; coord < n; ++coord) {
+    keys.push_back({coord, +1});
+    keys.push_back({coord, -1});
   }
+  Wants wants;
+  wants.alpha = &options_.dfpt;
+  const std::vector<GeometryRecord> rec = fan_out(
+      keys, ckpt,
+      {"raman.geometry", fault::kRamanKill, options_.geometry_attempts}, {},
+      [&](const SlotKey& key) {
+        GeometryRecord r =
+            evaluate(grid::displaced(atoms_, key.index, key.sign * d),
+                     options_.vibrations.scf, wants);
+        n_polarizabilities_.fetch_add(1, std::memory_order_relaxed);
+        return r;
+      });
 
-  // Level 1: the missing geometries are independent, so they run
-  // concurrently, one per claim, in the serial order. Each record becomes
-  // durable as its geometry finishes; replay is keyed per (coord, sign),
-  // so the order records reach the file does not matter.
-  std::mutex ckpt_mutex;
-  threads::claim_each(missing.size(), geometry_threads(), [&](std::size_t k) {
-    const std::size_t slot = missing[k];
-    const std::size_t coord = slot / 2;
-    const int sign = slot % 2 == 0 ? +1 : -1;
-    obs::count("checkpoint.misses");
-    rec[slot] = evaluate_geometry(coord, sign);
-    {
-      const std::scoped_lock lock(ckpt_mutex);
-      ckpt.record(coord, sign, rec[slot]);
-    }
-    // Simulated mid-pipeline process death: fires only on freshly
-    // computed geometries, after their checkpoint record is durable —
-    // exactly the crash window restart is designed for. An armed injector
-    // keeps this loop serial, so the kill lands where it would serially.
-    if (fault::should_fire(fault::kRamanKill)) {
-      fault::FaultInjector::raise(fault::kRamanKill);
-    }
-  });
-
+  linalg::Matrix deriv(n, 9);
+  dmu_ = linalg::Matrix(n, 3);
   for (std::size_t coord = 0; coord < n; ++coord) {
     const GeometryRecord& plus = rec[2 * coord];
     const GeometryRecord& minus = rec[2 * coord + 1];

@@ -72,10 +72,8 @@ class RamanCalculator {
   // of the flattened 3x3 polarizability (step 2 alone, exposed for tests
   // and for the geometry-parallel scaling model). Also accumulates the
   // dipole derivatives d(mu)/dR from the same displaced SCF solutions,
-  // giving IR intensities for free. The 6N geometries run concurrently on
-  // geometry_threads() threads (the paper's level 1); the result is
-  // bitwise that of a serial loop, and a failure rethrows the error of the
-  // first failing geometry in serial order once every solve has finished.
+  // giving IR intensities for free. The 6N geometries run through
+  // raman::fan_out (the paper's level 1), bitwise a serial loop.
   [[nodiscard]] linalg::Matrix polarizability_derivatives();
 
   // d(mu)/dR (3N x 3), valid after polarizability_derivatives()/compute().
@@ -90,13 +88,6 @@ class RamanCalculator {
   }
 
  private:
-  linalg::Matrix polarizability_at(
-      const std::vector<grid::AtomSite>& geometry, Vec3* dipole);
-
-  // One displaced geometry (coordinate + sign), with bounded retry on
-  // transient failures per RamanOptions::geometry_attempts.
-  GeometryRecord evaluate_geometry(std::size_t coord, int sign);
-
   std::vector<grid::AtomSite> atoms_;
   RamanOptions options_;
   linalg::Matrix dmu_;

@@ -6,29 +6,9 @@
 #include "common/logging.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/obs.hpp"
+#include "raman/evaluate.hpp"
 
 namespace swraman::raman {
-
-namespace {
-
-double scf_energy(const std::vector<grid::AtomSite>& atoms,
-                  const scf::ScfOptions& options) {
-  scf::ScfEngine engine(atoms, options);
-  const scf::GroundState gs = engine.solve();
-  SWRAMAN_REQUIRE(gs.converged, "relax_geometry: SCF did not converge");
-  return gs.total_energy;
-}
-
-std::vector<grid::AtomSite> displaced_all(
-    const std::vector<grid::AtomSite>& atoms, const std::vector<double>& dx) {
-  std::vector<grid::AtomSite> moved = atoms;
-  for (std::size_t c = 0; c < dx.size(); ++c) {
-    moved[c / 3].pos[static_cast<int>(c % 3)] += dx[c];
-  }
-  return moved;
-}
-
-}  // namespace
 
 std::vector<double> energy_gradient(const std::vector<grid::AtomSite>& atoms,
                                     const scf::ScfOptions& options,
@@ -37,11 +17,8 @@ std::vector<double> energy_gradient(const std::vector<grid::AtomSite>& atoms,
   const std::size_t n = 3 * atoms.size();
   std::vector<double> g(n);
   for (std::size_t c = 0; c < n; ++c) {
-    std::vector<grid::AtomSite> plus = atoms;
-    std::vector<grid::AtomSite> minus = atoms;
-    plus[c / 3].pos[static_cast<int>(c % 3)] += step;
-    minus[c / 3].pos[static_cast<int>(c % 3)] -= step;
-    g[c] = (scf_energy(plus, options) - scf_energy(minus, options)) /
+    g[c] = (evaluate(grid::displaced(atoms, c, step), options).energy -
+            evaluate(grid::displaced(atoms, c, -step), options).energy) /
            (2.0 * step);
   }
   return g;
@@ -56,7 +33,7 @@ RelaxResult relax_geometry(std::vector<grid::AtomSite> atoms,
 
   RelaxResult res;
   res.atoms = std::move(atoms);
-  res.energy = scf_energy(res.atoms, options.scf);
+  res.energy = evaluate(res.atoms, options.scf).energy;
 
   // Inverse-Hessian estimate, started from a typical stretch stiffness.
   linalg::Matrix h_inv = linalg::Matrix::identity(n);
@@ -93,10 +70,11 @@ RelaxResult relax_geometry(std::vector<grid::AtomSite> atoms,
     std::vector<grid::AtomSite> trial;
     double scale = 1.0;
     for (int bt = 0; bt < 6; ++bt) {
-      std::vector<double> step(n);
-      for (std::size_t c = 0; c < n; ++c) step[c] = scale * p[c];
-      trial = displaced_all(res.atoms, step);
-      e_new = scf_energy(trial, options.scf);
+      trial = res.atoms;
+      for (std::size_t c = 0; c < n; ++c) {
+        trial = grid::displaced(std::move(trial), c, scale * p[c]);
+      }
+      e_new = evaluate(trial, options.scf).energy;
       if (e_new < res.energy + 1e-10) break;
       scale *= 0.5;
     }

@@ -7,29 +7,10 @@
 #include "common/error.hpp"
 #include "common/threads.hpp"
 #include "linalg/eigen.hpp"
+#include "raman/evaluate.hpp"
 #include "robustness/fault.hpp"
 
 namespace swraman::raman {
-
-namespace {
-
-double scf_energy(std::vector<grid::AtomSite> atoms,
-                  const scf::ScfOptions& options,
-                  const linalg::Matrix* restart = nullptr) {
-  scf::ScfEngine engine(std::move(atoms), options);
-  const scf::GroundState gs = engine.solve(restart);
-  SWRAMAN_REQUIRE(gs.converged, "energy_hessian: SCF did not converge");
-  return gs.total_energy;
-}
-
-std::vector<grid::AtomSite> displaced(const std::vector<grid::AtomSite>& atoms,
-                                      std::size_t coord, double step) {
-  std::vector<grid::AtomSite> moved = atoms;
-  moved[coord / 3].pos[static_cast<int>(coord % 3)] += step;
-  return moved;
-}
-
-}  // namespace
 
 std::size_t geometry_threads() {
   return fault::FaultInjector::instance().armed()
@@ -45,14 +26,10 @@ linalg::Matrix energy_hessian(const std::vector<grid::AtomSite>& atoms,
   linalg::Matrix h(n, n);
 
   // Equilibrium solution; its density matrix seeds every displaced SCF.
-  scf::GroundState eq;
-  {
-    scf::ScfEngine eq_engine(atoms, options.scf);
-    eq = eq_engine.solve();
-  }
-  SWRAMAN_REQUIRE(eq.converged, "energy_hessian: SCF did not converge");
-  const double e0 = eq.total_energy;
-  const linalg::Matrix* restart = &eq.density;
+  linalg::Matrix eq_density;
+  Wants eq_wants;
+  eq_wants.density = &eq_density;
+  const double e0 = evaluate(atoms, options.scf, eq_wants).energy;
 
   // The displaced solves in serial order: per coordinate i the diagonal
   // pair E(+d e_i), E(-d e_i), then per pair j < i the 4-point set
@@ -85,9 +62,9 @@ linalg::Matrix energy_hessian(const std::vector<grid::AtomSite>& atoms,
   std::vector<double> e(solves.size());
   threads::claim_each(solves.size(), geometry_threads(), [&](std::size_t k) {
     const Solve& s = solves[k];
-    std::vector<grid::AtomSite> moved = displaced(atoms, s.a, s.step_a);
-    if (s.b < n) moved = displaced(moved, s.b, s.step_b);
-    e[k] = scf_energy(std::move(moved), options.scf, restart);
+    std::vector<grid::AtomSite> moved = grid::displaced(atoms, s.a, s.step_a);
+    if (s.b < n) moved = grid::displaced(std::move(moved), s.b, s.step_b);
+    e[k] = evaluate(std::move(moved), options.scf, {}, &eq_density).energy;
   });
 
   // Diagonal: E(+d) + E(-d) - 2 E0.

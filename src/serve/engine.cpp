@@ -1,86 +1,54 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "common/error.hpp"
-#include "dfpt/dfpt_engine.hpp"
-#include "obs/obs.hpp"
 #include "raman/bec.hpp"
-#include "scf/scf_engine.hpp"
+#include "raman/evaluate.hpp"
 
 namespace swraman::serve {
 
 raman::GeometryRecord RealEngine::evaluate(const TaskContext& ctx) {
-  if (ctx.field_force) return evaluate_field(ctx);
   const JobSpec& spec = *ctx.spec;
-  SWRAMAN_REQUIRE(ctx.coord < 3 * spec.atoms.size(),
-                  "RealEngine: coordinate out of range");
-  std::vector<grid::AtomSite> geometry = spec.atoms;
-  geometry[ctx.coord / 3].pos[static_cast<int>(ctx.coord % 3)] +=
-      ctx.sign * spec.options.alpha_displacement;
-
-  scf::ScfEngine engine(geometry, spec.options.vibrations.scf);
-  const scf::GroundState gs = engine.solve();
-  if (!gs.converged) {
-    throw ConvergenceError("serve: displaced SCF did not converge");
+  const scf::ScfOptions& opts = spec.options.vibrations.scf;
+  raman::Wants wants;
+  if (!ctx.field_force) {
+    wants.alpha = &spec.options.dfpt;
+    return raman::evaluate(
+        grid::displaced(spec.atoms, ctx.coord,
+                        ctx.sign * spec.options.alpha_displacement),
+        opts, wants);
   }
-  dfpt::DfptEngine dfpt(engine, gs, spec.options.dfpt);
-  const linalg::Matrix alpha = dfpt.polarizability();
-
-  raman::GeometryRecord rec;
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) rec.alpha[3 * i + j] = alpha(i, j);
-    rec.dipole[i] = gs.dipole[static_cast<int>(i)];
-  }
-  return rec;
+  // Finite-field SCF at the equilibrium geometry (the per-task solve).
+  scf::ScfOptions field_opts = opts;
+  field_opts.electric_field =
+      raman::field_vector(static_cast<int>(ctx.coord), spec.bec_field);
+  std::shared_ptr<const scf::ForceEvaluator> evaluator;
+  wants.forces = [&]() -> const scf::ForceEvaluator& {
+    evaluator = force_evaluator(spec);
+    return *evaluator;
+  };
+  return raman::evaluate(spec.atoms, field_opts, wants);
 }
 
-raman::GeometryRecord RealEngine::evaluate_field(const TaskContext& ctx) {
-  const JobSpec& spec = *ctx.spec;
-  SWRAMAN_REQUIRE(
-      ctx.coord < static_cast<std::size_t>(raman::n_field_points()),
-      "RealEngine: field stencil index out of range");
-
-  // Finite-field SCF at the equilibrium geometry (the per-task solve).
-  scf::ScfOptions field_opts = spec.options.vibrations.scf;
-  const Vec3 field =
-      raman::field_vector(static_cast<int>(ctx.coord), spec.bec_field);
-  field_opts.electric_field = field;
-  scf::ScfEngine engine(spec.atoms, field_opts);
-  const scf::GroundState gs = engine.solve();
-  if (!gs.converged) {
-    throw ConvergenceError("serve: finite-field SCF did not converge");
+std::shared_ptr<const scf::ForceEvaluator> RealEngine::force_evaluator(
+    const JobSpec& spec) {
+  Hash64 h;
+  h.str("force-evaluator");
+  h.u64(settings_fingerprint(spec));
+  for (const auto& a : spec.atoms) {
+    h.u64(static_cast<std::uint64_t>(a.z));
+    h.f64(a.pos.x);
+    h.f64(a.pos.y);
+    h.f64(a.pos.z);
   }
-
-  // Shared field-free displaced-sibling evaluator (see engine.hpp).
-  std::shared_ptr<const scf::ForceEvaluator> evaluator;
-  {
-    Hash64 h;
-    h.str("force-evaluator");
-    h.u64(settings_fingerprint(spec));
-    for (const auto& a : spec.atoms) {
-      h.u64(static_cast<std::uint64_t>(a.z));
-      h.f64(a.pos.x);
-      h.f64(a.pos.y);
-      h.f64(a.pos.z);
-    }
-    const std::uint64_t key = h.value();
-    lockcheck::CheckedLock guard(forces_mutex_);
-    if (!forces_ || forces_key_ != key) {
-      forces_ = std::make_shared<const scf::ForceEvaluator>(
-          spec.atoms, spec.options.vibrations.scf);
-      forces_key_ = key;
-    }
-    evaluator = forces_;
+  const std::uint64_t key = h.value();
+  lockcheck::CheckedLock guard(forces_mutex_);
+  if (!forces_ || forces_key_ != key) {
+    forces_ = std::make_shared<const scf::ForceEvaluator>(
+        spec.atoms, spec.options.vibrations.scf);
+    forces_key_ = key;
   }
-
-  raman::GeometryRecord rec;
-  rec.forces = evaluator->forces(gs, field);
-  for (std::size_t i = 0; i < 3; ++i) {
-    rec.dipole[i] = gs.dipole[static_cast<int>(i)];
-  }
-  return rec;
+  return forces_;
 }
 
 std::uint64_t splitmix64(std::uint64_t& state) {

@@ -11,9 +11,10 @@
 // Displacement-task execution backends. The service hands a backend one
 // task at a time:
 //
-//   RealEngine     SCF + DFPT on the actual displaced molecule — the same
-//                  solve RamanCalculator::polarizability_at performs, so a
-//                  served job reproduces the single-job pipeline.
+//   RealEngine     SCF + DFPT on the actual displaced molecule through
+//                  raman::evaluate, the solve RamanCalculator and
+//                  BecCalculator run, so a served job reproduces the
+//                  single-job pipeline.
 //   ModeledEngine  deterministic synthetic evaluation for machine-scale
 //                  systems (RBD, Table-1 silicon): the result is a pure
 //                  function of (canonical key, seed) and the engine burns
@@ -49,13 +50,14 @@ class RealEngine : public DisplacementEngine {
   raman::GeometryRecord evaluate(const TaskContext& ctx) override;
 
  private:
-  raman::GeometryRecord evaluate_field(const TaskContext& ctx);
-
   // The 13 field stencil points of one bec job share the equilibrium
   // displaced-sibling engines, so the evaluator (a 6N engine build, no
   // SCF) is cached across tasks keyed by (geometry, settings). forces()
   // is const and safe to call concurrently; the shared_ptr keeps an old
   // evaluator alive for in-flight tasks while a new job swaps it out.
+  std::shared_ptr<const scf::ForceEvaluator> force_evaluator(
+      const JobSpec& spec);
+
   lockcheck::CheckedMutex forces_mutex_{"serve.real.forces"};
   std::uint64_t forces_key_ = 0;
   std::shared_ptr<const scf::ForceEvaluator> forces_;

@@ -224,11 +224,10 @@ SubmitResult RamanService::submit(const JobSpec& spec,
           const int sign = s == 0 ? +1 : -1;
           const std::size_t node = dag.displacement_id(coord, sign);
           if (spec.engine == EngineKind::Real) {
-            std::vector<grid::AtomSite> geometry = spec.atoms;
-            geometry[coord / 3].pos[static_cast<int>(coord % 3)] +=
-                sign * spec.options.alpha_displacement;
-            const CanonicalKey ck =
-                canonical_key(geometry, settings_fp, options_.use_symmetry);
+            const CanonicalKey ck = canonical_key(
+                grid::displaced(spec.atoms, coord,
+                                sign * spec.options.alpha_displacement),
+                settings_fp, options_.use_symmetry);
             keys[node].key = ck.key;
             keys[node].to_canonical = ck.to_canonical;
           } else {
