@@ -27,7 +27,10 @@
 // The displaced sibling engines are field-independent (a uniform field
 // never enters S, T, v_ext), so one evaluator serves every point of the
 // bec field stencil; the field enters the Lagrangian only through the
-// explicit +F.r electron term and the -Z_A F.R_A nuclear term.
+// explicit +F.r electron term and the -Z_A F.R_A nuclear term. Its owner
+// builds it once per geometry and settings: BecCalculator for its field
+// loop, and in the serve tier the bec job itself (serve::ForceSlot), so
+// jobs that interleave on the workers never rebuild each other's.
 
 namespace swraman::scf {
 

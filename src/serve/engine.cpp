@@ -1,11 +1,41 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "raman/bec.hpp"
 #include "raman/evaluate.hpp"
 
 namespace swraman::serve {
+
+std::shared_ptr<const scf::ForceEvaluator> ForceSlot::get(
+    const JobSpec& spec) {
+  // A build is 6N engine builds. Announced like a blocking call, so a
+  // checked run flags it under any strict lock, the service mutex above
+  // all; the slot lock is then never ordered after another lock.
+  lockcheck::blocking_call("serve.forces.build");
+  {
+    const lockcheck::CheckedLock guard(mutex_);
+    if (!released_) {
+      if (!evaluator_) {
+        evaluator_ = std::make_shared<const scf::ForceEvaluator>(
+            spec.atoms, spec.options.vibrations.scf);
+        held_.fetch_add(1, std::memory_order_relaxed);
+      }
+      return evaluator_;
+    }
+  }
+  return std::make_shared<const scf::ForceEvaluator>(
+      spec.atoms, spec.options.vibrations.scf);
+}
+
+std::shared_ptr<const scf::ForceEvaluator> ForceSlot::release() {
+  lockcheck::blocking_call("serve.forces.release");
+  const lockcheck::CheckedLock guard(mutex_);
+  released_ = true;
+  if (evaluator_) held_.fetch_sub(1, std::memory_order_relaxed);
+  return std::move(evaluator_);
+}
 
 raman::GeometryRecord RealEngine::evaluate(const TaskContext& ctx) {
   const JobSpec& spec = *ctx.spec;
@@ -24,31 +54,10 @@ raman::GeometryRecord RealEngine::evaluate(const TaskContext& ctx) {
       raman::field_vector(static_cast<int>(ctx.coord), spec.bec_field);
   std::shared_ptr<const scf::ForceEvaluator> evaluator;
   wants.forces = [&]() -> const scf::ForceEvaluator& {
-    evaluator = force_evaluator(spec);
+    evaluator = ctx.forces->get(spec);
     return *evaluator;
   };
   return raman::evaluate(spec.atoms, field_opts, wants);
-}
-
-std::shared_ptr<const scf::ForceEvaluator> RealEngine::force_evaluator(
-    const JobSpec& spec) {
-  Hash64 h;
-  h.str("force-evaluator");
-  h.u64(settings_fingerprint(spec));
-  for (const auto& a : spec.atoms) {
-    h.u64(static_cast<std::uint64_t>(a.z));
-    h.f64(a.pos.x);
-    h.f64(a.pos.y);
-    h.f64(a.pos.z);
-  }
-  const std::uint64_t key = h.value();
-  lockcheck::CheckedLock guard(forces_mutex_);
-  if (!forces_ || forces_key_ != key) {
-    forces_ = std::make_shared<const scf::ForceEvaluator>(
-        spec.atoms, spec.options.vibrations.scf);
-    forces_key_ = key;
-  }
-  return forces_;
 }
 
 std::uint64_t splitmix64(std::uint64_t& state) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -24,6 +25,34 @@
 
 namespace swraman::serve {
 
+// One bec job's force evaluator: the 6N displaced sibling engines its 13
+// field tasks share (scf/forces.hpp). The job owns the slot. Its first
+// field task to reach the force step builds the evaluator under the
+// slot's own lock, so concurrent tasks of the same job wait for that one
+// build and tasks of other jobs never do. The service releases the slot
+// when the job reaches a terminal state; in-flight tasks keep the
+// evaluator alive through their shared_ptr.
+class ForceSlot {
+ public:
+  // `held` counts the evaluators built into slots and not yet released.
+  explicit ForceSlot(std::atomic<std::size_t>& held) : held_(held) {}
+
+  // The job's evaluator, built on first use. After release() each call
+  // builds a private one that is not kept: a task still in flight when
+  // its job failed may finish its solve, but never refills the slot.
+  std::shared_ptr<const scf::ForceEvaluator> get(const JobSpec& spec);
+
+  // Empties the slot for good. The caller drops the returned evaluator
+  // (null when none was built) off every lock.
+  std::shared_ptr<const scf::ForceEvaluator> release();
+
+ private:
+  std::atomic<std::size_t>& held_;
+  lockcheck::CheckedMutex mutex_{"serve.job.forces"};
+  std::shared_ptr<const scf::ForceEvaluator> evaluator_;  // guarded by mutex_
+  bool released_ = false;                                 // guarded by mutex_
+};
+
 struct TaskContext {
   const JobSpec* spec = nullptr;
   std::size_t coord = 0;  // displacement coordinate, or field stencil index
@@ -33,6 +62,7 @@ struct TaskContext {
   double cost_seconds = 0.0;     // modeled cost of this evaluation
   bool field_force = false;      // bec tier: coord is the stencil index
   std::size_t n_forces = 0;      // 3N force components (field tasks only)
+  ForceSlot* forces = nullptr;   // the job's slot; real bec field tasks use it
 };
 
 class DisplacementEngine {
@@ -48,19 +78,6 @@ class DisplacementEngine {
 class RealEngine : public DisplacementEngine {
  public:
   raman::GeometryRecord evaluate(const TaskContext& ctx) override;
-
- private:
-  // The 13 field stencil points of one bec job share the equilibrium
-  // displaced-sibling engines, so the evaluator (a 6N engine build, no
-  // SCF) is cached across tasks keyed by (geometry, settings). forces()
-  // is const and safe to call concurrently; the shared_ptr keeps an old
-  // evaluator alive for in-flight tasks while a new job swaps it out.
-  std::shared_ptr<const scf::ForceEvaluator> force_evaluator(
-      const JobSpec& spec);
-
-  lockcheck::CheckedMutex forces_mutex_{"serve.real.forces"};
-  std::uint64_t forces_key_ = 0;
-  std::shared_ptr<const scf::ForceEvaluator> forces_;
 };
 
 struct ModeledEngineOptions {

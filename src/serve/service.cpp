@@ -24,6 +24,9 @@ double now_seconds() {
 }  // namespace
 
 struct RamanService::JobState {
+  explicit JobState(std::atomic<std::size_t>& held_evaluators)
+      : forces(held_evaluators) {}
+
   std::uint64_t id = 0;
   std::uint64_t tag = 0;  // durable global id (sharded tier); 0 unused
   JobSpec spec;
@@ -42,6 +45,9 @@ struct RamanService::JobState {
   // they nest under). Written once at submit before the job is published;
   // immutable afterwards, so worker threads read it off-lock.
   obs::TraceContext trace;
+  // Real bec jobs: the evaluator their field tasks share, released once
+  // the job is terminal.
+  ForceSlot forces;
 };
 
 RamanService::RamanService(ServiceOptions options)
@@ -271,7 +277,7 @@ SubmitResult RamanService::submit(const JobSpec& spec,
     ++tallies_.jobs_accepted;
     obs::count("serve.jobs.accepted");
     const std::uint64_t id = next_job_id_++;
-    auto owned = std::make_unique<JobState>();
+    auto owned = std::make_unique<JobState>(force_evaluators_);
     JobState& job = *owned;
     job.id = id;
     job.tag = sub.tag;
@@ -406,19 +412,26 @@ void RamanService::drain_hooks() {
   // Fast path: nothing queued (the common case — computed results notify
   // their hooks directly on the worker thread, off-lock).
   if (pending_hooks_.load(std::memory_order_acquire) == 0) return;
+  // Released evaluators die last, after the drain lock is given back.
+  std::vector<std::shared_ptr<const scf::ForceEvaluator>> released;
   // Serialize drains so checkpoint/WAL record order is stable; the lock
   // is kAllowsBlocking because the whole point is to fsync under it.
   const lockcheck::CheckedLock serial(hook_drain_mutex_);
   while (true) {
     std::vector<PendingDurable> durable;
     std::vector<PendingFinish> finish;
+    std::vector<ForceSlot*> slots;
     {
       const lockcheck::CheckedLock lock(mutex_);
       durable.swap(pending_durable_);
       finish.swap(pending_finish_);
+      slots.swap(pending_release_);
       pending_hooks_.store(0, std::memory_order_release);
     }
-    if (durable.empty() && finish.empty()) return;
+    if (durable.empty() && finish.empty() && slots.empty()) return;
+    // Before the finish hooks: a job's evaluator is gone by the time its
+    // on_finish runs.
+    for (ForceSlot* slot : slots) released.push_back(slot->release());
     for (const PendingDurable& d : durable) {
       if (d.ckpt != nullptr) {
         lockcheck::blocking_call("checkpoint.append");
@@ -516,6 +529,10 @@ void RamanService::finish_job(JobState& job, JobStatus status,
           std::string(job_status_name(status)));
   jt.attr(job.trace.gid, ev, "latency_s", job.result.latency_s);
   update_health_gauges_locked();
+  if (job.spec.engine == EngineKind::Real && job.spec.tier == Tier::Bec) {
+    pending_release_.push_back(&job.forces);
+    pending_hooks_.fetch_add(1, std::memory_order_release);
+  }
   // The finish hook (WAL "done" record) is deferred to the off-lock
   // drain; the record is best-effort by the WAL's contract, so waking
   // waiters first loses nothing durable.
@@ -650,6 +667,7 @@ void RamanService::run_evaluation(std::size_t worker, JobState& job,
   ctx.cost_seconds = job.est.per_task_seconds;
   ctx.field_force = field_force;
   ctx.n_forces = field_force ? 3 * job.spec.n_atoms() : 0;
+  ctx.forces = &job.forces;
 
   // Records cross frames as pure bit moves, forces included, so dedup
   // and local completions stay bitwise equal.
@@ -915,6 +933,7 @@ ServiceStats RamanService::stats() const {
   s.queue_depth = scheduler_.queued();
   s.modeled_bytes = scheduler_.modeled_bytes();
   s.workers_alive = pool_->alive();
+  s.force_evaluators = force_evaluators_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -136,6 +136,9 @@ struct ServiceStats {
   std::size_t queue_depth = 0;
   double modeled_bytes = 0.0;
   std::size_t workers_alive = 0;
+  // Bec force evaluators held by jobs that have not yet released them
+  // (6N displaced engines each; at most one per running Real bec job).
+  std::size_t force_evaluators = 0;
 };
 
 class RamanService {
@@ -196,9 +199,9 @@ class RamanService {
   void defer_durable_locked(std::uint64_t tag, std::size_t coord, int sign,
                             const raman::GeometryRecord& rec,
                             raman::Checkpoint* ckpt);
-  // Drains the hook outboxes off-lock (fsync-backed WAL appends,
-  // checkpoint writes, finish notifications). Called at the end of
-  // submit() and execute(); serialized so hook order is stable.
+  // Drains the hook outboxes off-lock (force-slot releases, fsync-backed
+  // WAL appends, checkpoint writes, finish notifications). Called at the
+  // end of submit() and execute(); serialized so hook order is stable.
   void drain_hooks();
 
   // Refresh the per-shard health gauges (queue depth, dedup hit ratio)
@@ -216,6 +219,8 @@ class RamanService {
 
   mutable lockcheck::CheckedMutex mutex_{"serve.service"};
   lockcheck::CheckedCondVar cv_;
+  // Counted by the jobs' ForceSlots; read by stats() without mutex_.
+  std::atomic<std::size_t> force_evaluators_{0};
   std::map<std::uint64_t, std::unique_ptr<JobState>> jobs_;
   std::uint64_t next_job_id_ = 1;
   DisplacementCache cache_;
@@ -239,8 +244,8 @@ class RamanService {
   // holding mutex_ (warm hits, dedup releases, terminal transitions) are
   // queued here and drained off-lock — the blocking audit's fix for
   // fsync-under-the-service-lock. Entries reference JobState-owned
-  // checkpoints; jobs_ entries are never erased, so the pointers stay
-  // valid for the service's lifetime.
+  // checkpoints and force slots; jobs_ entries are never erased, so the
+  // pointers stay valid for the service's lifetime.
   struct PendingDurable {
     std::uint64_t tag = 0;
     std::size_t coord = 0;
@@ -254,6 +259,10 @@ class RamanService {
   };
   std::vector<PendingDurable> pending_durable_;  // guarded by mutex_
   std::vector<PendingFinish> pending_finish_;    // guarded by mutex_
+  // Force slots of jobs that reached a terminal state. The drain releases
+  // them, so no slot lock is ever taken under mutex_ and no evaluator is
+  // destroyed under it.
+  std::vector<ForceSlot*> pending_release_;      // guarded by mutex_
   std::atomic<std::size_t> pending_hooks_{0};    // fast-path drain gate
   lockcheck::CheckedMutex hook_drain_mutex_{
       "serve.hook_drain", lockcheck::CheckedMutex::kAllowsBlocking};

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/constants.hpp"
+#include "common/threads.hpp"
 #include "core/molecules.hpp"
 #include "grid/atom_grid.hpp"
 #include "obs/obs.hpp"
@@ -257,6 +258,34 @@ TEST(HartreeBackendDispatch, MultiDensityPassIsBitwiseSinglePasses) {
                           single[j].size() * sizeof(double)),
               0)
         << "host j=" << j;
+  }
+}
+
+TEST(HartreeBackendDispatch, L2lOnEveryCoreIsBitwiseTheInlinePass) {
+  // At top level the downward pass runs L2L level by level on every core;
+  // inside a threads:: task the same pass runs inline on one thread. Both
+  // give the same bits, for a multi-potential pass too.
+  const grid::MolecularGrid& g = cluster_grid();
+  std::vector<std::vector<double>> dens(2, cluster_density());
+  for (std::size_t p = 0; p < g.size(); ++p) {
+    dens[1][p] *= 0.5 + 0.3 * std::tanh(0.2 * (g.points[p].x - g.points[p].z));
+  }
+  const HartreeContext top(g, 6, HartreeBackend::Fmm, FmmOptions{});
+  const HartreeContext nested(g, 6, HartreeBackend::Fmm, FmmOptions{});
+  ASSERT_FALSE(threads::in_task());
+  const std::vector<std::vector<double>> want = top.solve_on_grid(dens);
+  std::vector<std::vector<double>> got;
+  threads::fork_join(1, [&](std::size_t) {
+    EXPECT_TRUE(threads::in_task());
+    got = nested.solve_on_grid(dens);
+  });
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    ASSERT_EQ(got[j].size(), want[j].size());
+    EXPECT_EQ(std::memcmp(got[j].data(), want[j].data(),
+                          want[j].size() * sizeof(double)),
+              0)
+        << "potential " << j;
   }
 }
 
