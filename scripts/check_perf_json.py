@@ -496,9 +496,6 @@ CHECK_RULES = {
     "coll.abandoned_request",
 }
 
-RETIRED_CHECK_SCHEMAS = ("swraman-check-v1", "swraman-lockcheck-v1")
-
-
 def check_checker_summary(path: str, doc: dict) -> None:
     """swraman-check-v2 exit summary: enabled flag, total, per-rule tally
     drawn from CHECK_RULES with the counts summing to the total, and a
@@ -553,37 +550,9 @@ def check_checker_summary(path: str, doc: dict) -> None:
           f"{len(sites)} lock classes)")
 
 
-def check_perf(path: str) -> None:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            fail(f"{path}: not valid JSON: {e}")
-
-    schema = doc.get("schema")
-    if schema in RETIRED_CHECK_SCHEMAS:
-        fail(f"{path}: schema {schema!r} is retired; the checkers now "
-             f"write one 'swraman-check-v2' summary")
-    if schema == "swraman-check-v2":
-        check_checker_summary(path, doc)
-        return
-    if schema == "swraman-bench-v1":
-        check_bench(path, doc)
-        return
-    if schema == "swraman-jobtrace-v1":
-        check_jobtrace(path, doc)
-        return
-    if schema == "swraman-health-v1":
-        check_health(path, doc)
-        return
-    if schema == "swraman-flight-v1":
-        check_flight(path, doc)
-        return
-    if schema != "swraman-perf-v1":
-        fail(f"{path}: schema is {schema!r}, expected one of "
-             f"'swraman-perf-v1', 'swraman-bench-v1', "
-             f"'swraman-jobtrace-v1', 'swraman-health-v1', "
-             f"'swraman-flight-v1', 'swraman-check-v2'")
+def check_perf_v1(path: str, doc: dict) -> None:
+    """swraman-perf-v1 run report: wall time, span count, DFS-ordered
+    phase tree and the metrics registry with audited histograms."""
     if not isinstance(doc.get("total_wall_s"), (int, float)) or doc["total_wall_s"] <= 0:
         fail(f"{path}: total_wall_s must be a positive number")
     if not isinstance(doc.get("spans"), int) or doc["spans"] <= 0:
@@ -621,6 +590,31 @@ def check_perf(path: str) -> None:
           f"({len(phases)} phases, {doc['spans']} spans, "
           f"{len(metrics['counters'])} counters, "
           f"{len(metrics['histograms'])} histograms audited)")
+
+
+VALIDATORS = {
+    "swraman-perf-v1": check_perf_v1,
+    "swraman-bench-v1": check_bench,
+    "swraman-jobtrace-v1": check_jobtrace,
+    "swraman-health-v1": check_health,
+    "swraman-flight-v1": check_flight,
+    "swraman-check-v2": check_checker_summary,
+}
+
+
+def check_perf(path: str) -> None:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            fail(f"{path}: not valid JSON: {e}")
+
+    schema = doc.get("schema")
+    validator = VALIDATORS.get(schema) if isinstance(schema, str) else None
+    if validator is None:
+        known = ", ".join(repr(name) for name in VALIDATORS)
+        fail(f"{path}: schema is {schema!r}, expected one of {known}")
+    validator(path, doc)
 
 
 def check_trace(path: str) -> None:

@@ -5,7 +5,6 @@
 #include <complex>
 
 #include "common/error.hpp"
-#include "common/threads.hpp"
 #include "fmm/kernel.hpp"
 #include "fmm/traversal.hpp"
 #include "fmm/tree.hpp"
@@ -23,9 +22,6 @@ namespace {
 double point_atom_flops(std::size_t n_lm) {
   return 12.0 * static_cast<double>(n_lm) + 30.0;
 }
-
-// Target cells per L2L claim: enough translations to outweigh a claim.
-constexpr std::size_t kL2lChunk = 8;
 }  // namespace
 
 struct HartreeContext::Geometry {
@@ -41,10 +37,6 @@ struct HartreeContext::Geometry {
   std::vector<std::size_t> target_leaves;
   std::vector<std::size_t> p2p_begin;  // size target_leaves.size() + 1
   std::vector<std::size_t> p2p_sources;
-  // Target cells grouped by tree level, each level in cell order: level
-  // L is level_cells[level_begin[L], level_begin[L + 1]).
-  std::vector<std::size_t> level_cells;
-  std::vector<std::size_t> level_begin;
   std::vector<Vec3> points_sorted;  // grid points in target-tree order
   double p2p_point_atom_pairs = 0.0;
   double direct_flops = 0.0;
@@ -90,22 +82,6 @@ const HartreeContext::Geometry& HartreeContext::geometry() const {
   tgt_opt.leaf_size = options_.target_leaf_size;
   g->targets = std::make_unique<Octree>(grid_.points,
                                         std::vector<double>{}, tgt_opt);
-  {
-    const auto& tcells = g->targets->cells();
-    g->level_begin.assign(static_cast<std::size_t>(g->targets->depth()) + 2, 0);
-    for (const Cell& c : tcells) {
-      ++g->level_begin[static_cast<std::size_t>(c.level) + 1];
-    }
-    for (std::size_t l = 1; l < g->level_begin.size(); ++l) {
-      g->level_begin[l] += g->level_begin[l - 1];
-    }
-    std::vector<std::size_t> fill(g->level_begin.begin(),
-                                  g->level_begin.end() - 1);
-    g->level_cells.resize(tcells.size());
-    for (std::size_t ci = 0; ci < tcells.size(); ++ci) {
-      g->level_cells[fill[static_cast<std::size_t>(tcells[ci].level)]++] = ci;
-    }
-  }
   g->points_sorted.resize(grid_.points.size());
   for (std::size_t i = 0; i < grid_.points.size(); ++i) {
     g->points_sorted[i] = grid_.points[g->targets->body_order()[i]];
@@ -366,29 +342,7 @@ std::vector<std::vector<double>> HartreeContext::fmm_on_grid(
   std::vector<double> v_sorted(n_pots * n_points, 0.0);
   {
     SWRAMAN_TRACE_SPAN(span, "hartree.fmm.downward");
-    // L2L level by level, one launch per level. A cell reads only its
-    // parent's local, which is final once the level above is done, and
-    // gets its one L2L addition after its M2L ones, as in a serial pass.
-    for (std::size_t level = 1; level + 1 < g.level_begin.size(); ++level) {
-      const std::size_t first = g.level_begin[level];
-      const std::size_t n_cells = g.level_begin[level + 1] - first;
-      const std::size_t n_chunks = (n_cells + kL2lChunk - 1) / kL2lChunk;
-      threads::claim_each(
-          n_chunks, threads::hardware_threads(), [&](std::size_t chunk) {
-            FmmKernel::Workspace ws;
-            const std::size_t lo = first + chunk * kL2lChunk;
-            const std::size_t hi = std::min(lo + kL2lChunk, first + n_cells);
-            for (std::size_t k = lo; k < hi; ++k) {
-              const std::size_t ci = g.level_cells[k];
-              const Cell& c = tcells[ci];
-              for (std::size_t j = 0; j < n_pots; ++j) {
-                Cplx* loc = &locals[j * tcells.size() * nm];
-                K.l2l(&loc[c.parent * nm], c.center - tcells[c.parent].center,
-                      &loc[ci * nm], ws);
-              }
-            }
-          });
-    }
+    l2l_pass(K, *g.targets, n_pots, locals.data());
 
     // One launch for every potential. Per point the regular harmonics of
     // L2P, and per near (point, atom) pair the record of pair_geometry,

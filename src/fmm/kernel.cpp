@@ -1,14 +1,20 @@
 #include "fmm/kernel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
+#include "common/threads.hpp"
+#include "fmm/tree.hpp"
 
 namespace swraman::fmm {
 
 namespace {
+
+// Cells per L2L claim: enough translations to outweigh a claim.
+constexpr std::size_t kL2lChunk = 8;
 
 // i^e as a complex unit (e may be negative; the Greengard–Rokhlin phase
 // exponents are even, but the general form costs nothing).
@@ -265,6 +271,34 @@ double m2l_error_bound(const std::vector<double>& abs_moment, double ra,
     bound += (2.0 * static_cast<double>(l) + 1.0) * binom * abs_moment[l] * geo;
   }
   return bound;
+}
+
+void l2l_pass(const FmmKernel& K, const Octree& tree, std::size_t n_pots,
+              Cplx* locals) {
+  const std::vector<Cell>& cells = tree.cells();
+  const std::vector<std::size_t>& level_cells = tree.level_cells();
+  const std::vector<std::size_t>& level_begin = tree.level_begin();
+  const std::size_t nm = nm_count(K.order());
+  for (std::size_t level = 1; level + 1 < level_begin.size(); ++level) {
+    const std::size_t first = level_begin[level];
+    const std::size_t n_cells = level_begin[level + 1] - first;
+    const std::size_t n_chunks = (n_cells + kL2lChunk - 1) / kL2lChunk;
+    threads::claim_each(
+        n_chunks, threads::hardware_threads(), [&](std::size_t chunk) {
+          FmmKernel::Workspace ws;
+          const std::size_t lo = first + chunk * kL2lChunk;
+          const std::size_t hi = std::min(lo + kL2lChunk, first + n_cells);
+          for (std::size_t k = lo; k < hi; ++k) {
+            const std::size_t ci = level_cells[k];
+            const Cell& c = cells[ci];
+            for (std::size_t j = 0; j < n_pots; ++j) {
+              Cplx* loc = &locals[j * cells.size() * nm];
+              K.l2l(&loc[c.parent * nm], c.center - cells[c.parent].center,
+                    &loc[ci * nm], ws);
+            }
+          }
+        });
+  }
 }
 
 }  // namespace swraman::fmm

@@ -111,6 +111,19 @@ class FmmKernel {
   std::vector<double> a_;
 };
 
+class Octree;
+
+// The downward L2L pass over `tree`: every non-root cell's local gets its
+// parent's local, translated to its center, added after its own M2L
+// contributions, parents first, so each cell ends holding every
+// ancestor's far field. `locals` holds n_pots potential-major blocks of
+// tree.cells().size() * nm_count(K.order()) coefficients. Runs level by
+// level, one threads::claim_each launch per level (inline inside a
+// threads:: task); a cell reads only its final parent, so the result is
+// bitwise the serial top-down pass in cell order.
+void l2l_pass(const FmmKernel& K, const Octree& tree, std::size_t n_pots,
+              Cplx* locals);
+
 // Conservative analytic bound on the potential error of one far-field
 // (M2L) interaction at expansion order p, including the upstream M2M and
 // downstream L2L truncation. `abs_moment` holds, per degree l, the

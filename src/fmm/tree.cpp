@@ -81,6 +81,19 @@ Octree::Octree(const std::vector<Vec3>& positions,
   root.level = 0;
   cells_.push_back(root);
   build_cell(0, 0, n, positions, extent, options);
+
+  level_begin_.assign(static_cast<std::size_t>(depth_) + 2, 0);
+  for (const Cell& c : cells_) {
+    ++level_begin_[static_cast<std::size_t>(c.level) + 1];
+  }
+  for (std::size_t l = 1; l < level_begin_.size(); ++l) {
+    level_begin_[l] += level_begin_[l - 1];
+  }
+  std::vector<std::size_t> fill(level_begin_.begin(), level_begin_.end() - 1);
+  level_cells_.resize(cells_.size());
+  for (std::size_t ci = 0; ci < cells_.size(); ++ci) {
+    level_cells_[fill[static_cast<std::size_t>(cells_[ci].level)]++] = ci;
+  }
 }
 
 void Octree::build_cell(std::size_t cell, std::size_t lo, std::size_t hi,

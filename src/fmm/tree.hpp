@@ -76,6 +76,15 @@ class Octree {
     return keys_;
   }
 
+  // Cells grouped by level, each level in cell order: level L is
+  // level_cells()[level_begin()[L], level_begin()[L + 1]).
+  [[nodiscard]] const std::vector<std::size_t>& level_cells() const {
+    return level_cells_;
+  }
+  [[nodiscard]] const std::vector<std::size_t>& level_begin() const {
+    return level_begin_;
+  }
+
   [[nodiscard]] std::size_t n_bodies() const { return order_.size(); }
   [[nodiscard]] std::size_t n_leaves() const { return n_leaves_; }
   [[nodiscard]] int depth() const { return depth_; }
@@ -93,6 +102,8 @@ class Octree {
   std::vector<Cell> cells_;
   std::vector<std::size_t> order_;
   std::vector<std::uint64_t> keys_;
+  std::vector<std::size_t> level_cells_;
+  std::vector<std::size_t> level_begin_;  // size depth() + 2
   Vec3 box_center_;
   double box_half_ = 0.0;
   std::size_t n_leaves_ = 0;

@@ -25,11 +25,11 @@ double modeled_allreduce_seconds(AllreduceAlgorithm algorithm, double bytes,
       static_cast<double>(std::clamp<std::size_t>(node_size, 1, n_ranks));
   switch (algorithm) {
     case AllreduceAlgorithm::ReduceScatterAllgather:
-      return sunway::modeled_allreduce_time(bytes, n_ranks, contended,
-                                            sunway::AllreduceModel{false});
+      return sunway::modeled_host_allreduce_time(
+          bytes, n_ranks, contended, sunway::AllreduceModel{false});
     case AllreduceAlgorithm::CpePipelined:
-      return sunway::modeled_allreduce_time(bytes, n_ranks, contended,
-                                            sunway::AllreduceModel{true});
+      return sunway::modeled_host_allreduce_time(
+          bytes, n_ranks, contended, sunway::AllreduceModel{true});
     case AllreduceAlgorithm::Hierarchical:
       return sunway::modeled_hierarchical_allreduce_time(
           bytes, n_ranks, arch,

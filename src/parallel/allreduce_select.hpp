@@ -20,8 +20,13 @@ struct AllreduceChoice {
 };
 
 // Modeled time of one allreduce of `bytes` over `n_ranks` under the given
-// concrete algorithm (Auto evaluates to the minimum, i.e. the time of the
-// algorithm it would pick). node_size only affects Hierarchical.
+// concrete algorithm, as Communicator::allreduce schedules it: the flat
+// exchange and the leaders' stage gather through rank 0 when their rank
+// count is not a power of two or exceeds the payload's doubles
+// (sunway::modeled_host_allreduce_time).
+// Auto evaluates to the minimum, i.e. the time of the algorithm it would
+// pick. node_size sets the flat algorithms' port sharing and
+// Hierarchical's node groups.
 double modeled_allreduce_seconds(
     AllreduceAlgorithm algorithm, double bytes, std::size_t n_ranks,
     std::size_t node_size,

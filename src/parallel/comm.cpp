@@ -410,9 +410,9 @@ void Communicator::allreduce_rsag(std::vector<double>& data, int tag_base) {
 
   // Non-power-of-two P, or fewer elements than ranks: rank 0 folds the
   // contributions in ascending rank order (((x0 + x1) + x2) + ...), bitwise
-  // a serial loop over ranks, and broadcasts the sum. The cost model still
-  // prices this path as Rabenseifner (DESIGN.md S10). Power-of-two P uses
-  // true recursive halving + doubling.
+  // a serial loop over ranks, and broadcasts the sum; the cost model
+  // prices it as such (sunway::modeled_host_allreduce_time, DESIGN.md S10).
+  // Power-of-two P uses true recursive halving + doubling.
   std::size_t pof2 = 1;
   while (pof2 * 2 <= p) pof2 *= 2;
   if (pof2 != p || n < p) {

@@ -1,6 +1,7 @@
 #include "raman/raman.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/constants.hpp"
 #include "common/elements.hpp"
@@ -47,20 +48,32 @@ linalg::Matrix RamanCalculator::polarizability_derivatives() {
         return r;
       });
 
-  linalg::Matrix deriv(n, 9);
-  dmu_ = linalg::Matrix(n, 3);
+  linalg::Matrix deriv;
+  displacement_derivatives(rec, d, &deriv, &dmu_);
+  return deriv;
+}
+
+void displacement_derivatives(const std::vector<GeometryRecord>& records,
+                              double d, linalg::Matrix* dalpha,
+                              linalg::Matrix* dmu) {
+  SWRAMAN_REQUIRE(!records.empty() && records.size() % 6 == 0,
+                  "displacement_derivatives: expected 2 records per coordinate");
+  const std::size_t n = records.size() / 2;
+  linalg::Matrix da(n, 9);
+  linalg::Matrix dm(n, 3);
   for (std::size_t coord = 0; coord < n; ++coord) {
-    const GeometryRecord& plus = rec[2 * coord];
-    const GeometryRecord& minus = rec[2 * coord + 1];
+    const GeometryRecord& plus = records[2 * coord];
+    const GeometryRecord& minus = records[2 * coord + 1];
     for (std::size_t i = 0; i < 3; ++i) {
       for (std::size_t j = 0; j < 3; ++j) {
-        deriv(coord, 3 * i + j) =
+        da(coord, 3 * i + j) =
             (plus.alpha[3 * i + j] - minus.alpha[3 * i + j]) / (2.0 * d);
       }
-      dmu_(coord, i) = (plus.dipole[i] - minus.dipole[i]) / (2.0 * d);
+      dm(coord, i) = (plus.dipole[i] - minus.dipole[i]) / (2.0 * d);
     }
   }
-  return deriv;
+  *dalpha = std::move(da);
+  *dmu = std::move(dm);
 }
 
 RamanSpectrum RamanCalculator::compute() {

@@ -95,6 +95,16 @@ class RamanCalculator {
   std::atomic<int> n_polarizabilities_{0};
 };
 
+// Central differences of the 6N displaced-geometry records (records[2 *
+// coord + (sign < 0)], the slot order of RamanCalculator and the serve
+// DAG) at step d into dalpha (3N x 9) and dmu (3N x 3). Pure arithmetic
+// on the records: RamanCalculator and the serve tier's assemble task
+// share this one implementation, as bec_derivatives is shared for the
+// bec tier, so the two paths agree bitwise.
+void displacement_derivatives(const std::vector<GeometryRecord>& records,
+                              double d, linalg::Matrix* dalpha,
+                              linalg::Matrix* dmu);
+
 // Steps 3 + 4 of the pipeline as a free function: contract d(alpha)/dR
 // (3N x 9) and d(mu)/dR (3N x 3) with the normal modes into activities,
 // depolarization ratios, and IR intensities. RamanCalculator::compute

@@ -4,76 +4,26 @@
 
 namespace swraman::serve {
 
-const char* task_kind_name(TaskKind k) {
-  switch (k) {
-    case TaskKind::Displacement: return "displacement";
-    case TaskKind::Row: return "row";
-    case TaskKind::FieldForce: return "field-force";
-    case TaskKind::Hessian: return "hessian";
-    case TaskKind::Assemble: return "assemble";
+JobDag::JobDag(const std::vector<raman::SlotKey>& evaluations,
+               bool with_hessian)
+    : records(evaluations.size()), with_hessian_(with_hessian) {
+  SWRAMAN_REQUIRE(!evaluations.empty(), "JobDag: no evaluation tasks");
+  nodes_.reserve(evaluations.size() + (with_hessian ? 2 : 1));
+  for (const raman::SlotKey& key : evaluations) {
+    nodes_.push_back({TaskKind::Evaluate, key.index, key.sign, 0, false});
   }
-  return "?";
-}
-
-JobDag::JobDag(std::size_t n_coords, bool with_hessian)
-    : n_coords_(n_coords), with_hessian_(with_hessian) {
-  SWRAMAN_REQUIRE(n_coords > 0 && n_coords % 3 == 0,
-                  "JobDag: n_coords must be a positive multiple of 3");
-  nodes_.resize(3 * n_coords + (with_hessian ? 1 : 0) + 1);
-  records.resize(2 * n_coords);
-  for (std::size_t c = 0; c < n_coords; ++c) {
-    nodes_[displacement_id(c, +1)] = {TaskKind::Displacement, c, +1, 0, false};
-    nodes_[displacement_id(c, -1)] = {TaskKind::Displacement, c, -1, 0, false};
-    nodes_[row_id(c)] = {TaskKind::Row, c, +1, 2, false};
-  }
-  if (with_hessian) {
-    nodes_[hessian_id()] = {TaskKind::Hessian, 0, +1, 0, false};
-  }
-  nodes_[assemble_id()] = {
-      TaskKind::Assemble, 0, +1,
-      static_cast<int>(n_coords + (with_hessian ? 1 : 0)), false};
-}
-
-JobDag::JobDag(std::size_t n_coords, bool with_hessian, std::size_t n_field)
-    : n_coords_(n_coords), with_hessian_(with_hessian), n_field_(n_field) {
-  SWRAMAN_REQUIRE(n_coords > 0 && n_coords % 3 == 0,
-                  "JobDag: n_coords must be a positive multiple of 3");
-  SWRAMAN_REQUIRE(n_field > 0, "JobDag: bec layout needs field tasks");
-  nodes_.resize(n_field + (with_hessian ? 1 : 0) + 1);
-  records.resize(n_field);
-  for (std::size_t idx = 0; idx < n_field; ++idx) {
-    nodes_[field_id(idx)] = {TaskKind::FieldForce, idx, 0, 0, false};
-  }
-  if (with_hessian) {
-    nodes_[hessian_id()] = {TaskKind::Hessian, 0, +1, 0, false};
-  }
-  nodes_[assemble_id()] = {
-      TaskKind::Assemble, 0, +1,
-      static_cast<int>(n_field + (with_hessian ? 1 : 0)), false};
+  if (with_hessian) nodes_.push_back({TaskKind::Hessian, 0, +1, 0, false});
+  nodes_.push_back({TaskKind::Assemble, 0, +1,
+                    static_cast<int>(nodes_.size()), false});
 }
 
 std::vector<std::size_t> JobDag::roots() const {
   std::vector<std::size_t> out;
-  out.reserve(2 * n_coords_ + 1);
+  out.reserve(nodes_.size());
   for (std::size_t id = 0; id < nodes_.size(); ++id) {
     if (nodes_[id].deps_pending == 0 && !nodes_[id].done) out.push_back(id);
   }
   return out;
-}
-
-std::vector<std::size_t> JobDag::successors(std::size_t id) const {
-  const TaskNode& n = nodes_[id];
-  switch (n.kind) {
-    case TaskKind::Displacement:
-      return {row_id(n.coord)};
-    case TaskKind::Row:
-    case TaskKind::FieldForce:
-    case TaskKind::Hessian:
-      return {assemble_id()};
-    case TaskKind::Assemble:
-      return {};
-  }
-  return {};
 }
 
 std::vector<std::size_t> JobDag::complete(std::size_t id) {
@@ -82,13 +32,12 @@ std::vector<std::size_t> JobDag::complete(std::size_t id) {
                   "JobDag::complete: node not runnable");
   n.done = true;
   ++n_done_;
-  std::vector<std::size_t> ready;
-  for (std::size_t s : successors(id)) {
-    TaskNode& succ = nodes_[s];
-    SWRAMAN_ASSERT(succ.deps_pending > 0, "JobDag: dependency underflow");
-    if (--succ.deps_pending == 0) ready.push_back(s);
-  }
-  return ready;
+  if (id == assemble_id()) return {};
+  // Every other node feeds the assembly alone.
+  TaskNode& assemble = nodes_[assemble_id()];
+  SWRAMAN_ASSERT(assemble.deps_pending > 0, "JobDag: dependency underflow");
+  if (--assemble.deps_pending == 0) return {assemble_id()};
+  return {};
 }
 
 }  // namespace swraman::serve

@@ -4,113 +4,80 @@
 #include <cstdint>
 #include <vector>
 
-#include "raman/checkpoint.hpp"
-#include "serve/job.hpp"
+#include "raman/evaluate.hpp"
 
-// Per-job dependency DAG (DESIGN.md S11). One Raman job decomposes into
+// Per-job dependency DAG (DESIGN.md S11). Both tiers decompose a job into
 //
-//   6N displacement tasks   (independent DFPT polarizabilities, paper
-//                            Sec. 2.3 — the geometry level of Fig. 4)
-//   3N row tasks            (central-difference d(alpha)/dR_c from the
-//                            +d / -d pair of coordinate c)
+//   n evaluation tasks      (independent roots, one per slot key: the 6N
+//                            displaced-geometry DFPT polarizabilities of
+//                            paper Sec. 2.3, the geometry level of Fig. 4,
+//                            or the 13 finite-field force points of
+//                            raman/bec.hpp, DESIGN.md S15)
 //   1 optional Hessian task (with_modes: finite-difference normal modes,
-//                            independent of every displacement)
-//   1 assembly task         (rows [+ modes] -> derivatives / spectrum)
+//                            independent of every evaluation)
+//   1 assembly task         (depends on every other node: the derivative
+//                            rows from the records, through
+//                            raman::displacement_derivatives or
+//                            raman::bec_derivatives, then modes/spectrum)
 //
-// Node ids are dense and deterministic: displacement (coord, sign) at
-// 2*coord + (sign < 0), rows at 6N + coord, then Hessian, then assembly.
-// The graph only tracks dependency counts; results live beside it so the
-// assembly task reads them in fixed index order regardless of the order
-// workers finished in — that is what makes job output bitwise independent
-// of scheduling.
-//
-// The bec tier (DESIGN.md S15) swaps the displacement/row layers for a
-// constant-width field layer:
-//
-//   13 field-force tasks    (finite-field SCF + force stencil points of
-//                            raman/bec.hpp; node id = stencil index)
-//   1 optional Hessian task
-//   1 assembly task         (bec_derivatives over the 13 records, then
-//                            modes/spectrum as in the dfpt tier)
-//
-// Field node ids are the stencil indices 0..12, then Hessian, then
-// assembly; records[idx] holds stencil point idx.
+// Node ids are dense and deterministic: evaluation k at id k, then the
+// Hessian, then the assembly. The dfpt tier's slot keys are
+// (coord, sign) at 2*coord + (sign < 0), the bec tier's (stencil index,
+// 0). The graph only tracks dependency counts; results live beside it
+// so the assembly task reads them in fixed index order regardless of the
+// order workers finished in — that is what makes job output bitwise
+// independent of scheduling.
 
 namespace swraman::serve {
 
 enum class TaskKind : std::uint8_t {
-  Displacement,
-  Row,
-  FieldForce,
+  Evaluate,
   Hessian,
   Assemble,
 };
 
-const char* task_kind_name(TaskKind k);
-
 struct TaskNode {
-  TaskKind kind = TaskKind::Displacement;
-  std::size_t coord = 0;  // Displacement / Row; stencil idx for FieldForce
-  int sign = +1;          // Displacement; 0 for FieldForce
+  TaskKind kind = TaskKind::Evaluate;
+  std::size_t coord = 0;  // Evaluate: displaced coordinate or stencil index
+  int sign = +1;          // Evaluate: displacement sign; 0 for a field point
   int deps_pending = 0;   // remaining unfinished dependencies
   bool done = false;
 };
 
 class JobDag {
  public:
-  // n_coords = 3N; with_hessian adds the normal-mode task.
   JobDag() = default;
-  JobDag(std::size_t n_coords, bool with_hessian);
-  // Bec-tier shape: n_field field-force roots feeding the assembly.
-  JobDag(std::size_t n_coords, bool with_hessian, std::size_t n_field);
+  // One evaluation root per key; with_hessian adds the normal-mode task.
+  JobDag(const std::vector<raman::SlotKey>& evaluations, bool with_hessian);
 
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
-  [[nodiscard]] std::size_t n_coords() const { return n_coords_; }
+  [[nodiscard]] std::size_t n_evaluations() const { return records.size(); }
   [[nodiscard]] bool with_hessian() const { return with_hessian_; }
-  [[nodiscard]] bool bec() const { return n_field_ != 0; }
-  [[nodiscard]] std::size_t n_field() const { return n_field_; }
   [[nodiscard]] const TaskNode& node(std::size_t id) const {
     return nodes_[id];
   }
 
-  [[nodiscard]] std::size_t displacement_id(std::size_t coord,
-                                            int sign) const {
-    return 2 * coord + (sign < 0 ? 1 : 0);
-  }
-  [[nodiscard]] std::size_t row_id(std::size_t coord) const {
-    return 2 * n_coords_ + coord;
-  }
-  [[nodiscard]] std::size_t field_id(std::size_t idx) const {
-    return idx;  // valid only when bec()
-  }
   [[nodiscard]] std::size_t hessian_id() const {
     // Valid only when with_hessian().
-    return bec() ? n_field_ : 3 * n_coords_;
+    return n_evaluations();
   }
-  [[nodiscard]] std::size_t assemble_id() const {
-    return (bec() ? n_field_ : 3 * n_coords_) + (with_hessian_ ? 1 : 0);
-  }
+  [[nodiscard]] std::size_t assemble_id() const { return nodes_.size() - 1; }
 
-  // Roots: every node with no dependencies (displacements + Hessian).
+  // Roots: every node with no pending dependencies that is not yet done.
   [[nodiscard]] std::vector<std::size_t> roots() const;
 
   // Marks `id` done and returns the successors that became ready.
   std::vector<std::size_t> complete(std::size_t id);
 
-  [[nodiscard]] std::size_t n_done() const { return n_done_; }
   [[nodiscard]] bool all_done() const { return n_done_ == nodes_.size(); }
 
-  // Result slots, written by task execution, read by later tasks in fixed
-  // index order.
-  std::vector<raman::GeometryRecord> records;  // per displacement node
+  // Result slots, written by task execution, read by the assembly in
+  // fixed index order.
+  std::vector<raman::GeometryRecord> records;  // per evaluation node
   linalg::Matrix hessian;                      // Hessian task output
 
  private:
-  [[nodiscard]] std::vector<std::size_t> successors(std::size_t id) const;
-
-  std::size_t n_coords_ = 0;
   bool with_hessian_ = false;
-  std::size_t n_field_ = 0;  // 0: dfpt layout; >0: bec layout
   std::vector<TaskNode> nodes_;
   std::size_t n_done_ = 0;
 };

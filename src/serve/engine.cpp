@@ -37,11 +37,11 @@ std::shared_ptr<const scf::ForceEvaluator> ForceSlot::release() {
   return std::move(evaluator_);
 }
 
-raman::GeometryRecord RealEngine::evaluate(const TaskContext& ctx) {
+raman::GeometryRecord evaluate_real(const TaskContext& ctx) {
   const JobSpec& spec = *ctx.spec;
   const scf::ScfOptions& opts = spec.options.vibrations.scf;
   raman::Wants wants;
-  if (!ctx.field_force) {
+  if (spec.tier != Tier::Bec) {
     wants.alpha = &spec.options.dfpt;
     return raman::evaluate(
         grid::displaced(spec.atoms, ctx.coord,
@@ -86,10 +86,10 @@ raman::GeometryRecord ModeledEngine::evaluate(const TaskContext& ctx) {
   // dedup changes nothing.
   std::uint64_t state = ctx.canonical_key ^ options_.seed;
   raman::GeometryRecord canonical;
-  if (ctx.field_force) {
-    // Field-force task: the record is a 3N force vector (plus the field
+  if (ctx.spec->tier == Tier::Bec) {
+    // Field point: the record is a 3N force vector (plus the field
     // dipole), same deterministic-stream contract as displacements.
-    canonical.forces.resize(ctx.n_forces);
+    canonical.forces.resize(3 * ctx.spec->n_atoms());
     for (auto& f : canonical.forces) {
       f = 0.1 * (unit_double(splitmix64(state)) - 0.5);
     }

@@ -9,11 +9,13 @@
 #include "scf/forces.hpp"
 #include "serve/job.hpp"
 
-// Displacement-task execution backends. The service hands a backend one
-// task at a time:
+// Evaluation-task backends. The service hands one evaluation task (a
+// displaced geometry of the dfpt tier or a field point of the bec tier,
+// chosen by the job's tier) at a time to one of
 //
-//   RealEngine     SCF + DFPT on the actual displaced molecule through
-//                  raman::evaluate, the solve RamanCalculator and
+//   evaluate_real  SCF + DFPT on the actual displaced molecule, or the
+//                  finite-field SCF + forces of a bec stencil point,
+//                  through raman::evaluate, the solve RamanCalculator and
 //                  BecCalculator run, so a served job reproduces the
 //                  single-job pipeline.
 //   ModeledEngine  deterministic synthetic evaluation for machine-scale
@@ -22,6 +24,9 @@
 //                  a calibrated amount of CPU proportional to the task's
 //                  sunway-cost-model seconds, so scheduler benchmarks
 //                  exercise real contention with paper-shaped costs.
+//
+// Both may throw (ConvergenceError, TimeoutError, injected faults); the
+// service owns the bounded retry.
 
 namespace swraman::serve {
 
@@ -54,31 +59,19 @@ class ForceSlot {
 };
 
 struct TaskContext {
-  const JobSpec* spec = nullptr;
+  const JobSpec* spec = nullptr;  // its tier picks the kind of evaluation
   std::size_t coord = 0;  // displacement coordinate, or field stencil index
-  int sign = +1;          // 0 for field-force tasks
+  int sign = +1;          // 0 for a field point
   std::uint64_t canonical_key = 0;
   AxisTransform to_canonical;    // canonical frame = T(own frame)
   double cost_seconds = 0.0;     // modeled cost of this evaluation
-  bool field_force = false;      // bec tier: coord is the stencil index
-  std::size_t n_forces = 0;      // 3N force components (field tasks only)
-  ForceSlot* forces = nullptr;   // the job's slot; real bec field tasks use it
+  ForceSlot* forces = nullptr;   // the job's slot; real bec tasks use it
 };
 
-class DisplacementEngine {
- public:
-  virtual ~DisplacementEngine() = default;
-  // Polarizability + dipole of the displaced geometry — or, for a
-  // field-force task, the 3N force vector at one field stencil point —
-  // in the task's own frame. May throw (ConvergenceError, TimeoutError,
-  // injected faults); the service owns the bounded retry.
-  virtual raman::GeometryRecord evaluate(const TaskContext& ctx) = 0;
-};
-
-class RealEngine : public DisplacementEngine {
- public:
-  raman::GeometryRecord evaluate(const TaskContext& ctx) override;
-};
+// Polarizability + dipole of the displaced geometry — or, in the bec
+// tier, the 3N force vector (plus the dipole) at one field stencil point
+// — in the task's own frame.
+raman::GeometryRecord evaluate_real(const TaskContext& ctx);
 
 struct ModeledEngineOptions {
   std::uint64_t seed = 12345;
@@ -92,10 +85,11 @@ struct ModeledEngineOptions {
   std::uint64_t max_iterations = 5000000;
 };
 
-class ModeledEngine : public DisplacementEngine {
+class ModeledEngine {
  public:
   explicit ModeledEngine(ModeledEngineOptions options = {});
-  raman::GeometryRecord evaluate(const TaskContext& ctx) override;
+  // The synthetic record of the task, in its own frame.
+  raman::GeometryRecord evaluate(const TaskContext& ctx);
 
  private:
   ModeledEngineOptions options_;

@@ -318,7 +318,8 @@ JobEstimate estimate_job(const JobSpec& spec) {
         model.scf_iterations +
         model.response_directions * model.dfpt_iterations;
     est.per_task_seconds = iter_s * cycles;
-    // DAG: 6N displacements + 3N rows + 1 assembly (+ 1 Hessian task).
+    // 6N evaluations + 1 assembly (+ 1 Hessian task), plus one unit per
+    // derivative row (3N) the assembly forms: 9N + 1 (+ 1) queue slots.
     est.n_tasks = 2 * n_coords + n_coords + 1 +
                   (spec.engine == EngineKind::Real && spec.with_modes ? 1 : 0);
     est.total_seconds =

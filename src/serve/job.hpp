@@ -14,12 +14,12 @@
 // request from one tenant: a molecule (or a modeled system scale for
 // machine-size workloads the QM engine cannot run here), the engine
 // settings, a priority inside the tenant's share, and the tenant's
-// fair-share weight. The service decomposes a job into its 6N displaced
-// DFPT geometry tasks (paper Sec. 2.3) plus the per-coordinate
-// derivative rows and the final assembly — the dependency DAG in
-// dag.hpp — and deduplicates displacement evaluations across jobs and
-// tenants through a content-addressed cache keyed by the canonical form
-// defined here.
+// fair-share weight. The service decomposes a job into its evaluation
+// tasks (the 6N displaced DFPT geometries of paper Sec. 2.3, or the 13
+// field points of the bec tier) and one assembly that forms the
+// derivative rows — the dependency DAG in dag.hpp — and deduplicates
+// evaluations across jobs and tenants through a content-addressed cache
+// keyed by the canonical form defined here.
 
 namespace swraman::serve {
 
@@ -179,7 +179,7 @@ struct JobEstimate {
   double per_task_seconds = 0.0;   // one displacement evaluation, modeled
   double total_seconds = 0.0;      // all tasks of the job
   double modeled_bytes = 0.0;      // resident footprint while in flight
-  std::size_t n_tasks = 0;         // DAG node count
+  std::size_t n_tasks = 0;         // admission charge, queue-depth units
 };
 
 JobEstimate estimate_job(const JobSpec& spec);

@@ -9,6 +9,15 @@
 
 namespace swraman::serve {
 
+namespace {
+
+// Central-pull batch of an idle worker: tasks of one tenant until their
+// summed modeled cost passes the target, at most kPullMaxTasks of them.
+constexpr double kPullTargetSeconds = 0.05;
+constexpr std::size_t kPullMaxTasks = 64;
+
+}  // namespace
+
 WorkerPool::WorkerPool(Options options, RunFn run, RefillFn refill,
                        OrphanFn orphan)
     : options_(options),
@@ -117,8 +126,7 @@ void WorkerPool::worker_loop(std::size_t id) {
     if (!have) have = steal(id, &task);
     if (!have) {
       batch.clear();
-      const std::size_t n = refill_(options_.pull_target_seconds,
-                                    options_.pull_max_tasks, &batch);
+      const std::size_t n = refill_(kPullTargetSeconds, kPullMaxTasks, &batch);
       if (n > 0) {
         obs::count("serve.pool.pulls");
         task = batch.front();

@@ -40,8 +40,6 @@ class WorkerPool {
   struct Options {
     std::size_t n_workers = 2;
     bool steal = true;             // disable -> strict per-worker FIFO
-    double pull_target_seconds = 0.05;  // refill batch size, modeled
-    std::size_t pull_max_tasks = 64;
     // Log-context prefix of the worker threads: worker i tags its log
     // lines "<log_prefix>/w<i>" ("w<i>" when empty), so a shard's worker
     // output is grep-able by shard and worker id.

@@ -105,9 +105,4 @@ std::size_t FairShareScheduler::take(std::vector<TaskRef>* out,
   return taken;
 }
 
-double FairShareScheduler::virtual_time(const std::string& tenant) const {
-  auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? 0.0 : it->second.virtual_seconds;
-}
-
 }  // namespace swraman::serve

@@ -86,7 +86,6 @@ class FairShareScheduler {
     return outstanding_seconds_;
   }
   [[nodiscard]] double modeled_bytes() const { return modeled_bytes_; }
-  [[nodiscard]] double virtual_time(const std::string& tenant) const;
 
  private:
   struct ReadyTask {

@@ -33,8 +33,7 @@ struct RamanService::JobState {
   JobEstimate est;
   std::uint64_t settings_fp = 0;
   JobDag dag;
-  // Per root node (displacement ids 0..6N-1, or field ids 0..12):
-  // content address + ownership.
+  // Per evaluation node: content address + ownership.
   std::vector<NodeKey> keys;
   std::unique_ptr<raman::Checkpoint> checkpoint;
   JobStatus status = JobStatus::Queued;
@@ -52,8 +51,7 @@ struct RamanService::JobState {
 
 RamanService::RamanService(ServiceOptions options)
     : options_(std::move(options)),
-      real_engine_(std::make_unique<RealEngine>()),
-      modeled_engine_(std::make_unique<ModeledEngine>(options_.modeled)),
+      modeled_engine_(options_.modeled),
       scheduler_(options_.admission) {
   // Make the "caller locks for us" contracts checkable: every mutating
   // scheduler/cache call must hold mutex_ (lock.guard_unheld otherwise).
@@ -72,8 +70,6 @@ RamanService::RamanService(ServiceOptions options)
   WorkerPool::Options pool_opts;
   pool_opts.n_workers = std::max<std::size_t>(1, options_.n_workers);
   pool_opts.steal = options_.work_stealing;
-  pool_opts.pull_target_seconds = options_.pull_target_seconds;
-  pool_opts.pull_max_tasks = options_.pull_max_tasks;
   pool_opts.log_prefix = log_prefix_;
   pool_ = std::make_unique<WorkerPool>(
       pool_opts,
@@ -184,8 +180,20 @@ SubmitResult RamanService::submit(const JobSpec& spec,
   const std::size_t n = 3 * spec.n_atoms();
   const bool with_hessian = spec.engine == EngineKind::Real && spec.with_modes;
   const bool bec = spec.tier == Tier::Bec;
-  const std::size_t n_field =
-      bec ? static_cast<std::size_t>(raman::n_field_points()) : 0;
+  // The job's evaluations in slot order: (stencil index, 0) for the 13
+  // field points, (coord, sign) at 2*coord + (sign < 0) for the 6N
+  // displaced geometries.
+  std::vector<raman::SlotKey> slots;
+  if (bec) {
+    for (int idx = 0; idx < raman::n_field_points(); ++idx) {
+      slots.push_back({static_cast<std::size_t>(idx), 0});
+    }
+  } else {
+    for (std::size_t coord = 0; coord < n; ++coord) {
+      slots.push_back({coord, +1});
+      slots.push_back({coord, -1});
+    }
+  }
   JobDag dag;
   std::vector<NodeKey> keys;
   std::unique_ptr<raman::Checkpoint> checkpoint;
@@ -194,56 +202,42 @@ SubmitResult RamanService::submit(const JobSpec& spec,
       options_.hooks.on_accept(sub.tag, spec);
     }
 
-    dag = bec ? JobDag(n, with_hessian, n_field) : JobDag(n, with_hessian);
+    dag = JobDag(slots, with_hessian);
 
-    if (bec) {
-      // Content addresses for the 13 field-force tasks. Real jobs hash
-      // the equilibrium geometry plus the integer field direction under
-      // one shared transform (canonical_field_key); modeled jobs hash
-      // (scale fingerprint, stencil index) — symmetry-blind but still
-      // dedup-identical across repeated submissions.
-      keys.resize(n_field);
-      for (std::size_t idx = 0; idx < n_field; ++idx) {
-        if (spec.engine == EngineKind::Real) {
-          const CanonicalKey ck = canonical_field_key(
-              spec.atoms, raman::field_direction(static_cast<int>(idx)),
-              settings_fp, options_.use_symmetry);
-          keys[idx].key = ck.key;
-          keys[idx].to_canonical = ck.to_canonical;
-        } else {
-          Hash64 h;
-          h.u64(settings_fp);
+    // Content addresses for every evaluation node. Real jobs hash the
+    // actual displaced geometry (canonicalized under the axis group), or
+    // the equilibrium geometry plus the integer field direction under one
+    // shared transform (canonical_field_key); modeled jobs hash (scale
+    // fingerprint, coord, sign) or (scale fingerprint, stencil index) —
+    // symmetry-blind but still dedup-identical across repeated
+    // submissions.
+    keys.resize(slots.size());
+    for (std::size_t node = 0; node < slots.size(); ++node) {
+      const std::size_t index = slots[node].index;
+      const int sign = slots[node].sign;
+      if (spec.engine == EngineKind::Real) {
+        const CanonicalKey ck =
+            bec ? canonical_field_key(
+                      spec.atoms,
+                      raman::field_direction(static_cast<int>(index)),
+                      settings_fp, options_.use_symmetry)
+                : canonical_key(
+                      grid::displaced(spec.atoms, index,
+                                      sign * spec.options.alpha_displacement),
+                      settings_fp, options_.use_symmetry);
+        keys[node].key = ck.key;
+        keys[node].to_canonical = ck.to_canonical;
+      } else {
+        Hash64 h;
+        h.u64(settings_fp);
+        if (bec) {
           h.str("field");
-          h.u64(idx);
-          keys[idx].key = h.value();
+          h.u64(index);
+        } else {
+          h.u64(index);
+          h.u64(static_cast<std::uint64_t>(sign + 2));
         }
-      }
-    } else {
-      // Content addresses for every displacement node. Real jobs hash the
-      // actual displaced geometry (canonicalized under the axis group);
-      // modeled jobs hash (scale fingerprint, coord, sign) —
-      // symmetry-blind but still dedup-identical across repeated
-      // submissions.
-      keys.resize(2 * n);
-      for (std::size_t coord = 0; coord < n; ++coord) {
-        for (int s = 0; s < 2; ++s) {
-          const int sign = s == 0 ? +1 : -1;
-          const std::size_t node = dag.displacement_id(coord, sign);
-          if (spec.engine == EngineKind::Real) {
-            const CanonicalKey ck = canonical_key(
-                grid::displaced(spec.atoms, coord,
-                                sign * spec.options.alpha_displacement),
-                settings_fp, options_.use_symmetry);
-            keys[node].key = ck.key;
-            keys[node].to_canonical = ck.to_canonical;
-          } else {
-            Hash64 h;
-            h.u64(settings_fp);
-            h.u64(coord);
-            h.u64(static_cast<std::uint64_t>(sign + 2));
-            keys[node].key = h.value();
-          }
-        }
+        keys[node].key = h.value();
       }
     }
 
@@ -306,8 +300,7 @@ SubmitResult RamanService::submit(const JobSpec& spec,
     std::vector<std::size_t> pending_roots;
     for (std::size_t node_id : job.dag.roots()) {
       const TaskNode& node = job.dag.node(node_id);
-      if (node.kind == TaskKind::Displacement ||
-          node.kind == TaskKind::FieldForce) {
+      if (node.kind == TaskKind::Evaluate) {
         // WAL-replay warm set first, then the per-job checkpoint: either
         // way the record is re-notified to the durability hook so the new
         // shard incarnation's log carries it (replay-of-replay safety).
@@ -342,9 +335,7 @@ SubmitResult RamanService::submit(const JobSpec& spec,
 
     for (std::size_t node_id : pending_roots) {
       const TaskNode& node = job.dag.node(node_id);
-      if ((node.kind == TaskKind::Displacement ||
-           node.kind == TaskKind::FieldForce) &&
-          options_.use_cache) {
+      if (node.kind == TaskKind::Evaluate && options_.use_cache) {
         raman::GeometryRecord rec;
         CacheWaiter waiter;
         waiter.job = id;
@@ -461,16 +452,14 @@ void RamanService::update_health_gauges_locked() {
 
 double RamanService::node_cost(const JobState& job, std::size_t node) const {
   switch (job.dag.node(node).kind) {
-    case TaskKind::Displacement:
-    case TaskKind::FieldForce:
+    case TaskKind::Evaluate:
       return job.est.per_task_seconds;
-    case TaskKind::Hessian:
+    case TaskKind::Hessian: {
       // (1 + 6N + O(N^2)) extra SCF solves; charge quadratically in the
       // coordinate count relative to one displacement.
-      return job.est.per_task_seconds *
-             static_cast<double>(job.dag.n_coords() * job.dag.n_coords()) /
-             6.0;
-    case TaskKind::Row:
+      const std::size_t n = 3 * job.spec.n_atoms();
+      return job.est.per_task_seconds * static_cast<double>(n * n) / 6.0;
+    }
     case TaskKind::Assemble:
       return job.est.per_task_seconds * 0.01;  // bookkeeping-sized
   }
@@ -574,16 +563,15 @@ void RamanService::fail_job_locked(std::uint64_t job_id,
 
 bool RamanService::evaluate_with_retry(JobState& job, const TaskContext& ctx,
                                        raman::GeometryRecord* rec) {
-  DisplacementEngine& engine = job.spec.engine == EngineKind::Real
-                                   ? *real_engine_
-                                   : *modeled_engine_;
   const int attempts = std::max(1, job.spec.attempts);
   for (int attempt = 1;; ++attempt) {
     try {
       if (fault::should_fire(kFaultTaskFail)) {
         throw TimeoutError("serve: injected displacement-task failure");
       }
-      *rec = engine.evaluate(ctx);
+      *rec = job.spec.engine == EngineKind::Real
+                 ? evaluate_real(ctx)
+                 : modeled_engine_.evaluate(ctx);
       return true;
     } catch (const FaultInjected&) {
       throw;  // simulated hard process death must propagate
@@ -623,17 +611,11 @@ void RamanService::execute(std::size_t worker, TaskRef ref) {
     span.attr("node", static_cast<double>(ref.node));
   }
   switch (node.kind) {
-    case TaskKind::Displacement:
-      run_displacement(worker, *job, ref.node);
-      break;
-    case TaskKind::FieldForce:
-      run_field_force(worker, *job, ref.node);
+    case TaskKind::Evaluate:
+      run_evaluation(worker, *job, ref.node);
       break;
     case TaskKind::Hessian:
       run_hessian(worker, *job, ref.node);
-      break;
-    case TaskKind::Row:
-      run_row(worker, *job, ref.node);
       break;
     case TaskKind::Assemble:
       run_assemble(worker, *job, ref.node);
@@ -645,19 +627,10 @@ void RamanService::execute(std::size_t worker, TaskRef ref) {
   drain_hooks();
 }
 
-void RamanService::run_displacement(std::size_t worker, JobState& job,
-                                    std::size_t node_id) {
-  run_evaluation(worker, job, node_id, /*field_force=*/false);
-}
-
-void RamanService::run_field_force(std::size_t worker, JobState& job,
-                                   std::size_t node_id) {
-  run_evaluation(worker, job, node_id, /*field_force=*/true);
-}
-
 void RamanService::run_evaluation(std::size_t worker, JobState& job,
-                                  std::size_t node_id, bool field_force) {
+                                  std::size_t node_id) {
   const TaskNode node = job.dag.node(node_id);
+  const bool field_force = job.spec.tier == Tier::Bec;
   TaskContext ctx;
   ctx.spec = &job.spec;
   ctx.coord = node.coord;
@@ -665,8 +638,6 @@ void RamanService::run_evaluation(std::size_t worker, JobState& job,
   ctx.canonical_key = job.keys[node_id].key;
   ctx.to_canonical = job.keys[node_id].to_canonical;
   ctx.cost_seconds = job.est.per_task_seconds;
-  ctx.field_force = field_force;
-  ctx.n_forces = field_force ? 3 * job.spec.n_atoms() : 0;
   ctx.forces = &job.forces;
 
   // Records cross frames as pure bit moves, forces included, so dedup
@@ -801,79 +772,38 @@ void RamanService::run_hessian(std::size_t worker, JobState& job,
   complete_node(worker, job, node_id);
 }
 
-void RamanService::run_row(std::size_t worker, JobState& job,
-                           std::size_t node_id) {
-  const lockcheck::CheckedLock lock(mutex_);
-  if (job.status != JobStatus::Running) return;
-  const TaskNode node = job.dag.node(node_id);
-  const std::size_t coord = node.coord;
-  const raman::GeometryRecord& plus =
-      job.dag.records[job.dag.displacement_id(coord, +1)];
-  const raman::GeometryRecord& minus =
-      job.dag.records[job.dag.displacement_id(coord, -1)];
-  const double d = job.spec.options.alpha_displacement;
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      job.result.dalpha(coord, 3 * i + j) =
-          (plus.alpha[3 * i + j] - minus.alpha[3 * i + j]) / (2.0 * d);
-    }
-    job.result.dmu(coord, i) = (plus.dipole[i] - minus.dipole[i]) / (2.0 * d);
-  }
-  complete_node(worker, job, node_id);
-}
-
 void RamanService::run_assemble(std::size_t worker, JobState& job,
                                 std::size_t node_id) {
   auto& jt = obs::JobTraceRegistry::instance();
   const std::uint64_t aspan =
       jt.begin(job.trace, "assemble", options_.shard_id);
-  // Spectrum assembly happens outside the lock on copies: the inputs are
-  // frozen (every dependency is done) and potentially expensive to
-  // contract for large molecules.
-  raman::RamanSpectrum spectrum;
-  raman::BroadenedSpectrum broadened;
-  if (job.dag.bec()) {
-    // Bec tier: the derivative rows come out of the 13-point field
-    // stencil here (the dfpt tier computed them incrementally in its row
-    // tasks). Same fixed-index-order contract: records[] is read in
-    // stencil order regardless of completion order.
-    std::vector<raman::GeometryRecord> records;
-    {
-      const lockcheck::CheckedLock lock(mutex_);
-      if (job.status != JobStatus::Running) return;
-      records = job.dag.records;
-    }
-    linalg::Matrix dalpha;
-    linalg::Matrix dmu;
-    try {
-      SWRAMAN_TRACE_SCOPE("serve.assemble.bec");
-      raman::bec_derivatives(records, job.spec.bec_field,
-                             job.dag.n_coords(), /*enforce_sum_rule=*/true,
-                             &dalpha, &dmu);
-    } catch (const Error& e) {
-      jt.attr(job.trace.gid, aspan, "failed", 1.0);
-      jt.end(job.trace.gid, aspan);
-      const lockcheck::CheckedLock lock(mutex_);
-      fail_job_locked(job.id, e.what());
-      return;
-    }
+  // Assembly happens outside the lock on copies: the inputs are frozen
+  // (every dependency is done) and potentially expensive to contract for
+  // large molecules. The records are read in fixed slot order regardless
+  // of completion order.
+  std::vector<raman::GeometryRecord> records;
+  linalg::Matrix hess;
+  {
     const lockcheck::CheckedLock lock(mutex_);
     if (job.status != JobStatus::Running) return;
-    job.result.dalpha = std::move(dalpha);
-    job.result.dmu = std::move(dmu);
+    records = job.dag.records;
+    if (job.dag.with_hessian()) hess = job.dag.hessian;
   }
-  if (job.dag.with_hessian()) {
-    linalg::Matrix hess;
-    linalg::Matrix dalpha;
-    linalg::Matrix dmu;
-    {
-      const lockcheck::CheckedLock lock(mutex_);
-      if (job.status != JobStatus::Running) return;
-      hess = job.dag.hessian;
-      dalpha = job.result.dalpha;
-      dmu = job.result.dmu;
+  linalg::Matrix dalpha;
+  linalg::Matrix dmu;
+  raman::RamanSpectrum spectrum;
+  raman::BroadenedSpectrum broadened;
+  try {
+    if (job.spec.tier == Tier::Bec) {
+      SWRAMAN_TRACE_SCOPE("serve.assemble.bec");
+      raman::bec_derivatives(records, job.spec.bec_field,
+                             3 * job.spec.n_atoms(),
+                             /*enforce_sum_rule=*/true, &dalpha, &dmu);
+    } else {
+      raman::displacement_derivatives(
+          records, job.spec.options.alpha_displacement, &dalpha, &dmu);
     }
-    try {
+    if (job.dag.with_hessian()) {
       SWRAMAN_TRACE_SCOPE("serve.assemble");
       const raman::NormalModes modes = raman::normal_modes(
           job.spec.atoms, hess, job.spec.options.vibrations.project_rigid_body);
@@ -881,17 +811,19 @@ void RamanService::run_assemble(std::size_t worker, JobState& job,
                                           job.spec.options.mode_floor_cm);
       // 5 cm^-1 Lorentzian on the paper's Fig. 19 plotting grid.
       broadened = raman::broaden(spectrum.modes, 5.0, 100.0, 4500.0, 2.0);
-    } catch (const Error& e) {
-      jt.attr(job.trace.gid, aspan, "failed", 1.0);
-      jt.end(job.trace.gid, aspan);
-      const lockcheck::CheckedLock lock(mutex_);
-      fail_job_locked(job.id, e.what());
-      return;
     }
+  } catch (const Error& e) {
+    jt.attr(job.trace.gid, aspan, "failed", 1.0);
+    jt.end(job.trace.gid, aspan);
+    const lockcheck::CheckedLock lock(mutex_);
+    fail_job_locked(job.id, e.what());
+    return;
   }
   jt.end(job.trace.gid, aspan);
   const lockcheck::CheckedLock lock(mutex_);
   if (job.status != JobStatus::Running) return;
+  job.result.dalpha = std::move(dalpha);
+  job.result.dmu = std::move(dmu);
   job.result.spectrum = std::move(spectrum);
   job.result.broadened = std::move(broadened);
   complete_node(worker, job, node_id);

@@ -20,8 +20,8 @@
 // RamanService (DESIGN.md S11): the multi-tenant job service over the
 // existing Raman stack. submit() admits or rejects a JobSpec (bounded
 // queues + modeled-memory backpressure), decomposes admitted jobs into
-// the displacement DAG, deduplicates displacement evaluations through
-// the content-addressed cache, and lets the work-stealing pool drain the
+// the evaluation DAG, deduplicates evaluations through the
+// content-addressed cache, and lets the work-stealing pool drain the
 // weighted fair-share scheduler. wait()/drain() deliver results.
 //
 // Determinism contract: submissions are serialized end to end by the
@@ -98,8 +98,6 @@ struct ServiceOptions {
   bool start_paused = false;
   AdmissionLimits admission;
   ModeledEngineOptions modeled;        // seed of the modeled engine
-  double pull_target_seconds = 0.05;   // central-pull batch, modeled cost
-  std::size_t pull_max_tasks = 64;
   // Shard id stamped onto jobtrace spans and per-shard gauge/log names
   // (-1: unsharded service — no suffix, tier-level spans).
   int shard_id = -1;
@@ -175,13 +173,9 @@ class RamanService {
   static constexpr std::size_t kNoWorker = static_cast<std::size_t>(-1);
 
   void execute(std::size_t worker, TaskRef ref);
-  void run_displacement(std::size_t worker, JobState& job, std::size_t node);
-  void run_field_force(std::size_t worker, JobState& job, std::size_t node);
-  // Shared evaluate/dedup/durability path of the two root task kinds.
-  void run_evaluation(std::size_t worker, JobState& job, std::size_t node,
-                      bool field_force);
+  // Evaluate/dedup/durability path of both tiers' root tasks.
+  void run_evaluation(std::size_t worker, JobState& job, std::size_t node);
   void run_hessian(std::size_t worker, JobState& job, std::size_t node);
-  void run_row(std::size_t worker, JobState& job, std::size_t node);
   void run_assemble(std::size_t worker, JobState& job, std::size_t node);
   // Evaluation with bounded retry; returns false after failing the job.
   bool evaluate_with_retry(JobState& job, const TaskContext& ctx,
@@ -209,8 +203,7 @@ class RamanService {
   void update_health_gauges_locked();
 
   ServiceOptions options_;
-  std::unique_ptr<DisplacementEngine> real_engine_;
-  std::unique_ptr<DisplacementEngine> modeled_engine_;
+  ModeledEngine modeled_engine_;  // Real jobs run evaluate_real
   // Gauge/log names are shard-suffixed ("serve.queue.depth.s0"); built
   // once so hot paths never concatenate.
   std::string queue_gauge_name_;

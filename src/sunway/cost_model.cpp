@@ -183,6 +183,41 @@ double modeled_allreduce_time(double bytes, std::size_t n_ranks,
          std::max(wire, reduced / cpe_reduce_bw);
 }
 
+double modeled_gather_allreduce_time(double bytes, std::size_t n_ranks,
+                                     const ArchParams& arch,
+                                     const AllreduceModel& model) {
+  SWRAMAN_REQUIRE(bytes >= 0.0 && n_ranks >= 1,
+                  "modeled_gather_allreduce_time: invalid arguments");
+  if (n_ranks == 1) return 0.0;
+  const double others = static_cast<double>(n_ranks) - 1.0;
+  const double alpha = arch.net_latency_us * 1e-6;
+  const double beta = arch.net_bw_gbs * kGiga;
+  // (P-1)·B through rank 0's port inbound (the gather) and outbound (the
+  // broadcast), one message latency per transfer.
+  const double leg = others * bytes / beta;
+  const double folded = others * bytes;
+  if (!model.cpe_offload) {
+    // Each received vector is folded on the MPE before the next one, with
+    // a scheduling gap per fold.
+    return 2.0 * others * alpha + 2.0 * leg + folded / mpe_reduce_bw(arch) +
+           others * kMpeSched;
+  }
+  // The CPE fold streams under the receives; the broadcast follows it.
+  return 2.0 * others * alpha + std::max(leg, folded / cpe_reduce_bw(arch)) +
+         leg;
+}
+
+double modeled_host_allreduce_time(double bytes, std::size_t n_ranks,
+                                   const ArchParams& arch,
+                                   const AllreduceModel& model) {
+  const bool power_of_two = (n_ranks & (n_ranks - 1)) == 0;
+  const double doubles = bytes / static_cast<double>(sizeof(double));
+  if (power_of_two && doubles >= static_cast<double>(n_ranks)) {
+    return modeled_allreduce_time(bytes, n_ranks, arch, model);
+  }
+  return modeled_gather_allreduce_time(bytes, n_ranks, arch, model);
+}
+
 double modeled_hierarchical_allreduce_time(
     double bytes, std::size_t n_ranks, const ArchParams& arch,
     const HierarchicalAllreduceModel& model) {
@@ -208,10 +243,9 @@ double modeled_hierarchical_allreduce_time(
     // Stage 3: leader broadcasts the global sum back over the mesh.
     t += bytes / rma_bw + rma_latency_s;
   }
-  // Stage 2: leaders run the CPE-offloaded Rabenseifner exchange over the
-  // (much smaller) inter-node network.
-  t += modeled_allreduce_time(bytes, g, arch,
-                              AllreduceModel{true});
+  // Stage 2: leaders run the CPE-offloaded flat exchange over the (much
+  // smaller) inter-node network, as the host runtime schedules it.
+  t += modeled_host_allreduce_time(bytes, g, arch, AllreduceModel{true});
   // Orchestration: the MPE schedules the level transitions.
   t += 2.0 * kMpeSched;
   return t;

@@ -79,10 +79,27 @@ double modeled_allreduce_time(double bytes, std::size_t n_ranks,
                               const ArchParams& arch,
                               const AllreduceModel& model);
 
+// Gather-to-root + broadcast Allreduce of `bytes` over `n_ranks`: rank 0
+// receives every other rank's vector and folds it in (on the MPE, or on
+// the CPEs under the receives), then sends the sum to every rank. (P-1)·B
+// crosses rank 0's port in each direction, one latency per message.
+double modeled_gather_allreduce_time(double bytes, std::size_t n_ranks,
+                                     const ArchParams& arch,
+                                     const AllreduceModel& model);
+
+// The flat Allreduce of a payload of doubles as the host runtime runs it
+// (parallel::Communicator's reduce-scatter + allgather): Rabenseifner on a
+// power-of-two rank count with at least one double per rank, the gather
+// Allreduce otherwise.
+double modeled_host_allreduce_time(double bytes, std::size_t n_ranks,
+                                   const ArchParams& arch,
+                                   const AllreduceModel& model);
+
 // Two-level topology-aware Allreduce (paper Sec. 3.4 / Fig. 15): groups of
 // node_size consecutive ranks reduce onto a leader over the intra-node RMA
-// mesh (CPE-pipelined), leaders run the CPE-offloaded Rabenseifner
-// exchange across groups, then each leader broadcasts inside its node.
+// mesh (CPE-pipelined), leaders run the CPE-offloaded host exchange
+// (modeled_host_allreduce_time) across groups, then each leader
+// broadcasts inside its node.
 struct HierarchicalAllreduceModel {
   std::size_t node_size = 4;  // ranks per node group (clamped to [1, P])
 };

@@ -1,12 +1,16 @@
 #include "fmm/kernel.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <random>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fmm/traversal.hpp"
+#include "fmm/tree.hpp"
 #include "grid/ylm.hpp"
 
 // Operator-chain exactness against direct 1/r sums of random point charges,
@@ -212,6 +216,75 @@ TEST(FmmKernel, FlopModelsScaleWithOrder) {
   EXPECT_GT(k4.m2l_flops(), 0.0);
   EXPECT_GT(k8.m2l_flops(), k4.m2l_flops());
   EXPECT_GT(k8.l2p_flops(), k4.l2p_flops());
+}
+
+// The downward pass must run parents before children: each cell's local
+// ends as its own M2L sum plus its parent's final local, translated. The
+// reference is a serial top-down pass in cell order (the octree lays
+// parents out before children); l2l_pass runs level by level on every
+// core. With M2L contributions at three or more levels, a pass that
+// translates a child before its parent has received the grandparent's
+// local (deepest level first, say) drops far fields and fails here.
+TEST(FmmL2lPass, EveryLocalMatchesASerialTopDownPass) {
+  const int p = 4;
+  const FmmKernel K(p);
+  const std::size_t nm = nm_count(p);
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  // Targets and sources fill the same cube, so well-separated pairs form
+  // at several levels of the target tree.
+  std::vector<Vec3> target_pts(1500);
+  std::vector<Vec3> source_pts(120);
+  for (Vec3& x : target_pts) x = {8.0 * u(rng), 8.0 * u(rng), 8.0 * u(rng)};
+  for (Vec3& x : source_pts) x = {8.0 * u(rng), 8.0 * u(rng), 8.0 * u(rng)};
+  OctreeOptions target_opt;
+  target_opt.leaf_size = 8;
+  OctreeOptions source_opt;
+  source_opt.leaf_size = 4;
+  const Octree targets(target_pts, {}, target_opt);
+  const Octree sources(source_pts, {}, source_opt);
+  const InteractionLists lists = traverse(targets, sources, 0.6);
+  const std::vector<Cell>& tcells = targets.cells();
+  const std::vector<Cell>& scells = sources.cells();
+  std::set<int> m2l_levels;
+  for (const CellPair& pr : lists.m2l) {
+    m2l_levels.insert(tcells[pr.target].level);
+  }
+  ASSERT_GE(m2l_levels.size(), 3u);
+
+  // Two potentials, each an M2L sum of one random charge per source cell.
+  const std::size_t n_pots = 2;
+  std::vector<Cplx> locals(n_pots * tcells.size() * nm, Cplx{});
+  FmmKernel::Workspace ws;
+  std::vector<Cplx> M(nm);
+  for (std::size_t j = 0; j < n_pots; ++j) {
+    for (const CellPair& pr : lists.m2l) {
+      std::fill(M.begin(), M.end(), Cplx{});
+      K.p2m(u(rng), {0.2 * u(rng), 0.2 * u(rng), 0.2 * u(rng)}, M.data(), ws);
+      K.m2l(M.data(), scells[pr.source].center - tcells[pr.target].center,
+            &locals[(j * tcells.size() + pr.target) * nm], ws);
+    }
+  }
+  std::vector<Cplx> want = locals;
+  for (std::size_t j = 0; j < n_pots; ++j) {
+    Cplx* loc = &want[j * tcells.size() * nm];
+    for (std::size_t ci = 1; ci < tcells.size(); ++ci) {
+      const Cell& c = tcells[ci];
+      ASSERT_LT(c.parent, ci);
+      K.l2l(&loc[c.parent * nm], c.center - tcells[c.parent].center,
+            &loc[ci * nm], ws);
+    }
+  }
+
+  l2l_pass(K, targets, n_pots, locals.data());
+  for (std::size_t j = 0; j < n_pots; ++j) {
+    for (std::size_t ci = 0; ci < tcells.size(); ++ci) {
+      const std::size_t at = (j * tcells.size() + ci) * nm;
+      EXPECT_EQ(std::memcmp(&locals[at], &want[at], nm * sizeof(Cplx)), 0)
+          << "potential " << j << ", cell " << ci << " at level "
+          << tcells[ci].level;
+    }
+  }
 }
 
 }  // namespace

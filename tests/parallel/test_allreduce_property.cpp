@@ -10,6 +10,7 @@
 
 #include "parallel/allreduce_select.hpp"
 #include "parallel/comm.hpp"
+#include "sunway/cost_model.hpp"
 #include "robustness/fault.hpp"
 
 // Property-based sweep over the whole collectives surface: every
@@ -222,6 +223,85 @@ TEST(AllreduceProperty, SelectorPicksOnlyCpePipelinedOrHierarchical) {
   // Both kept algorithms win somewhere, so neither is dead either.
   EXPECT_GT(cpe_pipelined, 0u);
   EXPECT_GT(hierarchical, 0u);
+}
+
+// The flat algorithms' arch: every node member shares the injection port.
+sunway::ArchParams contended_arch(std::size_t node_size, std::size_t p) {
+  sunway::ArchParams arch = sunway::sw26010pro();
+  arch.net_bw_gbs /=
+      static_cast<double>(std::clamp<std::size_t>(node_size, 1, p));
+  return arch;
+}
+
+TEST(AllreduceCost, GatherFallbackIsPricedThroughRankZero) {
+  // P = 6 is not a power of two, so allreduce_rsag gathers every vector to
+  // rank 0 and broadcasts the sum: 5 * B through rank 0's port each way,
+  // with the CPE fold streaming under the receives.
+  const sunway::ArchParams arch = sunway::sw26010pro();
+  const double bytes = 4099.0 * sizeof(double);
+  const double alpha = arch.net_latency_us * 1e-6;
+  const double leg = 5.0 * bytes / (arch.net_bw_gbs * 1e9);
+  const double cpe_fold =
+      5.0 * bytes /
+      (std::min(arch.dma_bw_gbs, arch.node_mem_bw_gbs) * 1e9 / 1.5);
+  const double want = 10.0 * alpha + std::max(leg, cpe_fold) + leg;
+  const double got = modeled_allreduce_seconds(
+      AllreduceAlgorithm::CpePipelined, bytes, 6, /*node_size=*/1, arch);
+  EXPECT_DOUBLE_EQ(got, want);
+  // Dearer than the Rabenseifner price of the same payload, which moves
+  // only 2 (P - 1) / P * B per rank.
+  EXPECT_GT(got, sunway::modeled_allreduce_time(bytes, 6, arch,
+                                                sunway::AllreduceModel{true}));
+  // The MPE-side variant runs the same exchange and folds on the MPE.
+  EXPECT_GT(modeled_allreduce_seconds(AllreduceAlgorithm::ReduceScatterAllgather,
+                                      bytes, 6, 1, arch),
+            got);
+  // Fewer doubles than ranks falls back too, at a power-of-two P.
+  EXPECT_DOUBLE_EQ(
+      modeled_allreduce_seconds(AllreduceAlgorithm::CpePipelined,
+                                7.0 * sizeof(double), 8, 1, arch),
+      sunway::modeled_gather_allreduce_time(7.0 * sizeof(double), 8, arch,
+                                            sunway::AllreduceModel{true}));
+}
+
+TEST(AllreduceCost, HierarchicalLeadersOnThreeNodesPayTheGather) {
+  // 12 ranks in nodes of 4 leave 3 leaders, who run the gather fallback;
+  // 16 ranks leave 4, who run Rabenseifner. The intra-node stages are the
+  // same, so the difference is the leaders' stage alone.
+  const sunway::ArchParams arch = sunway::sw26010pro();
+  const double bytes = 1 << 20;
+  const sunway::AllreduceModel cpe{true};
+  const double three = modeled_allreduce_seconds(
+      AllreduceAlgorithm::Hierarchical, bytes, 12, 4, arch);
+  const double four = modeled_allreduce_seconds(
+      AllreduceAlgorithm::Hierarchical, bytes, 16, 4, arch);
+  EXPECT_NEAR(three - sunway::modeled_gather_allreduce_time(bytes, 3, arch, cpe),
+              four - sunway::modeled_allreduce_time(bytes, 4, arch, cpe),
+              1e-12 * four);
+}
+
+TEST(AllreduceCost, PowerOfTwoRankCountsKeepTheRabenseifnerPrice) {
+  // With at least one double per rank, a power-of-two P runs recursive
+  // halving + doubling, and both flat algorithms keep their price bitwise.
+  for (std::size_t p = 2; p <= 4096; p *= 2) {
+    for (const std::size_t node_size : {std::size_t{1}, std::size_t{4}}) {
+      const sunway::ArchParams arch = contended_arch(node_size, p);
+      for (const double bytes :
+           {static_cast<double>(p * sizeof(double)), 1.5 * (1 << 20)}) {
+        EXPECT_EQ(modeled_allreduce_seconds(
+                      AllreduceAlgorithm::ReduceScatterAllgather, bytes, p,
+                      node_size),
+                  sunway::modeled_allreduce_time(
+                      bytes, p, arch, sunway::AllreduceModel{false}))
+            << "P=" << p << " bytes=" << bytes;
+        EXPECT_EQ(modeled_allreduce_seconds(AllreduceAlgorithm::CpePipelined,
+                                            bytes, p, node_size),
+                  sunway::modeled_allreduce_time(
+                      bytes, p, arch, sunway::AllreduceModel{true}))
+            << "P=" << p << " bytes=" << bytes;
+      }
+    }
+  }
 }
 
 TEST(AllreduceProperty, DegenerateInputsResolveToAKeptValueAtZeroSeconds) {

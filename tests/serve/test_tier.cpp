@@ -52,15 +52,16 @@ std::vector<grid::AtomSite> asymmetric_geometry() {
 }
 
 TEST(ServeTier, BecDagShapeIsThirteenFieldRootsPlusAssemble) {
-  const JobDag dag(/*n_coords=*/9, /*with_hessian=*/false, /*n_field=*/
-                   static_cast<std::size_t>(raman::n_field_points()));
-  ASSERT_TRUE(dag.bec());
-  EXPECT_EQ(dag.n_field(), 13u);
+  std::vector<raman::SlotKey> field_slots;
+  for (int i = 0; i < raman::n_field_points(); ++i) {
+    field_slots.push_back({static_cast<std::size_t>(i), 0});
+  }
+  const JobDag dag(field_slots, /*with_hessian=*/false);
+  EXPECT_EQ(dag.n_evaluations(), 13u);
   EXPECT_EQ(dag.size(), 14u);  // 13 field roots + assemble
   EXPECT_EQ(dag.assemble_id(), 13u);
   for (std::size_t i = 0; i < 13; ++i) {
-    EXPECT_EQ(dag.field_id(i), i);
-    EXPECT_EQ(dag.node(i).kind, TaskKind::FieldForce);
+    EXPECT_EQ(dag.node(i).kind, TaskKind::Evaluate);
     EXPECT_EQ(dag.node(i).coord, i);
     EXPECT_EQ(dag.node(i).sign, 0);
     EXPECT_EQ(dag.node(i).deps_pending, 0);  // field points are roots
@@ -69,7 +70,7 @@ TEST(ServeTier, BecDagShapeIsThirteenFieldRootsPlusAssemble) {
   EXPECT_EQ(dag.node(dag.assemble_id()).deps_pending, 13);
   EXPECT_EQ(dag.roots().size(), 13u);
 
-  const JobDag with_modes(9, /*with_hessian=*/true, 13);
+  const JobDag with_modes(field_slots, /*with_hessian=*/true);
   EXPECT_EQ(with_modes.size(), 15u);
   EXPECT_EQ(with_modes.hessian_id(), 13u);
   EXPECT_EQ(with_modes.assemble_id(), 14u);
