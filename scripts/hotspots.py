@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Rank kernel hotspots in a swraman-perf-v1 report by modeled cycles.
+"""Rank kernel hotspots in a swraman-perf-v1 report by modeled cycles and
+by host wall time.
 
 Usage:
   hotspots.py PERF_JSON [--top K] [--json [FILE]]
@@ -18,7 +19,11 @@ machine-time budget, and under which pipeline phase do they burn it":
   * per-root rollup — the same cycles re-attributed to the top-level
     pipeline phase (scf, dfpt, comm, serve, ...) under which they ran, so
     a fat kernel that fires from three phases shows where it actually
-    hurts.
+    hurts;
+  * top-K table of every phase, modeled or not, ranked by host wall_s —
+    what the host run actually spent, beside what the model charges.
+    Nested phases each show their own inclusive wall time, so a parent
+    and its children can both rank.
 
 A phase's cycles are the first of its "modeled_cycles_cpe",
 "modeled_cycles_mpe", or "modeled_cycles" attribute sums (the CPE-tiled
@@ -72,7 +77,14 @@ def analyze(doc: dict) -> dict:
     hotspots = []
     rollup = {}
     total = 0.0
+    wall = []
     for p in phases:
+        wall.append({
+            "path": p["path"],
+            "wall_s": float(p.get("wall_s", 0.0)),
+            "self_s": float(p.get("self_s", 0.0)),
+            "count": max(1, int(p.get("count", 1))),
+        })
         cycles, attr = phase_cycles(p)
         if attr is None:
             continue
@@ -91,6 +103,7 @@ def analyze(doc: dict) -> dict:
         total += cycles
 
     hotspots.sort(key=lambda h: (-h["cycles"], h["path"]))
+    wall.sort(key=lambda w: (-w["wall_s"], w["path"]))
     for h in hotspots:
         h["share"] = h["cycles"] / total if total > 0 else 0.0
     rollup_rows = [{"root": r, "cycles": c,
@@ -103,6 +116,7 @@ def analyze(doc: dict) -> dict:
         "modeled_phases": len(hotspots),
         "hotspots": hotspots,
         "rollup": rollup_rows,
+        "wall": wall,
     }
 
 
@@ -122,7 +136,25 @@ def print_report(result: dict, top: int) -> None:
     if not spots:
         print("hotspots: no phase carries a modeled-cycles attribute "
               "(run with SWRAMAN_TRACE=1 through the sunway kernels)")
-        return
+    else:
+        print_cycles(result, top)
+    print_wall(result["wall"], top)
+
+
+def print_wall(wall: list, top: int) -> None:
+    shown = wall[:top]
+    print(f"\n  top {len(shown)} phases by host wall time:")
+    print(f"  {'#':>2} {'wall_s':>9} {'self_s':>9} {'calls':>7}  path")
+    for i, w in enumerate(shown, 1):
+        print(f"  {i:>2} {w['wall_s']:>9.4f} {w['self_s']:>9.4f} "
+              f"{w['count']:>7}  {w['path']}")
+    if len(wall) > top:
+        print(f"     ({len(wall) - top} more phases)")
+
+
+def print_cycles(result: dict, top: int) -> None:
+    total = result["total_modeled_cycles"]
+    spots = result["hotspots"]
 
     shown = spots[:top]
     print(f"\n  top {len(shown)} phases by modeled cycles:")
@@ -158,9 +190,9 @@ def selftest() -> None:
     expect(r["schema"] == SCHEMA_OUT, "output schema wrong")
     # The fixture charges: scf/hpsi 6e9 cpe, dfpt/sternheimer 3e9 cpe,
     # hartree.fmm.traversal 2e9 cpe, hartree.fmm.p2p 1.2e9 cpe,
-    # comm.allreduce 1e9 plain, scf/rho 0.5e9 mpe; "serve.submit",
-    # "hartree.poisson" and "hartree.fmm.downward" carry no cycle attrs
-    # and must not appear.
+    # comm.allreduce 1e9 plain, scf/rho 0.5e9 mpe; "scf/veff",
+    # "serve.submit", "hartree.poisson" and "hartree.fmm.downward" carry
+    # no cycle attrs and must not appear.
     expect(r["modeled_phases"] == 6, "expected 6 modeled phases")
     expect(abs(r["total_modeled_cycles"] - 13.7e9) < 1.0,
            "total cycles wrong")
@@ -193,8 +225,24 @@ def selftest() -> None:
     expect(r["rollup"][0]["root"] == "scf", "rollup order wrong")
     expect(r["rollup"][1]["root"] == "hartree.poisson",
            "hartree.poisson must outrank dfpt in the rollup")
+    # The wall table ranks every phase, modeled or not, by inclusive
+    # wall_s, ties broken by path: scf/veff carries no cycles yet ranks
+    # second, above the cycle-heaviest kernel scf/hpsi.
+    wall_order = [w["path"] for w in r["wall"]]
+    expect(wall_order == ["scf", "scf/veff", "scf/hpsi", "dfpt",
+                          "dfpt/sternheimer", "scf/rho", "comm.allreduce",
+                          "hartree.poisson",
+                          "hartree.poisson/hartree.fmm.traversal",
+                          "serve.submit",
+                          "hartree.poisson/hartree.fmm.downward",
+                          "hartree.poisson/hartree.fmm.downward/"
+                          "hartree.fmm.p2p"],
+           f"wall ranking order wrong: {wall_order}")
+    expect(r["wall"][0]["self_s"] == 0.1 and r["wall"][1]["count"] == 12,
+           "wall rows must carry self_s and calls")
     print("hotspots: selftest OK "
-          f"(6 modeled phases, total {r['total_modeled_cycles']:.3e} cy)")
+          f"(6 modeled phases, total {r['total_modeled_cycles']:.3e} cy; "
+          f"{len(r['wall'])} phases by wall time)")
 
 
 def main() -> None:

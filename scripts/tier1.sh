@@ -244,9 +244,12 @@ if [ "${SANITIZER}" != "none" ]; then
   # share it): their scratch must be per call. On the 12-water cluster
   # (64 batches) each pass also runs claim-next over its batches on every
   # core, the integration committed in batch order from a bounded window
-  # of slots. Only these two tests, for time.
+  # of slots. Three threads race the first forces() of one fresh
+  # ForceEvaluator, and with it the sibling engines' plan builds (the
+  # serve case: a bec job's field tasks share its evaluator). Only these
+  # three tests, for time.
   ./build-thread/tests/test_scf \
-    --gtest_filter='ScfEngine.ConcurrentGridPassesOnSharedEngineAreBitwise:ScfEngine.ConcurrentParallelGridPassesOnSharedClusterAreBitwise'
+    --gtest_filter='ScfEngine.ConcurrentGridPassesOnSharedEngineAreBitwise:ScfEngine.ConcurrentParallelGridPassesOnSharedClusterAreBitwise:ForceEvaluator.ConcurrentFirstForcesAreBitwise'
   # The serve pool/cache/scheduler run their full modeled-engine suite
   # under TSan; the RealEngine end-to-end tests are excluded only for
   # time (SCF under TSan is ~20x slower), not correctness.

@@ -10,7 +10,7 @@
 #include "common/constants.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "linalg/lu.hpp"
+#include "linalg/diis.hpp"
 #include "obs/obs.hpp"
 #include "robustness/fault.hpp"
 
@@ -21,9 +21,8 @@ namespace {
 // DIIS history of one axis. P1 = W C_occ^T + C_occ W^T is exactly
 // symmetric, and so is every mix of such matrices, so the history keeps
 // upper triangles (row-major): half the memory of full matrices, which
-// counts with three axes' histories alive at once. Each residual overlap
-// is computed once, when the residual arrives. Every sum runs over the
-// full index space in row-major order and reads entry (a, b) from the
+// counts with three axes' histories alive at once. Every sum runs over
+// the full index space in row-major order and reads entry (a, b) from the
 // triangle, so each value is bitwise the full-matrix one.
 class DiisHistory {
  public:
@@ -45,40 +44,25 @@ class DiisHistory {
     // <r_i, r_new> = Tr(r_i r_new^T); the products commute, so the one
     // value serves both (i, new) and (new, i).
     std::vector<double> row;
-    for (std::size_t i = 0; i < r_.size(); ++i) {
-      overlap_[i].push_back(dot(r_[i], r));
-      row.push_back(overlap_[i].back());
-    }
+    for (const std::vector<double>& ri : r_) row.push_back(dot(ri, r));
     row.push_back(dot(r, r));
     p_.push_back(std::move(p));
     r_.push_back(std::move(r));
-    overlap_.push_back(std::move(row));
+    gram_.push(std::move(row));
     if (static_cast<int>(p_.size()) > depth) {
       p_.pop_front();
       r_.pop_front();
-      overlap_.pop_front();
-      for (std::vector<double>& o : overlap_) o.erase(o.begin());
+      gram_.pop_front();
     }
   }
 
   // The DIIS extrapolation sum_i c_i p_i into *out; false (and *out
   // untouched) with fewer than two entries or a singular system.
   bool extrapolate(linalg::Matrix* out) const {
-    const std::size_t m = p_.size();
-    if (m < 2) return false;
-    linalg::Matrix sys(m + 1, m + 1);
-    std::vector<double> rhs(m + 1, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < m; ++j) sys(i, j) = overlap_[i][j];
-      sys(i, m) = -1.0;
-      sys(m, i) = -1.0;
-    }
-    rhs[m] = -1.0;
-    const linalg::Lu lu(sys);
-    if (lu.singular()) return false;
-    const std::vector<double> coef = lu.solve(rhs);
+    const std::vector<double> coef = gram_.coefficients();
+    if (coef.empty()) return false;
     std::vector<double> mix(p_[0].size(), 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t i = 0; i < p_.size(); ++i) {
       for (std::size_t k = 0; k < mix.size(); ++k) mix[k] += p_[i][k] * coef[i];
     }
     linalg::Matrix full(n_, n_);
@@ -115,7 +99,7 @@ class DiisHistory {
   std::size_t n_;
   std::deque<std::vector<double>> p_;
   std::deque<std::vector<double>> r_;
-  std::deque<std::vector<double>> overlap_;  // [i][j] = <r_i, r_j>
+  linalg::DiisGram gram_;
 };
 
 // One axis of the lockstep loop: the state of its current recovery
@@ -153,7 +137,7 @@ DfptEngine::DfptEngine(const scf::ScfEngine& scf,
   // XC response kernel at the ground-state density.
   fxc_.resize(n.size());
   for (std::size_t p = 0; p < n.size(); ++p) {
-    fxc_[p] = xc::evaluate(scf_.options().functional, n[p]).f;
+    fxc_[p] = xc::kernel(scf_.options().functional, n[p]);
   }
 }
 

@@ -175,8 +175,10 @@ FmmStats HartreeContext::stats() const {
   return stats_;
 }
 
-void HartreeContext::request_plan() {
-  if (resolve_backend() == HartreeBackend::Direct) solver_.request_plan();
+void HartreeContext::request_plan(std::size_t byte_cap) {
+  if (resolve_backend() == HartreeBackend::Direct) {
+    solver_.request_plan(byte_cap);
+  }
 }
 
 std::vector<std::vector<double>> HartreeContext::solve_on_grid(

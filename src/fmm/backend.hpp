@@ -85,10 +85,12 @@ class HartreeContext {
   [[nodiscard]] std::vector<double> solve_on_grid(
       const std::vector<double>& density) const;
 
-  // Requests the solver's evaluation plan when this context evaluates
-  // through Direct (MultipoleSolver::request_plan); an Fmm context never
-  // builds one. Called by engines that iterate (ScfEngine::solve).
-  void request_plan();
+  // Requests the solver's evaluation plan of at most byte_cap bytes when
+  // this context evaluates through Direct (MultipoleSolver::request_plan);
+  // an Fmm context never builds one. Called by engines that iterate
+  // (ScfEngine::solve) and for the siblings of a ForceEvaluator.
+  void request_plan(
+      std::size_t byte_cap = hartree::MultipoleSolver::kPlanByteCap);
 
   // Tree evaluation of already-solved potentials (bench / test entry;
   // ignores the configured backend). One pass serves every potential: the

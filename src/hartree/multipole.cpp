@@ -234,6 +234,7 @@ void MultipoleSolver::build_plan() const {
                               1e-8);
     return pair_record_size(r <= ar.radii.back() ? 0 : kFarPair, ar.l_res);
   };
+  const std::size_t byte_cap = plan_byte_cap_.load(std::memory_order_relaxed);
   const std::size_t point_ints = n_atoms * sizeof(std::uint32_t);
   std::size_t n_points = 0;
   std::size_t n_coef = 0;
@@ -242,7 +243,7 @@ void MultipoleSolver::build_plan() const {
     for (std::size_t a = 0; a < n_atoms; ++a) d += pair_doubles(n_points, a);
     const std::size_t bytes = (n_points + 1) * point_ints +
                               (n_coef + d) * sizeof(double);
-    if (bytes > kPlanByteCap) break;
+    if (bytes > byte_cap) break;
     n_coef += d;
   }
 

@@ -62,8 +62,9 @@
 // Evaluation plan: an engine that iterates (ScfEngine::solve) asks for the
 // plan with request_plan(); the first evaluate_on_grid after that
 // tabulates every pair's record once, under std::call_once, and every
-// later evaluation only reads them. The plan stops at kPlanByteCap; points
-// past the cap compute their records as they go.
+// later evaluation only reads them. The plan stops at the byte cap of the
+// request (kPlanByteCap unless the caller shares that budget among several
+// solvers); points past the cap compute their records as they go.
 
 namespace swraman::hartree {
 
@@ -226,9 +227,11 @@ class MultipoleSolver {
   [[nodiscard]] std::vector<double> solve_on_grid(
       const std::vector<double>& density) const;
 
-  // Asks for the evaluation plan (see the header comment); the next
-  // evaluate_on_grid builds it. For solvers that evaluate many times.
-  void request_plan() {
+  // Asks for the evaluation plan (see the header comment) of at most
+  // byte_cap bytes; the next evaluate_on_grid builds it. For solvers that
+  // evaluate many times. A request after the build changes nothing.
+  void request_plan(std::size_t byte_cap = kPlanByteCap) {
+    plan_byte_cap_.store(byte_cap, std::memory_order_relaxed);
     plan_requested_.store(true, std::memory_order_release);
   }
 
@@ -237,7 +240,7 @@ class MultipoleSolver {
   [[nodiscard]] std::size_t planned_points() const;
   [[nodiscard]] std::size_t plan_bytes() const;
 
-  // Fixed per-solver memory budget of the plan.
+  // Default memory budget of one solver's plan.
   static constexpr std::size_t kPlanByteCap = std::size_t{16} << 20;
 
   [[nodiscard]] int lmax() const { return lmax_; }
@@ -278,6 +281,7 @@ class MultipoleSolver {
   std::vector<AtomRadial> radial_;  // per atom
 
   std::atomic<bool> plan_requested_{false};
+  std::atomic<std::size_t> plan_byte_cap_{kPlanByteCap};
   mutable std::once_flag plan_once_;
   mutable std::atomic<bool> plan_built_{false};  // set after plan_ is filled
   mutable Plan plan_;

@@ -130,6 +130,16 @@ double trace_product(const Matrix& a, const Matrix& b) {
   return s;
 }
 
+double frobenius_dot(const Matrix& a, const Matrix& b) {
+  SWRAMAN_REQUIRE(a.rows() == b.rows() && a.cols() == b.cols(),
+                  "frobenius_dot: shape mismatch");
+  const double* pa = a.data();
+  const double* pb = b.data();
+  double s = 0.0;
+  for (std::size_t k = 0; k < a.rows() * a.cols(); ++k) s += pa[k] * pb[k];
+  return s;
+}
+
 Matrix at_b(const Matrix& a, const Matrix& b) {
   SWRAMAN_REQUIRE(a.rows() == b.rows(), "at_b: dimension mismatch");
   Matrix c(a.cols(), b.cols());

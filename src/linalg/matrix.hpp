@@ -80,6 +80,11 @@ std::vector<double> matvec(const Matrix& a, const std::vector<double>& x);
 // sum_ij A_ij B_ji. For symmetric B this equals sum_ij A_ij B_ij.
 double trace_product(const Matrix& a, const Matrix& b);
 
+// sum_ij A_ij B_ij for equally-shaped matrices, summed row by row: bitwise
+// trace_product(a, b.transposed()) without the transposed copy, and
+// symmetric in a and b (the products commute).
+double frobenius_dot(const Matrix& a, const Matrix& b);
+
 // C = A^T B and C = A B^T helpers (avoid explicit transposes in hot paths).
 Matrix at_b(const Matrix& a, const Matrix& b);
 Matrix a_bt(const Matrix& a, const Matrix& b);

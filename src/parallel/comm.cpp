@@ -51,6 +51,12 @@ void reduce_into(std::vector<double>& acc, const std::vector<double>& in) {
   for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += in[i];
 }
 
+// Non-power-of-two P, or fewer elements than ranks: allreduce_rsag gathers
+// through rank 0 instead of running Rabenseifner.
+bool rsag_gathers(std::size_t p, std::size_t n) {
+  return (p & (p - 1)) != 0 || n < p;
+}
+
 }  // namespace
 
 // Shared state of one communicator: mailboxes keyed by (src, dst, tag),
@@ -408,14 +414,12 @@ void Communicator::allreduce_rsag(std::vector<double>& data, int tag_base) {
   const std::size_t p = size();
   const std::size_t n = data.size();
 
-  // Non-power-of-two P, or fewer elements than ranks: rank 0 folds the
-  // contributions in ascending rank order (((x0 + x1) + x2) + ...), bitwise
-  // a serial loop over ranks, and broadcasts the sum; the cost model
-  // prices it as such (sunway::modeled_host_allreduce_time, DESIGN.md S10).
-  // Power-of-two P uses true recursive halving + doubling.
-  std::size_t pof2 = 1;
-  while (pof2 * 2 <= p) pof2 *= 2;
-  if (pof2 != p || n < p) {
+  // The gather: rank 0 folds the contributions in ascending rank order
+  // (((x0 + x1) + x2) + ...), bitwise a serial loop over ranks, and
+  // broadcasts the sum; the cost model prices it as such
+  // (sunway::modeled_host_allreduce_time, DESIGN.md S10). Power-of-two P
+  // uses true recursive halving + doubling.
+  if (rsag_gathers(p, n)) {
     const int tag = tag_base + kOffGatherFallback;
     if (rank_ == 0) {
       for (std::size_t r = 1; r < p; ++r) reduce_into(data, recv(r, tag));
@@ -528,10 +532,18 @@ void Communicator::allreduce_hierarchical(std::vector<double>& data,
   if (h.leader && h.leaders.size() > 1) {
     h.leaders.allreduce_rsag(data, tag_base);
     if (obs::enabled()) {
-      // Rabenseifner wire volume per rank: 2 (g-1)/g * payload.
-      const double g = static_cast<double>(h.leaders.size());
-      obs::count("comm.allreduce.inter.bytes",
-                 std::floor(2.0 * (g - 1.0) / g * bytes + 0.5));
+      // Wire volume per leader: 2 (g-1)/g * payload under Rabenseifner;
+      // under the gather, leader 0 receives and sends (g-1) payloads and
+      // every other leader one each way.
+      const std::size_t g = h.leaders.size();
+      double moved = 2.0 * bytes;
+      if (!rsag_gathers(g, n)) {
+        const double gd = static_cast<double>(g);
+        moved = std::floor(2.0 * (gd - 1.0) / gd * bytes + 0.5);
+      } else if (h.leaders.rank() == 0) {
+        moved = 2.0 * static_cast<double>(g - 1) * bytes;
+      }
+      obs::count("comm.allreduce.inter.bytes", moved);
     }
   }
 

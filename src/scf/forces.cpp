@@ -32,6 +32,14 @@ ForceEvaluator::ForceEvaluator(std::vector<grid::AtomSite> atoms,
               options_);
     }
   }
+  // Each sibling evaluates Hartree once per field point it serves (13 for
+  // a bec stencil): worth a Direct plan, the siblings sharing one solver's
+  // budget.
+  const std::size_t byte_cap =
+      hartree::MultipoleSolver::kPlanByteCap / displaced_.size();
+  for (const std::unique_ptr<ScfEngine>& engine : displaced_) {
+    engine->request_hartree_plan(byte_cap);
+  }
 }
 
 double ForceEvaluator::lagrangian(const ScfEngine& engine,
@@ -62,7 +70,7 @@ double ForceEvaluator::lagrangian(const ScfEngine& engine,
   const xc::Functional functional = engine.options().functional;
   for (std::size_t p = 0; p < g.size(); ++p) {
     const double wn = g.weights[p] * n[p];
-    e += wn * (v_ext[p] + 0.5 * v_h[p] + xc::evaluate(functional, n[p]).eps);
+    e += wn * (v_ext[p] + 0.5 * v_h[p] + xc::energy(functional, n[p]));
     if (has_field) e += wn * dot(field, g.points[p]);
   }
 

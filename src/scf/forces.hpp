@@ -38,7 +38,9 @@ class ForceEvaluator {
  public:
   // Builds the 6N displaced sibling engines eagerly (each is a full
   // grid + basis + matrix build, no SCF). Memory is O(N) engines — the
-  // same order as the displacement pipeline's transient peak.
+  // same order as the displacement pipeline's transient peak — plus
+  // their Direct evaluation plans, built by the first forces() call and
+  // together at most one MultipoleSolver::kPlanByteCap.
   ForceEvaluator(std::vector<grid::AtomSite> atoms, ScfOptions options,
                  double displacement = 1e-3);
 

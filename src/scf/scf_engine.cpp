@@ -10,8 +10,8 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/threads.hpp"
+#include "linalg/diis.hpp"
 #include "linalg/eigen.hpp"
-#include "linalg/lu.hpp"
 #include "obs/obs.hpp"
 #include "robustness/fault.hpp"
 
@@ -379,17 +379,28 @@ std::vector<double> ScfEngine::fermi_occupations(
     const std::vector<double>& eigenvalues, double n_electrons,
     double* fermi) const {
   const double kt = std::max(options_.smearing, 1e-8);
+  // 2 / (1 + e^x), x = (e - mu)/kt. Below x = -40, e^x < 2^-57 and 1 + e^x
+  // rounds to 1; above 710, e^x overflows to inf. Both ends are exact
+  // without the exp; NaN fails both tests and takes the exp.
+  const auto occupation = [kt](double e, double mu) {
+    const double x = (e - mu) / kt;
+    if (x < -40.0) return 2.0;
+    if (x > 710.0) return 0.0;
+    return 2.0 / (1.0 + std::exp(x));
+  };
   const auto count = [&](double mu) {
     double n = 0.0;
-    for (double e : eigenvalues) {
-      n += 2.0 / (1.0 + std::exp((e - mu) / kt));
-    }
+    for (double e : eigenvalues) n += occupation(e, mu);
     return n;
   };
+  // Bisection, at most 200 steps. Once the midpoint rounds onto an end of
+  // the bracket, every further step leaves mu at that midpoint, so the
+  // search stops there with the 200-step result.
   double lo = eigenvalues.front() - 10.0;
   double hi = eigenvalues.back() + 10.0;
   for (int iter = 0; iter < 200; ++iter) {
     const double mid = 0.5 * (lo + hi);
+    if (mid == lo || mid == hi) break;
     if (count(mid) < n_electrons) {
       lo = mid;
     } else {
@@ -400,7 +411,7 @@ std::vector<double> ScfEngine::fermi_occupations(
   if (fermi != nullptr) *fermi = mu;
   std::vector<double> occ(eigenvalues.size());
   for (std::size_t i = 0; i < occ.size(); ++i) {
-    occ[i] = 2.0 / (1.0 + std::exp((eigenvalues[i] - mu) / kt));
+    occ[i] = occupation(eigenvalues[i], mu);
   }
   return occ;
 }
@@ -419,8 +430,7 @@ GroundState ScfEngine::solve(const linalg::Matrix* initial_density) {
   SWRAMAN_TRACE_SPAN(span, "scf.solve");
   obs::count("scf.solves");
   // The SCF cycle and the DFPT responses on this engine solve Poisson tens
-  // of times on one geometry: worth a Direct evaluation plan. Engines that
-  // never solve (ForceEvaluator siblings) evaluate without one.
+  // of times on one geometry: worth a Direct evaluation plan.
   hartree_.request_plan();
   const int attempts = std::max(1, options_.recovery_attempts);
   for (int attempt = 1; attempt <= attempts; ++attempt) {
@@ -492,6 +502,7 @@ GroundState ScfEngine::solve_attempt(const linalg::Matrix* initial_density,
   linalg::Matrix p_old(nbf, nbf);
   std::deque<linalg::Matrix> diis_h;
   std::deque<linalg::Matrix> diis_e;
+  linalg::DiisGram diis_gram;  // frobenius_dot of the diis_e residuals
   double e_prev = 0.0;
   std::vector<double> v_eff(grid_.size());
 
@@ -516,7 +527,8 @@ GroundState ScfEngine::solve_attempt(const linalg::Matrix* initial_density,
       SWRAMAN_TRACE_SCOPE("scf.veff");
       const std::vector<double> v_h = hartree_.solve_on_grid(n);
       for (std::size_t p = 0; p < grid_.size(); ++p) {
-        const xc::XcPoint xcp = xc::evaluate(options_.functional, n[p]);
+        const xc::XcEnergyPotential xcp =
+            xc::energy_potential(options_.functional, n[p]);
         v_eff[p] = v_ext_[p] + v_h[p] + xcp.v + v_field[p];
         const double wn = grid_.weights[p] * n[p];
         e_h += 0.5 * wn * v_h[p];
@@ -547,31 +559,24 @@ GroundState ScfEngine::solve_attempt(const linalg::Matrix* initial_density,
       if (static_cast<int>(diis_h.size()) > options_.diis_depth) {
         diis_h.pop_front();
         diis_e.pop_front();
+        diis_gram.pop_front();
       }
-      const std::size_t m = diis_h.size();
-      if (m >= 2) {
-        linalg::Matrix b(m + 1, m + 1);
-        std::vector<double> rhs(m + 1, 0.0);
-        for (std::size_t i = 0; i < m; ++i) {
-          for (std::size_t j = 0; j < m; ++j) {
-            b(i, j) = linalg::trace_product(diis_e[i],
-                                            diis_e[j].transposed());
-          }
-          b(i, m) = -1.0;
-          b(m, i) = -1.0;
+      if (!diis_e.empty()) {
+        std::vector<double> row;
+        for (const linalg::Matrix& e : diis_e) {
+          row.push_back(linalg::frobenius_dot(e, diis_e.back()));
         }
-        rhs[m] = -1.0;
-        const linalg::Lu lu(b);
-        if (!lu.singular()) {
-          const std::vector<double> c = lu.solve(rhs);
-          linalg::Matrix h_mix(nbf, nbf);
-          for (std::size_t i = 0; i < m; ++i) {
-            linalg::Matrix term = diis_h[i];
-            term *= c[i];
-            h_mix += term;
-          }
-          h = std::move(h_mix);
+        diis_gram.push(std::move(row));
+      }
+      const std::vector<double> c = diis_gram.coefficients();
+      if (!c.empty()) {
+        linalg::Matrix h_mix(nbf, nbf);
+        for (std::size_t i = 0; i < c.size(); ++i) {
+          linalg::Matrix term = diis_h[i];
+          term *= c[i];
+          h_mix += term;
         }
+        h = std::move(h_mix);
       }
     }
 

@@ -131,6 +131,12 @@ class ScfEngine {
   [[nodiscard]] const fmm::HartreeContext& hartree() const {
     return hartree_;
   }
+  // Requests the Direct evaluation plan within byte_cap bytes for an
+  // engine that never solves but evaluates Hartree many times (the
+  // ForceEvaluator siblings, which share one solver's budget).
+  void request_hartree_plan(std::size_t byte_cap) {
+    hartree_.request_plan(byte_cap);
+  }
   [[nodiscard]] const linalg::Matrix& overlap() const { return s_; }
   [[nodiscard]] const linalg::Matrix& kinetic() const { return t_; }
   [[nodiscard]] const ScfOptions& options() const { return options_; }

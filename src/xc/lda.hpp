@@ -29,6 +29,18 @@ enum class Functional {
 // (numerically empty regions of the integration grid).
 XcPoint evaluate(Functional f, double n);
 
+// The parts of evaluate() a caller reads, each bitwise the same field of
+// evaluate(f, n) and computed without the others' extra work: the SCF
+// effective potential reads eps and v, the force Lagrangian eps, and the
+// DFPT response kernel f.
+struct XcEnergyPotential {
+  double eps = 0.0;
+  double v = 0.0;
+};
+XcEnergyPotential energy_potential(Functional f, double n);
+double energy(Functional f, double n);
+double kernel(Functional f, double n);
+
 // Individual pieces, exposed for unit tests.
 XcPoint slater_exchange(double n);
 XcPoint pw92_correlation(double n);

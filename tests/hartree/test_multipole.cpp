@@ -214,6 +214,29 @@ TEST(Multipole, PlanPastTheByteCapFallsBackBitwise) {
   EXPECT_TRUE(bitwise_equal(v, pointwise(pot, w.grid)));
 }
 
+TEST(Multipole, RequestedByteCapBoundsThePlan) {
+  // A plan requested at half its full size covers a prefix of the serve
+  // water grid within that cap; evaluation stays bitwise value().
+  grid::GridSettings serve;
+  serve.n_radial = 12;
+  serve.angular_order = 5;
+  const WaterCase w = water_case(serve);
+  MultipoleSolver full(w.grid, 6);
+  full.request_plan();
+  const MultipolePotential pot = full.solve(w.density);
+  (void)full.evaluate_on_grid(pot);
+  ASSERT_EQ(full.planned_points(), w.grid.size());
+
+  const std::size_t cap = full.plan_bytes() / 2;
+  MultipoleSolver half(w.grid, 6);
+  half.request_plan(cap);
+  const std::vector<double> v = half.evaluate_on_grid(pot);
+  EXPECT_GT(half.planned_points(), 0u);
+  EXPECT_LT(half.planned_points(), w.grid.size());
+  EXPECT_LE(half.plan_bytes(), cap);
+  EXPECT_TRUE(bitwise_equal(v, pointwise(pot, w.grid)));
+}
+
 // Three densities of one grid: the water density and two deformations
 // of it, so each potential has its own channels and moments.
 std::vector<std::vector<double>> three_densities(const WaterCase& w) {

@@ -1,6 +1,7 @@
 #include "linalg/matrix.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -61,6 +62,26 @@ TEST(Matrix, TraceProduct) {
   const Matrix a{{1.0, 2.0}, {3.0, 4.0}};
   const Matrix b{{5.0, 6.0}, {7.0, 8.0}};
   EXPECT_DOUBLE_EQ(trace_product(a, b), (a * b).trace());
+}
+
+TEST(Matrix, FrobeniusDotIsBitwiseTraceProductOfTheTranspose) {
+  // Entries spanning many magnitudes, so a different summation order
+  // would show in the last bits.
+  Matrix a(5, 5);
+  Matrix b(5, 5);
+  for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t j = 0; j < 5; ++j) {
+      const double k = static_cast<double>(5 * i + j);
+      a(i, j) = std::sin(1.3 * k) * std::pow(10.0, 0.7 * k - 8.0);
+      b(i, j) = std::cos(0.9 * k) * std::pow(10.0, 5.0 - 0.4 * k);
+    }
+  }
+  const double ref = trace_product(a, b.transposed());
+  const double ab = frobenius_dot(a, b);
+  const double ba = frobenius_dot(b, a);
+  EXPECT_EQ(std::memcmp(&ab, &ref, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&ba, &ref, sizeof(double)), 0);
+  EXPECT_THROW((void)frobenius_dot(a, Matrix(5, 4)), Error);
 }
 
 TEST(Matrix, Matvec) {

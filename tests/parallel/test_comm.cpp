@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "obs/obs.hpp"
 
 namespace swraman::parallel {
 namespace {
@@ -147,6 +148,34 @@ std::vector<AllreduceCase> allreduce_cases() {
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AllreduceSweep,
                          ::testing::ValuesIn(allreduce_cases()));
+
+// comm.allreduce.inter.bytes of one Hierarchical allreduce of 1000
+// doubles (8000 bytes) over `ranks` ranks in nodes of 4.
+double inter_bytes(std::size_t ranks) {
+  obs::Registry::instance().reset_for_testing();
+  obs::set_enabled(true);
+  CommConfig config;
+  config.node_size = 4;
+  run_spmd(
+      ranks,
+      [](Communicator& comm) {
+        std::vector<double> data(1000, static_cast<double>(comm.rank()));
+        comm.allreduce(data, AllreduceAlgorithm::Hierarchical);
+      },
+      config);
+  obs::set_enabled(false);
+  const auto counters = obs::Registry::instance().counter_values();
+  obs::Registry::instance().reset_for_testing();
+  return counters.at("comm.allreduce.inter.bytes");
+}
+
+TEST(Comm, HierarchicalLeadersChargeTheBytesTheyMove) {
+  // 3 leaders gather through leader 0: it moves 2 * 2 payloads, the other
+  // two 2 each.
+  EXPECT_EQ(inter_bytes(12), 64000.0);
+  // 4 leaders run Rabenseifner: 2 * 3/4 of a payload each.
+  EXPECT_EQ(inter_bytes(16), 48000.0);
+}
 
 TEST(Comm, SplitFormsSubCommunicators) {
   run_spmd(6, [](Communicator& comm) {

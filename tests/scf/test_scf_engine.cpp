@@ -1,7 +1,12 @@
 #include "scf/scf_engine.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <random>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -244,10 +249,11 @@ TEST(ScfEngine, GtoBackendAgreesRoughlyWithNao) {
 namespace swraman::scf {
 namespace {
 
-TEST(ScfEngine, OnlySolvingDirectEnginesHoldAnEvaluationPlan) {
-  // solve() requests the Direct evaluation plan; an Fmm engine and the
-  // ForceEvaluator's displaced siblings (which never solve, and are shared
-  // across serve workers) evaluate without one.
+TEST(ScfEngine, DirectSolversAndForceSiblingsHoldEvaluationPlans) {
+  // solve() requests the Direct evaluation plan; the ForceEvaluator's
+  // displaced siblings request theirs at an equal share of one
+  // kPlanByteCap, built by the first forces() call; an Fmm engine holds
+  // none.
   ScfOptions opt;
   opt.species.tier = basis::Tier::Minimal;
   opt.grid.level = grid::GridLevel::Light;
@@ -258,9 +264,19 @@ TEST(ScfEngine, OnlySolvingDirectEnginesHoldAnEvaluationPlan) {
   EXPECT_GT(direct.poisson().plan_bytes(), 0u);
 
   const ForceEvaluator forces(h2(), opt);
-  (void)forces.forces(gs);
-  for (std::size_t i = 0; i < 2 * 3 * 2; ++i) {
+  constexpr std::size_t kSiblings = 2 * 3 * 2;
+  for (std::size_t i = 0; i < kSiblings; ++i) {
     EXPECT_EQ(forces.displaced(i).poisson().planned_points(), 0u) << i;
+  }
+  (void)forces.forces(gs);
+  for (std::size_t i = 0; i < kSiblings; ++i) {
+    const hartree::MultipoleSolver& solver = forces.displaced(i).poisson();
+    EXPECT_EQ(solver.planned_points(), forces.displaced(i).grid().size())
+        << i;
+    EXPECT_GT(solver.plan_bytes(), 0u) << i;
+    EXPECT_LE(solver.plan_bytes(),
+              hartree::MultipoleSolver::kPlanByteCap / kSiblings)
+        << i;
   }
 
   ScfOptions fmm_opt = opt;
@@ -269,6 +285,145 @@ TEST(ScfEngine, OnlySolvingDirectEnginesHoldAnEvaluationPlan) {
   (void)fmm.solve();
   EXPECT_EQ(fmm.poisson().planned_points(), 0u);
   EXPECT_EQ(fmm.poisson().plan_bytes(), 0u);
+}
+
+TEST(ForceEvaluator, ConcurrentFirstForcesAreBitwise) {
+  // Three threads call forces() on one fresh evaluator, so they race the
+  // siblings' plan builds (std::call_once per solver); each result is
+  // bitwise that of a serial call on another fresh evaluator.
+  ScfOptions opt;
+  opt.species.tier = basis::Tier::Minimal;
+  opt.grid.level = grid::GridLevel::Light;
+  ScfEngine engine(h2(), opt);
+  const GroundState gs = engine.solve();
+  const Vec3 field{0.0, 0.0, 1e-2};
+  const std::vector<double> ref = ForceEvaluator(h2(), opt).forces(gs, field);
+
+  const ForceEvaluator shared(h2(), opt);
+  constexpr int kThreads = 3;
+  std::vector<std::vector<double>> out(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      out[static_cast<std::size_t>(t)] = shared.forces(gs, field);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const std::vector<double>& f : out) {
+    ASSERT_EQ(f.size(), ref.size());
+    EXPECT_EQ(std::memcmp(f.data(), ref.data(), ref.size() * sizeof(double)),
+              0);
+  }
+}
+
+// The Fermi search as it stood before its early exit and exp shortcuts:
+// 200 bisection steps, every occupation through exp.
+std::vector<double> fermi_reference(const std::vector<double>& eigenvalues,
+                                    double n_electrons, double smearing,
+                                    double* fermi) {
+  const double kt = std::max(smearing, 1e-8);
+  const auto count = [&](double mu) {
+    double n = 0.0;
+    for (double e : eigenvalues) {
+      n += 2.0 / (1.0 + std::exp((e - mu) / kt));
+    }
+    return n;
+  };
+  double lo = eigenvalues.front() - 10.0;
+  double hi = eigenvalues.back() + 10.0;
+  for (int iter = 0; iter < 200; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (count(mid) < n_electrons) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  const double mu = 0.5 * (lo + hi);
+  *fermi = mu;
+  std::vector<double> occ(eigenvalues.size());
+  for (std::size_t i = 0; i < occ.size(); ++i) {
+    occ[i] = 2.0 / (1.0 + std::exp((eigenvalues[i] - mu) / kt));
+  }
+  return occ;
+}
+
+// fermi_occupations reads only the engine's smearing.
+ScfEngine fermi_engine(double smearing) {
+  ScfOptions opt;
+  opt.species.tier = basis::Tier::Minimal;
+  opt.grid.level = grid::GridLevel::Light;
+  opt.smearing = smearing;
+  return ScfEngine(h2(), opt);
+}
+
+TEST(ScfFermi, OccupationsSumToElectronCount) {
+  const ScfEngine engine = fermi_engine(1e-3);
+  const std::vector<double> eps{-20.1, -1.3, -0.7, -0.52, -0.49, 0.1, 0.4};
+  for (double n_elec : {2.0, 6.0, 8.0, 10.0}) {
+    double mu = 0.0;
+    const std::vector<double> occ =
+        engine.fermi_occupations(eps, n_elec, &mu);
+    double sum = 0.0;
+    for (double f : occ) {
+      EXPECT_GE(f, 0.0);
+      EXPECT_LE(f, 2.0);
+      sum += f;
+    }
+    EXPECT_NEAR(sum, n_elec, 1e-9) << n_elec;
+  }
+}
+
+TEST(ScfFermi, DegenerateHomosShareEqually) {
+  // Three degenerate levels hold the last 2 of 8 electrons: 2/3 each.
+  const ScfEngine engine = fermi_engine(1e-3);
+  const std::vector<double> eps{-10.0, -1.0, -0.5, -0.3, -0.3, -0.3, 0.5};
+  double mu = 0.0;
+  const std::vector<double> occ = engine.fermi_occupations(eps, 8.0, &mu);
+  EXPECT_EQ(occ[3], occ[4]);
+  EXPECT_EQ(occ[4], occ[5]);
+  EXPECT_NEAR(occ[3], 2.0 / 3.0, 1e-9);
+  EXPECT_EQ(occ[0], 2.0);
+  EXPECT_EQ(occ[6], 0.0);
+}
+
+TEST(ScfFermi, BitwiseTheTwoHundredStepSearch) {
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> level(-5.0, 3.0);
+  std::uniform_real_distribution<double> tiny(0.0, 1e-9);
+  for (double smearing : {1e-3, 0.05, 1e-8}) {
+    const ScfEngine engine = fermi_engine(smearing);
+    for (int t = 0; t < 60; ++t) {
+      std::vector<double> eps(4 + static_cast<std::size_t>(t % 9));
+      for (double& e : eps) e = level(rng);
+      std::sort(eps.begin(), eps.end());
+      const std::size_t homo = eps.size() / 2;
+      if (t % 4 == 1) {
+        // Near-gapless: the LUMO sits within 1e-9 Ha of the HOMO.
+        eps[homo] = eps[homo - 1] + tiny(rng);
+      } else if (t % 4 == 2) {
+        eps.front() = -1e4;  // a deep core level
+      }
+      std::sort(eps.begin(), eps.end());
+      const double n_elec = 2.0 * static_cast<double>(homo);
+      double mu = 0.0;
+      double mu_ref = 0.0;
+      const std::vector<double> occ =
+          engine.fermi_occupations(eps, n_elec, &mu);
+      const std::vector<double> ref =
+          fermi_reference(eps, n_elec, smearing, &mu_ref);
+      EXPECT_EQ(std::memcmp(&mu, &mu_ref, sizeof(double)), 0)
+          << "smearing " << smearing << " case " << t;
+      ASSERT_EQ(occ.size(), ref.size());
+      EXPECT_EQ(std::memcmp(occ.data(), ref.data(), ref.size() * sizeof(double)),
+                0)
+          << "smearing " << smearing << " case " << t;
+    }
+  }
 }
 
 TEST(ScfRestart, SameEnergyFewerIterations) {

@@ -1,6 +1,8 @@
 #include "xc/lda.hpp"
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -76,6 +78,32 @@ TEST(Lda, AllPiecesNegativeForPositiveDensity) {
     EXPECT_LT(slater_exchange(n).v, 0.0);
     EXPECT_LT(pw92_correlation(n).eps, 0.0);
     EXPECT_LT(pw92_correlation(n).v, 0.0);
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(XcEntryPoints, MatchEvaluateBitwise) {
+  // Densities from 1e-16 to 1e6 in steps of 10^0.25, the floor's
+  // neighbourhood (1e-14) included, plus zero.
+  std::vector<double> densities{0.0};
+  for (int k = -64; k <= 24; ++k) {
+    densities.push_back(std::pow(10.0, 0.25 * k));
+  }
+  for (double n : {1e-14, std::nextafter(1e-14, 0.0), 0.999e-14}) {
+    densities.push_back(n);
+  }
+  for (Functional f : {Functional::LdaPw92, Functional::SlaterX}) {
+    for (double n : densities) {
+      const XcPoint ref = evaluate(f, n);
+      const XcEnergyPotential ev = energy_potential(f, n);
+      EXPECT_TRUE(same_bits(ev.eps, ref.eps)) << "n=" << n;
+      EXPECT_TRUE(same_bits(ev.v, ref.v)) << "n=" << n;
+      EXPECT_TRUE(same_bits(energy(f, n), ref.eps)) << "n=" << n;
+      EXPECT_TRUE(same_bits(kernel(f, n), ref.f)) << "n=" << n;
+    }
   }
 }
 
